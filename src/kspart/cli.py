@@ -132,8 +132,8 @@ def _spectral_payload(graph: Graph, rep, policy: NumericPolicy) -> dict:
 def cmd_mixed(args) -> int:
     policy = _resolve_policy(args)
     t0 = time.perf_counter()
-    ens = ensemble_from_dict(read_json(args.infile))
-    coeffs = mixed_char_poly(ensemble_instance(ens), policy)
+    ens = ensemble_from_dict(read_json(args.infile), policy)
+    coeffs = mixed_char_poly(ensemble_instance(ens, policy), policy)
     payload = {
         "degree": ens.dim,
         "coefficients": list(coeffs),
@@ -160,9 +160,9 @@ def cmd_certify(args) -> int:
     schema = doc.get("schema")
     if schema == SCHEMA_INSTANCE:
         inst, _ = instance_from_dict(doc)
-        mi = ensemble_instance_from_vectors(inst)
+        mi = ensemble_instance_from_vectors(inst, policy)
     elif schema == SCHEMA_ENSEMBLE:
-        mi = ensemble_instance(ensemble_from_dict(doc))
+        mi = ensemble_instance(ensemble_from_dict(doc, policy), policy)
     else:
         raise ValidationError(f"unrecognized schema {schema!r}")
     eps = args.epsilon
@@ -173,10 +173,11 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_BOUND
 
 
-def ensemble_instance_from_vectors(inst: WeaverInstance):
+def ensemble_instance_from_vectors(inst: WeaverInstance,
+                                   policy: NumericPolicy = DEFAULT_POLICY):
     from .mixedchar import MixedInstance
     outers = np.einsum("mi,mj->mij", inst.vectors, inst.vectors.conj())
-    return MixedInstance(inst.dim, tuple(outers))
+    return MixedInstance(inst.dim, tuple(outers), policy)
 
 
 def cmd_chernoff(args) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg, realpoly
 from ._parallel import ordered_map
-from .mixedchar import RandomVectorEnsemble, conditional_expected_poly
+from .mixedchar import (RandomVectorEnsemble, conditional_expected_poly,
+                        outcome_block)
 from .policy import (
     CapacityError,
     DEFAULT_POLICY,
@@ -206,11 +207,10 @@ def exhaustive_minimum(e: RandomVectorEnsemble,
         np.einsum("aj,ak->ajk", v.values, v.values.conj())
         for v in e.vectors
     ]
-    assigns = list(product(*(range(s) for s in e.support_sizes)))
     best_idx = 0
     best_val = np.inf
-    for start in range(0, len(assigns), 8192):
-        chunk = np.array(assigns[start:start + 8192], dtype=int)
+    for start in range(0, leaves, 8192):
+        chunk = outcome_block(e.support_sizes, start, min(start + 8192, leaves))
         sums = np.zeros((chunk.shape[0], d, d), dtype=np.complex128)
         for i in range(len(e.vectors)):
             sums += outers[i][chunk[:, i]]
@@ -219,4 +219,5 @@ def exhaustive_minimum(e: RandomVectorEnsemble,
         if tops[local] < best_val:
             best_val = float(tops[local])
             best_idx = start + local
-    return tuple(int(t) for t in assigns[best_idx]), best_val
+    best = outcome_block(e.support_sizes, best_idx, best_idx + 1)[0]
+    return tuple(int(t) for t in best), best_val

@@ -60,10 +60,14 @@ def det(m) -> complex:
 def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of matrices, ascending coeffs.
 
-    Trace-recursion form: with M_1 = A and c_1 = -tr A, iterate
+    Faddeev-LeVerrier trace recursion: with M_1 = A and c_1 = -tr A, iterate
     M_{k+1} = A (M_k + c_k I), c_{k+1} = -tr(M_{k+1}) / (k+1); then
-    det(xI - A) = x^d + c_1 x^{d-1} + ... + c_d.  Division-free in A and
-    exact in the absence of rounding, which keeps small problems faithful.
+    det(xI - A) = x^d + c_1 x^{d-1} + ... + c_d.  Exact in the absence of
+    rounding, but it divides by k at every step and rounding errors grow
+    with d and with the spread of the spectrum.
+
+    The matrices must be Hermitian: the coefficients are then real, and only
+    the real part of each trace is kept, without a check.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     d = ms.shape[-1]

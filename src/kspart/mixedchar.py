@@ -20,13 +20,13 @@ for PSD matrices of any rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import InitVar, dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg
-from ._parallel import chunked, ordered_map
+from ._parallel import ordered_map
 from .policy import (
     CapacityError,
     DEFAULT_POLICY,
@@ -42,12 +42,14 @@ class FiniteSupportVector:
     probabilities: shape (l,), strictly positive, summing to 1 (renormalized
     when the drift is below prob_sum_tol, rejected beyond that).
     values: shape (l, d) complex atom values.
+    policy: supplies prob_sum_tol; used at construction only, not stored.
     """
 
     probabilities: np.ndarray
     values: np.ndarray
+    policy: InitVar[NumericPolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
+    def __post_init__(self, policy: NumericPolicy):
         p = np.atleast_1d(np.asarray(self.probabilities, dtype=np.float64))
         v = np.asarray(self.values, dtype=np.complex128)
         if v.ndim != 2:
@@ -60,7 +62,7 @@ class FiniteSupportVector:
         if np.any(p <= 0):
             raise ValidationError("atom probabilities must be strictly positive")
         drift = abs(float(np.sum(p)) - 1.0)
-        if drift > DEFAULT_POLICY.prob_sum_tol:
+        if drift > policy.prob_sum_tol:
             raise ValidationError(f"probabilities sum to 1 {drift:.3e} away from 1")
         p = p / np.sum(p)
         object.__setattr__(self, "probabilities", p)
@@ -110,13 +112,17 @@ class RandomVectorEnsemble:
 
 @dataclass(frozen=True)
 class MixedInstance:
-    """PSD matrices feeding the mixed characteristic polynomial."""
+    """PSD matrices feeding the mixed characteristic polynomial.
+
+    policy: tolerances of the PSD check; used at construction only.
+    """
 
     dim: int
     matrices: tuple[np.ndarray, ...]
+    policy: InitVar[NumericPolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
-        mats = tuple(linalg.check_psd(m) for m in self.matrices)
+    def __post_init__(self, policy: NumericPolicy):
+        mats = tuple(linalg.check_psd(m, policy) for m in self.matrices)
         for i, m in enumerate(mats):
             if m.shape[0] != self.dim:
                 raise ValidationError(
@@ -136,8 +142,20 @@ def ensemble_covariances(e: RandomVectorEnsemble) -> list[np.ndarray]:
     return [covariance(v) for v in e.vectors]
 
 
-def ensemble_instance(e: RandomVectorEnsemble) -> MixedInstance:
-    return MixedInstance(e.dim, tuple(ensemble_covariances(e)))
+def ensemble_instance(e: RandomVectorEnsemble,
+                      policy: NumericPolicy = DEFAULT_POLICY) -> MixedInstance:
+    return MixedInstance(e.dim, tuple(ensemble_covariances(e)), policy)
+
+
+def outcome_block(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Outcomes start..stop-1 of product(*(range(s) for s in sizes)).
+
+    Decoded from the flat outcome index, last index fastest, as a
+    (stop - start, len(sizes)) array, so no enumeration is materialised.
+    """
+    if not sizes:
+        return np.zeros((stop - start, 0), dtype=np.intp)
+    return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
 
 
 def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
@@ -157,10 +175,10 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
         np.einsum("aj,ak->ajk", v.values, v.values.conj())
         for v in e.vectors
     ]
-    assigns = list(product(*(range(s) for s in e.support_sizes)))
+    sizes = e.support_sizes
 
-    def run_chunk(chunk):
-        idx = np.array(chunk, dtype=int)
+    def run_chunk(start):
+        idx = outcome_block(sizes, start, min(start + 4096, leaves))
         sums = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
         weights = np.ones(idx.shape[0])
         for i, v in enumerate(e.vectors):
@@ -169,7 +187,7 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
         polys = linalg.char_poly_stack(sums)
         return weights @ polys
 
-    parts = ordered_map(run_chunk, chunked(assigns, 4096), threads=threads)
+    parts = ordered_map(run_chunk, range(0, leaves, 4096), threads=threads)
     total = np.zeros(d + 1)
     for part in parts:
         total += part
@@ -178,38 +196,81 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
 
 def _subset_mixed(mats: list[np.ndarray], d: int,
                   policy: NumericPolicy) -> np.ndarray:
-    """Subset-expansion engine; mats are validated Hermitian PSD."""
+    """Subset-expansion engine; mats are validated Hermitian PSD.
+
+    Subsets S of size k <= min(m, d) are laid out by size, then in
+    ``combinations`` order; row T of the stack holds -sum_{i in T} A_i,
+    subtracted in index order from zero.  The summation order is part of
+    the contract: c_S adds sign * h_T[d-k] over T subset S by size, then in
+    ``combinations(S, r)`` order, one term at a time, and mu[d-k] adds the
+    signed c_S in subset order.  Sequential ``cumsum`` keeps that order
+    (``np.sum`` would sum pairwise), so every coefficient is bit-identical
+    to the plain loop.  The order matters because the descent compares the
+    chosen child's largest root with its parent's within descent_slack
+    (1e-8 by default), and a multiple root that rounding splits apart moves
+    by about the square root of a last-bit change: on diag(3,1/3) with
+    r=3, another rounding of the node polynomials makes the descent raise
+    DescentError.
+    """
     m = len(mats)
     if m > policy.matrix_cap:
         raise CapacityError(f"{m} matrices exceed the cap {policy.matrix_cap}")
     kmax = min(m, d)
-    n_subsets = sum(math.comb(m, k) for k in range(kmax + 1))
+    sizes = [math.comb(m, k) for k in range(kmax + 1)]
+    n_subsets = sum(sizes)
     if n_subsets > policy.subset_cap:
         raise CapacityError(
             f"{n_subsets} subsets exceed the expansion cap {policy.subset_cap}"
         )
-    subsets: list[tuple[int, ...]] = []
-    for k in range(kmax + 1):
-        subsets.extend(combinations(range(m), k))
-    stack = np.zeros((len(subsets), d, d), dtype=np.complex128)
-    for row, s in enumerate(subsets):
-        for i in s:
-            stack[row] -= mats[i]
+    offsets = np.cumsum([0] + sizes)
+    rows = [np.array(list(combinations(range(m), k)), dtype=np.intp)
+            .reshape(n, k) for k, n in enumerate(sizes)]
+    a = np.asarray(mats, dtype=np.complex128)
+    stack = np.zeros((n_subsets, d, d), dtype=np.complex128)
+    for k in range(1, kmax + 1):
+        block = stack[offsets[k]:offsets[k] + sizes[k]]
+        for j in range(k):
+            block -= a[rows[k][:, j]]
     # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector
     h = linalg.char_poly_stack(stack)
-    coeff_of = {s: h[row] for row, s in enumerate(subsets)}
+    # Lexicographic rank of T = (t_0 < .. < t_{r-1}) among r-subsets of
+    # range(m) is C(m, r) - 1 - sum_j C(m-1-t_j, r-j); the last column of the
+    # binomial table is zero and stands for positions of S outside T.
+    binom = np.zeros((m, kmax + 2), dtype=np.intp)
+    for n in range(m):
+        binom[n, :kmax + 1] = [math.comb(n, b) for b in range(kmax + 1)]
+    last_row = offsets[1:] - 1  # of each size block of the stack
     mu = np.zeros(d + 1)
     mu[d] = 1.0
-    for s in subsets:
-        k = len(s)
-        if k == 0:
-            continue
-        c_s = 0.0
+    for k in range(1, kmax + 1):
+        # the 2^k subsets T of S by size, then in combinations order; the
+        # j-th element of T, at position q of S, enters with b = r - j
+        size_of, qs, bs, ts = [], [], [], []
         for r in range(k + 1):
-            sign = -1.0 if (k - r) % 2 else 1.0
-            for t in combinations(s, r):
-                c_s += sign * coeff_of[t][d - k]
-        mu[d - k] += c_s if k % 2 == 0 else -c_s
+            for p in combinations(range(k), r):
+                for j, q in enumerate(p):
+                    qs.append(q)
+                    bs.append(r - j)
+                    ts.append(len(size_of))
+                size_of.append(r)
+        col = np.full((k, len(size_of)), kmax + 1, dtype=np.intp)
+        col[qs, ts] = bs
+        size_of = np.array(size_of)
+        base = last_row[size_of]
+        sign = np.where((k - size_of) % 2, -1.0, 1.0)
+        h_k = h[:, d - k]
+        c = np.empty(sizes[k])
+        # no per-chunk intermediate larger than the stack
+        step = max(1, stack.nbytes // (8 * max(col.shape[1], k * (kmax + 2))))
+        for lo in range(0, sizes[k], step):
+            table = binom[(m - 1) - rows[k][lo:lo + step]]
+            t_rows = base - table[:, 0, col[0]]
+            for q in range(1, k):
+                t_rows -= table[:, q, col[q]]
+            c[lo:lo + step] = np.cumsum(sign * h_k[t_rows], axis=1)[:, -1]
+        if k % 2:
+            c = -c
+        mu[d - k] = np.cumsum(np.concatenate(([mu[d - k]], c)))[-1]
     return mu
 
 

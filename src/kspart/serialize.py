@@ -87,7 +87,8 @@ def ensemble_to_dict(e: RandomVectorEnsemble) -> dict:
     }
 
 
-def ensemble_from_dict(doc: dict) -> RandomVectorEnsemble:
+def ensemble_from_dict(doc: dict,
+                       policy: NumericPolicy = DEFAULT_POLICY) -> RandomVectorEnsemble:
     if doc.get("schema") != SCHEMA_ENSEMBLE:
         raise ValidationError(
             f"expected schema {SCHEMA_ENSEMBLE!r}, got {doc.get('schema')!r}"
@@ -100,7 +101,7 @@ def ensemble_from_dict(doc: dict) -> RandomVectorEnsemble:
         values = np.array(
             [_unpairs(a["value"]) for a in atoms], dtype=np.complex128
         ).reshape(len(atoms), d)
-        vectors.append(FiniteSupportVector(probs, values))
+        vectors.append(FiniteSupportVector(probs, values, policy))
     return RandomVectorEnsemble(d, tuple(vectors))
 
 

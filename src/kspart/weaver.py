@@ -295,7 +295,7 @@ def lift(inst: WeaverInstance, r: int,
         atoms = np.zeros((r, r * d), dtype=np.complex128)
         for k in range(r):
             atoms[k, k * d:(k + 1) * d] = math.sqrt(r) * inst.vectors[i]
-        vectors.append(FiniteSupportVector(np.full(r, 1.0 / r), atoms))
+        vectors.append(FiniteSupportVector(np.full(r, 1.0 / r), atoms, policy))
     return RandomVectorEnsemble(r * d, tuple(vectors))
 
 

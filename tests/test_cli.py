@@ -131,6 +131,22 @@ def test_mixed_with_oracle(tmp_path):
     assert payload["largest_root"] == pytest.approx(0.5, abs=1e-7)
 
 
+
+def test_policy_loosens_ensemble_probability_check(tmp_path):
+    ens = str(tmp_path / "ens.json")
+    pol = tmp_path / "pol.json"
+    pol.write_text('{"prob_sum_tol": 1e-06}\n')
+    doc = serialize.ensemble_to_dict(bernoulli_diagonal(2, 0.5))
+    for vec in doc["vectors"]:
+        vec["atoms"][0]["p"] += 1e-8  # probabilities sum to 1 + 1e-8
+    serialize.write_json(doc, ens)
+    assert main(["mixed", "--in", ens, "--out", "-"]) == 2
+    rep = str(tmp_path / "rep.json")
+    assert main(["mixed", "--in", ens, "--numeric-policy", str(pol),
+                 "--out", rep]) == 0
+    payload = read_report(rep)["payload"]
+    assert np.allclose(payload["coefficients"], [0.25, -1.0, 1.0], atol=1e-12)
+
 def test_certify_instance_and_ensemble(tmp_path):
     inst = str(tmp_path / "inst.json")
     rep = str(tmp_path / "cert.json")

@@ -2,25 +2,35 @@
 the subset-expansion derivative formula, plus conditional tree polynomials
 and the deterministic-vs-expected top root comparison."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from kspart import (
     CapacityError,
     FiniteSupportVector,
+    Graph,
     MixedInstance,
+    NumericPolicy,
     RandomVectorEnsemble,
     ValidationError,
+    WeaverInstance,
     cohen_inequality_check,
     conditional_expected_poly,
     covariance,
     ensemble_instance,
     expected_char_poly_bruteforce,
+    gen_diagonal,
+    gen_from_graph,
+    gen_gaussian,
     is_real_rooted,
     largest_root,
+    lift,
     mixed_char_poly,
 )
-from kspart.linalg import char_poly, isotropic_normalizer
+from kspart.linalg import char_poly, char_poly_stack, isotropic_normalizer
+from kspart.mixedchar import outcome_block
 
 
 def bernoulli_diagonal(n, delta):
@@ -245,3 +255,129 @@ def test_rank_one_isotropic_root_bound():
 def test_mixed_instance_requires_psd():
     with pytest.raises(ValidationError):
         MixedInstance(2, (np.diag([1.0, -0.5]),))
+
+
+def test_policy_reaches_instance_and_vector_checks():
+    loose = NumericPolicy(psd_rtol=1e-6, prob_sum_tol=1e-6)
+    nearly_psd = np.diag([1.0, -1e-8])
+    with pytest.raises(ValidationError):
+        MixedInstance(2, (nearly_psd,))
+    assert MixedInstance(2, (nearly_psd,), loose).matrices[0].shape == (2, 2)
+    drifted = [0.5, 0.5 + 1e-8]
+    with pytest.raises(ValidationError):
+        FiniteSupportVector(drifted, np.zeros((2, 1)))
+    v = FiniteSupportVector(drifted, np.zeros((2, 1)), loose)
+    assert abs(float(np.sum(v.probabilities)) - 1.0) < 1e-15
+
+
+# -- bit-for-bit reference for the subset expansion ------------------------
+
+def reference_subset_mixed(mats, d):
+    """The subset expansion as a plain loop, in the summation order that
+    mixed_char_poly must reproduce bit for bit."""
+    m = len(mats)
+    subsets = []
+    for k in range(min(m, d) + 1):
+        subsets.extend(combinations(range(m), k))
+    stack = np.zeros((len(subsets), d, d), dtype=np.complex128)
+    for row, s in enumerate(subsets):
+        for i in s:
+            stack[row] -= mats[i]
+    h = char_poly_stack(stack)
+    coeff_of = {s: h[row] for row, s in enumerate(subsets)}
+    mu = np.zeros(d + 1)
+    mu[d] = 1.0
+    for s in subsets:
+        k = len(s)
+        if k == 0:
+            continue
+        c_s = 0.0
+        for r in range(k + 1):
+            sign = -1.0 if (k - r) % 2 else 1.0
+            for t in combinations(s, r):
+                c_s += sign * coeff_of[t][d - k]
+        mu[d - k] += c_s if k % 2 == 0 else -c_s
+    return mu
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def random_psd_instance(rng, d, m):
+    mats = []
+    for _ in range(m):
+        r = int(rng.integers(0, d + 1))
+        b = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        mats.append(float(rng.uniform(0.05, 2.0)) * b @ b.conj().T)
+    return MixedInstance(d, tuple(mats))
+
+
+@pytest.mark.parametrize("d,m", [(3, 0), (3, 1), (2, 6), (4, 7), (5, 5),
+                                 (6, 4), (1, 8)])
+def test_expansion_bit_identical_to_loop(d, m):
+    rng = np.random.default_rng(1000 * d + m)
+    for _ in range(3):
+        inst = random_psd_instance(rng, d, m)
+        want = reference_subset_mixed(list(inst.matrices), d)
+        assert_bits_equal(mixed_char_poly(inst), want)
+
+
+def haar_unitary(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def node_matrices(e, prefix):
+    """Pinned atom outer products, then the remaining covariances."""
+    mats = []
+    for i, v in enumerate(e.vectors):
+        if i < len(prefix):
+            w = v.values[prefix[i]]
+            mats.append(np.outer(w, w.conj()))
+        else:
+            mats.append(covariance(v))
+    return mats
+
+
+def ks_ensembles():
+    diag = gen_diagonal(3, 1.0 / 3.0)
+    rotated = WeaverInstance(
+        3, diag.vectors @ haar_unitary(3, np.random.default_rng(5)).T,
+        diag.delta)
+    k5 = Graph(5, tuple((a, b, 1.0) for a in range(5)
+                        for b in range(a + 1, 5)))
+    return {
+        "gauss-r2": lift(gen_gaussian(3, 0.25, seed=3), 2),
+        "rotated-diag-r3": lift(rotated, 3),
+        "k5-r2": lift(gen_from_graph(k5)[0], 2),
+    }
+
+
+@pytest.mark.parametrize("name", ["gauss-r2", "rotated-diag-r3", "k5-r2"])
+def test_lifted_nodes_bit_identical_to_loop(name):
+    e = ks_ensembles()[name]
+    rng = np.random.default_rng(17)
+    m = len(e.vectors)
+    for length in (0, 1, m // 2, m - 1):
+        prefix = tuple(int(rng.integers(0, s))
+                       for s in e.support_sizes[:length])
+        weight = 1.0
+        for v, t in zip(e.vectors, prefix):
+            weight *= float(v.probabilities[t])
+        want = weight * reference_subset_mixed(node_matrices(e, prefix), e.dim)
+        assert_bits_equal(conditional_expected_poly(e, prefix), want)
+
+
+def test_outcome_block_follows_product_order():
+    for sizes in [(), (1,), (3,), (2, 3, 1, 4), (3, 3, 3)]:
+        every = list(product(*(range(s) for s in sizes)))
+        total = len(every)
+        assert outcome_block(sizes, 0, total).tolist() == \
+            [list(t) for t in every]
+        for start, stop in [(0, 1), (total // 2, total), (total - 1, total)]:
+            assert outcome_block(sizes, start, stop).tolist() == \
+                [list(t) for t in every[start:stop]]
+    assert outcome_block((), 0, 1).shape == (1, 0)
