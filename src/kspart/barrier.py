@@ -11,15 +11,18 @@ the starting point (sqrt(eps) + eps) * 1 with step delta = 1 + sqrt(eps)
 shows every root of the mixed characteristic polynomial is at most
 (1 + sqrt(eps))^2 when every trace is at most eps.
 
-P is multiaffine in y for rank-one A_i, so derivative and operator
-applications reduce to exact unit-step differences:
-(1 - d_i) f (y) = 2 f(y) - f(y + e_i).  Each applied operator doubles the
-evaluation stack, which caps the certificate length.
+P is multiaffine in y for rank-one A_i, so derivatives are exact unit-step
+differences, d_i f (y) = f(y + e_i) - f(y), and (1 - d_i) f (y) = f(y - e_i).
+Applying the operators for a set S therefore gives P_S(y) = P(y - 1_S),
+which is again multiaffine and costs one determinant per point, and z is
+above the roots of P_S exactly when z - 1_S is above the roots of P.  The
+certificate visits m + 1 levels; each evaluates m + 1 determinants and
+decides above-roots with one ``eigvalsh``.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -121,11 +124,10 @@ class PolynomialEvaluator(Evaluator):
 class DeterminantEvaluator(Evaluator):
     """P_S(y) = prod_{i in S} (1 - d_i) det(sum_i y_i A_i), evaluated exactly.
 
-    With every A_i of rank at most one, P is multiaffine, so each operator
-    expands into shifted determinant evaluations:
-    P_S(y) = sum_{T subset S} (-1)^{|T|} 2^{|S|-|T|} P(y + 1_T).
-    Matrices of higher rank are accepted for the plain determinant (S empty)
-    but refuse operator application.
+    With every A_i of rank at most one, P is affine in each y_i, so
+    (1 - d_i) P (y) = P(y - e_i) and P_S(y) = P(y - 1_S): one determinant
+    per point whatever the size of S.  Matrices of higher rank are accepted
+    for the plain determinant (S empty) but refuse operator application.
     """
 
     def __init__(self, matrices, applied: tuple[int, ...] = (),
@@ -168,8 +170,15 @@ class DeterminantEvaluator(Evaluator):
         self._stack = np.stack(mats)
 
     def matrix_at(self, y) -> np.ndarray:
+        """sum_i y_i A_i, for one point or a stack of points."""
         y = np.asarray(y, dtype=np.float64)
-        return np.tensordot(y, self._stack, axes=(0, 0))
+        return np.tensordot(y, self._stack, axes=(y.ndim - 1, 0))
+
+    def base_point(self, y) -> np.ndarray:
+        """y - 1_S, the point where P takes the value P_S(y)."""
+        y = np.array(y, dtype=np.float64)
+        y[..., list(self.applied)] -= 1.0
+        return y
 
     def value_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -177,21 +186,7 @@ class DeterminantEvaluator(Evaluator):
             raise ValidationError(
                 f"points have {pts.shape[1]} coordinates, expected {self.nvars}"
             )
-        base = np.tensordot(pts, self._stack, axes=(1, 0))
-        k = len(self.applied)
-        shift_sums = []
-        weights = []
-        for r in range(k + 1):
-            for t in combinations(self.applied, r):
-                s = np.zeros((self.dim, self.dim), dtype=np.complex128)
-                for i in t:
-                    s += self._stack[i]
-                shift_sums.append(s)
-                weights.append((-1.0) ** r * 2.0 ** (k - r))
-        shift_sums = np.stack(shift_sums)
-        full = base[None, :, :, :] + shift_sums[:, None, :, :]
-        dets = np.linalg.det(full).real
-        return np.asarray(weights) @ dets
+        return np.linalg.det(self.matrix_at(self.base_point(pts))).real
 
     def value(self, y) -> float:
         return float(self.value_many(np.asarray(y, dtype=np.float64)[None, :])[0])
@@ -214,17 +209,16 @@ class DeterminantEvaluator(Evaluator):
                 raise CapabilityError(
                     "analytic derivative only available before operators"
                 )
-            try:
-                return float(np.real(linalg.jacobi_directional(
-                    self.matrix_at(y), self._stack[i], self._policy)))
-            except Exception:
-                if method == "analytic":
-                    raise
-                return self._fd_derivative(y, i)
+            return float(np.real(linalg.jacobi_directional(
+                self.matrix_at(y), self._stack[i], self._policy)))
         raise ValidationError(f"unknown derivative method {method!r}")
 
     def apply_one_minus_partial(self, i: int) -> "DeterminantEvaluator":
+        """The evaluator of (1 - d_i) P_S; shares this one's validated
+        matrices, ranks and isotropy flag."""
         i = int(i)
+        if not (0 <= i < self.nvars):
+            raise ValidationError(f"operator index {i} out of range")
         if i in self.applied:
             raise ValidationError(f"operator {i} already applied")
         if not self.all_rank_one:
@@ -237,9 +231,9 @@ class DeterminantEvaluator(Evaluator):
                 f"operator count {len(self.applied) + 1} exceeds the cap "
                 f"{self._policy.operator_cap}"
             )
-        return DeterminantEvaluator(
-            self.matrices, self.applied + (i,), self._policy
-        )
+        child = copy.copy(self)
+        child.applied = tuple(sorted(self.applied + (i,)))
+        return child
 
 
 @dataclass(frozen=True)
@@ -292,17 +286,18 @@ def above_roots_probe(p: Evaluator, z, rays: int = 32, reach: float = 4.0,
                       policy: NumericPolicy = DEFAULT_POLICY) -> AboveRootsEvidence:
     """Probe whether z lies above the roots of p.
 
-    For P(y) = det(sum y_i A_i) before any operator application the PSD
-    condition sum z_i A_i > 0 is checked first; it is sufficient always, and
-    for instances resolving the identity it is also necessary, making the
-    answer exact in both directions.  Otherwise p is sampled along the
-    coordinate axes and seeded random nonnegative rays.
+    For a determinant evaluator P_S(y) = P(y - 1_S) the PSD condition
+    sum_i (z - 1_S)_i A_i > 0 is checked first; it is sufficient always,
+    and for instances resolving the identity it is also necessary (the
+    witness z - lambda_min * 1 is a zero of P_S), making the answer exact in
+    both directions.  Otherwise p is sampled along the coordinate axes and
+    seeded random nonnegative rays.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (p.nvars,):
         raise ValidationError(f"point has shape {z.shape}, expected ({p.nvars},)")
-    if isinstance(p, DeterminantEvaluator) and not p.applied:
-        ev = np.linalg.eigvalsh(p.matrix_at(z))
+    if isinstance(p, DeterminantEvaluator):
+        ev = np.linalg.eigvalsh(p.matrix_at(p.base_point(z)))
         if ev[0] > 0.0:
             return AboveRootsEvidence(True, True, None, 1)
         if p.isotropic:
@@ -500,14 +495,13 @@ class BarrierCertificate:
 
 
 def build_certificate(inst: MixedInstance, epsilon: float | None = None,
-                      policy: NumericPolicy = DEFAULT_POLICY,
-                      rays: int = 8, reach: float = 4.0, grid: int = 4,
-                      seed: int = 0) -> BarrierCertificate:
+                      policy: NumericPolicy = DEFAULT_POLICY) -> BarrierCertificate:
     """Run the barrier induction on a rank-one instance resolving the identity.
 
     Starting from t * 1 with t = sqrt(eps) + eps, apply (1 - d_k) and step
     delta = 1 + sqrt(eps) along e_k for k = 1..m, recording every barrier
-    value and above-roots evidence.  epsilon defaults to the largest trace.
+    value and exact above-roots evidence.  epsilon defaults to the largest
+    trace.
     Instances with a matrix of rank two or more are refused: the exact
     multiaffine evaluation underpinning the certificate does not apply.
     """
@@ -549,10 +543,7 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
             aborted_at = level
             break
         barriers = tuple((vals[1 + i] - vals[0]) / vals[0] for i in range(m))
-        above = above_roots_probe(
-            current, x, rays=rays, reach=reach, grid=grid, seed=seed,
-            policy=policy,
-        )
+        above = above_roots_probe(current, x, policy=policy)
         max_barrier = max(barriers)
         steps.append(CertificateStep(
             level=level,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad usage or invalid input, 3 a checked bound or
-descent failed, 4 the request exceeds a capacity or capability limit.
+descent failed, 4 the request exceeds a capacity or capability limit or
+runs out of memory.
 """
 from __future__ import annotations
 
@@ -166,7 +167,7 @@ def cmd_certify(args) -> int:
     else:
         raise ValidationError(f"unrecognized schema {schema!r}")
     eps = args.epsilon
-    cert = build_certificate(mi, epsilon=eps, policy=policy, seed=seed)
+    cert = build_certificate(mi, epsilon=eps, policy=policy)
     out = report_envelope("certify", certificate_to_dict(cert), seed=seed,
                           policy=policy, wall_time_s=time.perf_counter() - t0)
     write_json(out, args.out)
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CapacityError, CapabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as err:
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (DescentError, RootednessError) as err:
         print(f"error: {err}", file=sys.stderr)

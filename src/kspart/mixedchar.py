@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -194,6 +195,68 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
     return total
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class _ExpansionTables:
+    """Index tables of the subset expansion; they depend only on (m, kmax).
+
+    rows[k]: the ``combinations(range(m), k)`` rows; offsets: where each size
+    block starts in the stack; binom: C(n, b) for n < m, b <= kmax, plus a
+    zero column; col[k], sign[k], base[k]: per subset T of a k-subset S, in
+    the loop's order, the binomial column of each position of S (the zero
+    column when outside T), the sign (-1)^{k-|T|} and the last stack row of
+    the size block of T.  Arrays are read-only because they are shared.
+    """
+
+    sizes: tuple[int, ...]
+    offsets: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    binom: np.ndarray
+    col: tuple[np.ndarray | None, ...]
+    sign: tuple[np.ndarray | None, ...]
+    base: tuple[np.ndarray | None, ...]
+
+
+@lru_cache(maxsize=16)
+def _expansion_tables(m: int, kmax: int) -> _ExpansionTables:
+    sizes = tuple(math.comb(m, k) for k in range(kmax + 1))
+    offsets = np.cumsum((0,) + sizes)
+    rows = tuple(_readonly(np.array(list(combinations(range(m), k)),
+                                    dtype=np.intp).reshape(n, k))
+                 for k, n in enumerate(sizes))
+    # Lexicographic rank of T = (t_0 < .. < t_{r-1}) among r-subsets of
+    # range(m) is C(m, r) - 1 - sum_j C(m-1-t_j, r-j); the last column of the
+    # binomial table is zero and stands for positions of S outside T.
+    binom = np.zeros((m, kmax + 2), dtype=np.intp)
+    for n in range(m):
+        binom[n, :kmax + 1] = [math.comb(n, b) for b in range(kmax + 1)]
+    last_row = offsets[1:] - 1  # of each size block of the stack
+    cols, signs, bases = [None], [None], [None]
+    for k in range(1, kmax + 1):
+        # the 2^k subsets T of S by size, then in combinations order; the
+        # j-th element of T, at position q of S, enters with b = r - j
+        size_of, qs, bs, ts = [], [], [], []
+        for r in range(k + 1):
+            for p in combinations(range(k), r):
+                for j, q in enumerate(p):
+                    qs.append(q)
+                    bs.append(r - j)
+                    ts.append(len(size_of))
+                size_of.append(r)
+        col = np.full((k, len(size_of)), kmax + 1, dtype=np.intp)
+        col[qs, ts] = bs
+        size_of = np.array(size_of)
+        cols.append(_readonly(col))
+        signs.append(_readonly(np.where((k - size_of) % 2, -1.0, 1.0)))
+        bases.append(_readonly(last_row[size_of]))
+    return _ExpansionTables(sizes, _readonly(offsets), rows, _readonly(binom),
+                            tuple(cols), tuple(signs), tuple(bases))
+
+
 def _subset_mixed(mats: list[np.ndarray], d: int,
                   policy: NumericPolicy) -> np.ndarray:
     """Subset-expansion engine; mats are validated Hermitian PSD.
@@ -216,15 +279,13 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
     if m > policy.matrix_cap:
         raise CapacityError(f"{m} matrices exceed the cap {policy.matrix_cap}")
     kmax = min(m, d)
-    sizes = [math.comb(m, k) for k in range(kmax + 1)]
-    n_subsets = sum(sizes)
+    n_subsets = sum(math.comb(m, k) for k in range(kmax + 1))
     if n_subsets > policy.subset_cap:
         raise CapacityError(
             f"{n_subsets} subsets exceed the expansion cap {policy.subset_cap}"
         )
-    offsets = np.cumsum([0] + sizes)
-    rows = [np.array(list(combinations(range(m), k)), dtype=np.intp)
-            .reshape(n, k) for k, n in enumerate(sizes)]
+    tab = _expansion_tables(m, kmax)
+    sizes, offsets, rows = tab.sizes, tab.offsets, tab.rows
     a = np.asarray(mats, dtype=np.complex128)
     stack = np.zeros((n_subsets, d, d), dtype=np.complex128)
     for k in range(1, kmax + 1):
@@ -233,37 +294,16 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
             block -= a[rows[k][:, j]]
     # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector
     h = linalg.char_poly_stack(stack)
-    # Lexicographic rank of T = (t_0 < .. < t_{r-1}) among r-subsets of
-    # range(m) is C(m, r) - 1 - sum_j C(m-1-t_j, r-j); the last column of the
-    # binomial table is zero and stands for positions of S outside T.
-    binom = np.zeros((m, kmax + 2), dtype=np.intp)
-    for n in range(m):
-        binom[n, :kmax + 1] = [math.comb(n, b) for b in range(kmax + 1)]
-    last_row = offsets[1:] - 1  # of each size block of the stack
     mu = np.zeros(d + 1)
     mu[d] = 1.0
     for k in range(1, kmax + 1):
-        # the 2^k subsets T of S by size, then in combinations order; the
-        # j-th element of T, at position q of S, enters with b = r - j
-        size_of, qs, bs, ts = [], [], [], []
-        for r in range(k + 1):
-            for p in combinations(range(k), r):
-                for j, q in enumerate(p):
-                    qs.append(q)
-                    bs.append(r - j)
-                    ts.append(len(size_of))
-                size_of.append(r)
-        col = np.full((k, len(size_of)), kmax + 1, dtype=np.intp)
-        col[qs, ts] = bs
-        size_of = np.array(size_of)
-        base = last_row[size_of]
-        sign = np.where((k - size_of) % 2, -1.0, 1.0)
+        col, sign, base = tab.col[k], tab.sign[k], tab.base[k]
         h_k = h[:, d - k]
         c = np.empty(sizes[k])
         # no per-chunk intermediate larger than the stack
         step = max(1, stack.nbytes // (8 * max(col.shape[1], k * (kmax + 2))))
         for lo in range(0, sizes[k], step):
-            table = binom[(m - 1) - rows[k][lo:lo + step]]
+            table = tab.binom[(m - 1) - rows[k][lo:lo + step]]
             t_rows = base - table[:, 0, col[0]]
             for q in range(1, k):
                 t_rows -= table[:, q, col[q]]

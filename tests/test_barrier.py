@@ -2,6 +2,8 @@
 shift lemmas, the trace identity at scaled all-ones points, and the
 certificate builder with its (1 + sqrt(eps))^2 bound."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from kspart import (
     PolynomialEvaluator,
     MixedInstance,
     PoleError,
+    SingularMatrixError,
     ValidationError,
     above_roots_probe,
     barrier_value,
     bivariate_fixture,
     build_certificate,
+    gen_gaussian,
     ks_bound,
     largest_root,
     lemma_above_check,
@@ -27,7 +31,23 @@ from kspart import (
     poly_eval,
 )
 
+from kspart.cli import ensemble_instance_from_vectors
+
 from test_mixedchar import random_rank1_isotropic
+
+
+def reference_value_many(ev, points):
+    """P_S by the multiaffine expansion into 2^|S| shifted determinants,
+    P_S(y) = sum_{T subset S} (-1)^{|T|} 2^{|S|-|T|} P(y + 1_T)."""
+    k = len(ev.applied)
+    total = np.zeros(len(points))
+    for r in range(k + 1):
+        for t in combinations(ev.applied, r):
+            shifted = np.array(points, dtype=np.float64)
+            shifted[:, list(t)] += 1.0
+            mats = np.tensordot(shifted, np.stack(ev.matrices), axes=(1, 0))
+            total += (-1.0) ** r * 2.0 ** (k - r) * np.linalg.det(mats).real
+    return total
 
 
 def test_fixture_values_and_shrunk_companion():
@@ -99,6 +119,21 @@ def test_determinant_evaluator_matches_mixed_char_poly():
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
+def test_collapsed_evaluator_matches_expansion():
+    rng = np.random.default_rng(71)
+    for k in range(9):
+        d = int(rng.integers(1, 4))
+        m = int(rng.integers(max(d, k, 1), 11))
+        inst = random_rank1_isotropic(rng, d, m)
+        ev = DeterminantEvaluator(inst.matrices)
+        for i in rng.permutation(m)[:k]:
+            ev = ev.apply_one_minus_partial(i)
+        assert len(ev.applied) == k
+        points = rng.uniform(0.5, 3.0, size=(6, m))
+        want = reference_value_many(ev, points)
+        assert np.allclose(ev.value_many(points), want, rtol=1e-9, atol=0.0)
+
+
 def test_operator_application_composes():
     rng = np.random.default_rng(37)
     inst = random_rank1_isotropic(rng, 2, 4)
@@ -119,6 +154,16 @@ def test_rank_two_refusals():
         ev.apply_one_minus_partial(0)
     with pytest.raises(CapabilityError):
         build_certificate(MixedInstance(2, tuple(halves)))
+
+
+def test_analytic_derivative_refuses_singular_point():
+    mats = [np.diag([0.75, 0.25]), np.diag([0.25, 0.75])]
+    ev = DeterminantEvaluator(mats)
+    assert ev.ranks == (2, 2)
+    y = (1.0, -3.0)  # sum y_i A_i = diag(0, -2)
+    for method in ("auto", "analytic"):
+        with pytest.raises(SingularMatrixError):
+            ev.derivative(y, 0, method=method)
 
 
 def test_trace_identity_at_scaled_ones():
@@ -145,6 +190,14 @@ def test_above_roots_probe_exact_for_determinants():
     down = above_roots_probe(ev, np.array([-1.0, 0.1, 0.1, 0.1]))
     assert not down.above
     assert down.witness is not None
+    # after (1 - d_0)(1 - d_2) the test runs at z - 1_S and stays exact;
+    # the second z is above the roots of P but not of P_S
+    q = ev.apply_one_minus_partial(0).apply_one_minus_partial(2)
+    up = above_roots_probe(q, np.full(4, 2.0))
+    assert up.above and up.exact
+    down = above_roots_probe(q, np.array([0.5, 0.1, 1.5, 0.1]))
+    assert not down.above and down.exact
+    assert abs(q.value(down.witness)) < 1e-12
 
 
 def test_above_roots_probe_sampled_for_polynomials():
@@ -240,6 +293,16 @@ def test_certificate_random_instances_bound_the_root():
         assert cert.valid
         top = largest_root(mixed_char_poly(inst))
         assert top <= cert.bound + 1e-7
+
+
+def test_certificate_twenty_vectors_in_dimension_five():
+    inst = ensemble_instance_from_vectors(gen_gaussian(5, 5 / 20, seed=3))
+    assert len(inst.matrices) == 20
+    cert = build_certificate(inst)
+    assert cert.valid
+    assert len(cert.steps) == 21
+    assert all(step.above.above and step.above.exact for step in cert.steps)
+    assert largest_root(mixed_char_poly(inst)) <= cert.bound
 
 
 def test_certificate_refusals():

@@ -179,6 +179,17 @@ def test_certify_rank_two_exits_4(tmp_path):
     assert main(["certify", "--in", ens]) == 4
 
 
+def test_memory_error_exits_4(monkeypatch, capsys):
+    from kspart import cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 11.0 GiB")
+
+    monkeypatch.setattr(cli, "cmd_certify", exhausted)
+    assert main(["certify", "--in", "never-read.json"]) == 4
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 def test_chernoff_csv_and_summary(tmp_path):
     inst = str(tmp_path / "inst.json")
     out_csv = str(tmp_path / "trials.csv")
