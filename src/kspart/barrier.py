@@ -51,34 +51,37 @@ class Evaluator:
         pts = np.asarray(points, dtype=np.float64)
         return np.array([self.value(p) for p in pts])
 
-    def derivative(self, y, i: int, method: str = "auto") -> float:
-        if method in ("auto", "fd"):
-            return self._fd_derivative(y, i)
-        raise CapabilityError(f"derivative method {method!r} not supported here")
+    def derivative(self, y, i: int,
+                   policy: NumericPolicy = DEFAULT_POLICY) -> float:
+        """(d_i p)(y) by a central difference with one Richardson pass; the
+        step is fd_step_scale * (1 + |y_i|)."""
+        y = np.asarray(y, dtype=np.float64)
+
+        def along(s: float) -> float:
+            pt = y.copy()
+            pt[i] += s
+            return self.value(pt)
+
+        return _richardson(along, 0.0,
+                           policy.fd_step_scale * (1.0 + abs(float(y[i]))))
 
     def apply_one_minus_partial(self, i: int) -> "Evaluator":
         raise CapabilityError(
             f"{type(self).__name__} cannot apply (1 - d_i) operators"
         )
 
-    def _fd_derivative(self, y, i: int,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> float:
-        """Central difference with one Richardson extrapolation pass."""
-        y = np.asarray(y, dtype=np.float64)
-        h = policy.fd_step_scale * (1.0 + abs(float(y[i])))
 
-        def central(step):
-            hi = y.copy(); hi[i] += step
-            lo = y.copy(); lo[i] -= step
-            return (self.value(hi) - self.value(lo)) / (2.0 * step)
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        return (4.0 * d2 - d1) / 3.0
+def _richardson(f, x: float, h: float) -> float:
+    """f'(x) from central differences at steps h and h/2, combined by one
+    Richardson extrapolation pass (exact for polynomials of degree <= 4)."""
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + h / 2.0) - f(x - h / 2.0)) / h
+    return (4.0 * d2 - d1) / 3.0
 
 
 class CallableEvaluator(Evaluator):
-    """Wrap a plain callable; derivatives fall back to finite differences."""
+    """Wrap a plain callable; derivatives are the base class's Richardson
+    central differences."""
 
     def __init__(self, fn, nvars: int):
         self._fn = fn
@@ -109,9 +112,9 @@ class PolynomialEvaluator(Evaluator):
             arr = npp.polyval(yi, arr)
         return float(arr)
 
-    def derivative(self, y, i: int, method: str = "auto") -> float:
-        if method == "fd":
-            return self._fd_derivative(y, i)
+    def derivative(self, y, i: int,
+                   policy: NumericPolicy = DEFAULT_POLICY) -> float:
+        """Exact: the polyder grid along axis i, evaluated at y."""
         d = npp.polyder(self.coeffs, axis=i)
         return PolynomialEvaluator(d).value(y)
 
@@ -128,10 +131,11 @@ class DeterminantEvaluator(Evaluator):
     (1 - d_i) P (y) = P(y - e_i) and P_S(y) = P(y - 1_S): one determinant
     per point whatever the size of S.  Matrices of higher rank are accepted
     for the plain determinant (S empty) but refuse operator application.
+    S starts empty; ``apply_one_minus_partial`` returns the evaluator with
+    one more index in ``applied``.
     """
 
-    def __init__(self, matrices, applied: tuple[int, ...] = (),
-                 policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, matrices, policy: NumericPolicy = DEFAULT_POLICY):
         mats = tuple(linalg.as_hermitian(m, policy) for m in matrices)
         if not mats:
             raise ValidationError("need at least one matrix")
@@ -142,12 +146,7 @@ class DeterminantEvaluator(Evaluator):
         self.matrices = mats
         self.dim = d
         self.nvars = len(mats)
-        self.applied = tuple(sorted(int(i) for i in applied))
-        if len(set(self.applied)) != len(self.applied):
-            raise ValidationError("applied operator set has repeats")
-        for i in self.applied:
-            if not (0 <= i < self.nvars):
-                raise ValidationError(f"operator index {i} out of range")
+        self.applied: tuple[int, ...] = ()
         self._policy = policy
         ranks = []
         for m in mats:
@@ -156,11 +155,6 @@ class DeterminantEvaluator(Evaluator):
             ranks.append(int(np.sum(ev > policy.rank_rtol * scale)))
         self.ranks = tuple(ranks)
         self.all_rank_one = all(r <= 1 for r in ranks)
-        if self.applied and not self.all_rank_one:
-            raise CapabilityError(
-                "operator application needs rank-one matrices; "
-                f"ranks are {self.ranks}"
-            )
         total = np.zeros((d, d), dtype=np.complex128)
         for m in mats:
             total += m
@@ -191,27 +185,24 @@ class DeterminantEvaluator(Evaluator):
     def value(self, y) -> float:
         return float(self.value_many(np.asarray(y, dtype=np.float64)[None, :])[0])
 
-    def derivative(self, y, i: int, method: str = "auto") -> float:
+    def derivative(self, y, i: int,
+                   policy: NumericPolicy = DEFAULT_POLICY) -> float:
+        """(d_i P_S)(y), exactly.
+
+        With every rank at most one, P_S is affine in y_i and the unit-step
+        difference P_S(y + e_i) - P_S(y) is the derivative.  Otherwise no
+        operator can have been applied, and Jacobi's formula
+        det(M) tr(M^{-1} A_i) with M = sum_j y_j A_j gives it; it raises
+        SingularMatrixError where M is singular at the policy's threshold.
+        """
         y = np.asarray(y, dtype=np.float64)
-        if method == "fd":
-            return self._fd_derivative(y, i)
-        if method == "difference" or (method == "auto" and self.all_rank_one):
-            if not self.all_rank_one:
-                raise CapabilityError(
-                    "unit-step differences are exact only for rank-one matrices"
-                )
+        if self.all_rank_one:
             shifted = y.copy()
             shifted[i] += 1.0
             vals = self.value_many(np.stack([y, shifted]))
             return float(vals[1] - vals[0])
-        if method in ("auto", "analytic"):
-            if self.applied:
-                raise CapabilityError(
-                    "analytic derivative only available before operators"
-                )
-            return float(np.real(linalg.jacobi_directional(
-                self.matrix_at(y), self._stack[i], self._policy)))
-        raise ValidationError(f"unknown derivative method {method!r}")
+        return float(np.real(linalg.jacobi_directional(
+            self.matrix_at(y), self._stack[i], policy)))
 
     def apply_one_minus_partial(self, i: int) -> "DeterminantEvaluator":
         """The evaluator of (1 - d_i) P_S; shares this one's validated
@@ -257,14 +248,17 @@ def bivariate_fixture() -> BivariateFixture:
 
 
 def barrier_value(p: Evaluator, z, i: int,
-                  policy: NumericPolicy = DEFAULT_POLICY,
-                  method: str = "auto") -> float:
-    """Phi^i_p(z) = (d_i p)(z) / p(z); rejects evaluation at a zero of p."""
+                  policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Phi^i_p(z) = (d_i p)(z) / p(z); rejects evaluation at a zero of p.
+
+    The policy sets the pole tolerance and reaches the derivative (the
+    difference step of sampled evaluators, the singularity threshold of
+    Jacobi's formula)."""
     z = np.asarray(z, dtype=np.float64)
     val = p.value(z)
     if abs(val) <= policy.pole_tol:
         raise PoleError(f"p(z) = {val:.3e} is within {policy.pole_tol:.1e} of 0")
-    return p.derivative(z, i, method=method) / val
+    return p.derivative(z, i, policy) / val
 
 
 @dataclass(frozen=True)
@@ -281,8 +275,13 @@ class AboveRootsEvidence:
     points_checked: int
 
 
-def above_roots_probe(p: Evaluator, z, rays: int = 32, reach: float = 4.0,
-                      grid: int = 8, seed: int = 0,
+PROBE_RAYS = 32
+PROBE_REACH = 4.0
+PROBE_GRID = 8
+PROBE_SEED = 0
+
+
+def above_roots_probe(p: Evaluator, z,
                       policy: NumericPolicy = DEFAULT_POLICY) -> AboveRootsEvidence:
     """Probe whether z lies above the roots of p.
 
@@ -290,8 +289,10 @@ def above_roots_probe(p: Evaluator, z, rays: int = 32, reach: float = 4.0,
     sum_i (z - 1_S)_i A_i > 0 is checked first; it is sufficient always,
     and for instances resolving the identity it is also necessary (the
     witness z - lambda_min * 1 is a zero of P_S), making the answer exact in
-    both directions.  Otherwise p is sampled along the coordinate axes and
-    seeded random nonnegative rays.
+    both directions.  Otherwise p is sampled at z and at PROBE_GRID points
+    up to distance PROBE_REACH along each coordinate axis and each of
+    PROBE_RAYS random nonnegative unit rays drawn with PROBE_SEED; the
+    answer is then evidence, not proof.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (p.nvars,):
@@ -304,13 +305,13 @@ def above_roots_probe(p: Evaluator, z, rays: int = 32, reach: float = 4.0,
             witness = tuple(float(c) for c in (z - ev[0] * np.ones(p.nvars)))
             return AboveRootsEvidence(False, True, witness, 1)
     dirs = [np.eye(p.nvars)[j] for j in range(p.nvars)]
-    rng = np.random.default_rng(seed)
-    for _ in range(int(rays)):
+    rng = np.random.default_rng(PROBE_SEED)
+    for _ in range(PROBE_RAYS):
         d = rng.random(p.nvars)
         norm = float(np.linalg.norm(d))
         if norm > 0:
             dirs.append(d / norm)
-    steps = np.linspace(0.0, float(reach), int(grid) + 1)[1:]
+    steps = np.linspace(0.0, PROBE_REACH, PROBE_GRID + 1)[1:]
     points = [z]
     for d in dirs:
         for s in steps:
@@ -336,19 +337,18 @@ class LemmaAboveReport:
 
 
 def lemma_above_check(p: Evaluator, z, i: int,
-                      policy: NumericPolicy = DEFAULT_POLICY,
-                      **probe_kwargs) -> LemmaAboveReport:
+                      policy: NumericPolicy = DEFAULT_POLICY) -> LemmaAboveReport:
     """Check: z above roots of p and Phi^i_p(z) < 1 imply z is above the
     roots of p - d_i p."""
     z = np.asarray(z, dtype=np.float64)
-    premise = above_roots_probe(p, z, policy=policy, **probe_kwargs)
+    premise = above_roots_probe(p, z, policy=policy)
     if not premise.above:
         raise ValidationError(f"z is not above the roots of p: {premise}")
     phi = barrier_value(p, z, i, policy)
     if not phi < 1.0:
         raise ValidationError(f"Phi^{i} = {phi:.6g} is not below 1")
     q = p.apply_one_minus_partial(i)
-    conclusion = above_roots_probe(q, z, policy=policy, **probe_kwargs)
+    conclusion = above_roots_probe(q, z, policy=policy)
     return LemmaAboveReport(phi=phi, premise=premise, conclusion=conclusion)
 
 
@@ -373,14 +373,13 @@ class LemmaBarrierReport:
 
 
 def lemma_barrier_check(p: Evaluator, z, j: int, delta: float,
-                        policy: NumericPolicy = DEFAULT_POLICY,
-                        **probe_kwargs) -> LemmaBarrierReport:
+                        policy: NumericPolicy = DEFAULT_POLICY) -> LemmaBarrierReport:
     """Check: once Phi^j_p(z) <= 1 - 1/delta, every barrier of q = p - d_j p
     at z + delta e_j stays at or below the corresponding barrier of p at z."""
     if delta <= 0:
         raise ValidationError("delta must be positive")
     z = np.asarray(z, dtype=np.float64)
-    premise = above_roots_probe(p, z, policy=policy, **probe_kwargs)
+    premise = above_roots_probe(p, z, policy=policy)
     if not premise.above:
         raise ValidationError(f"z is not above the roots of p: {premise}")
     phi_j = barrier_value(p, z, j, policy)
@@ -446,10 +445,7 @@ def monotonicity_convexity_probe(p: Evaluator, z, i: int, j: int, deltas,
             pt[j] += s
             return barrier_value(p, pt, i, policy)
 
-        h = policy.fd_step_scale * (1.0 + abs(d))
-        d1 = (along(d + h) - along(d - h)) / (2.0 * h)
-        d2 = (along(d + h / 2.0) - along(d - h / 2.0)) / h
-        slope = (4.0 * d2 - d1) / 3.0
+        slope = _richardson(along, d, policy.fd_step_scale * (1.0 + abs(d)))
         tol = policy.probe_tol * (1.0 + abs(phi0))
         rows.append(ProbeRow(
             delta=d, phi=phi_d, slope=slope,
@@ -513,7 +509,7 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
         raise CapacityError(
             f"{m} operator applications exceed the cap {policy.operator_cap}"
         )
-    ev = DeterminantEvaluator(mats, (), policy)
+    ev = DeterminantEvaluator(mats, policy)
     if not ev.all_rank_one:
         raise CapabilityError(
             f"certificate path requires rank-one matrices; ranks {ev.ranks}"

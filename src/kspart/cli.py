@@ -25,7 +25,7 @@ from .realpoly import largest_root, roots, shrunk_power_largest_root
 from .serialize import (SCHEMA_ENSEMBLE, SCHEMA_INSTANCE, certificate_to_dict,
                         ensemble_from_dict, instance_from_dict,
                         instance_to_dict, partition_report_to_dict, read_json,
-                        report_envelope, stats_to_dict, write_json)
+                        read_text, report_envelope, stats_to_dict, write_json)
 from .weaver import (Graph, WeaverInstance, gen_diagonal, gen_from_graph,
                      gen_gaussian, normalize_isotropy,
                      random_partition_experiment, spectral_approx_check)
@@ -81,8 +81,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "gaussian":
         inst = gen_gaussian(args.n, args.delta, seed=seed, policy=policy)
     else:
-        with (sys.stdin if args.edges == "-" else open(args.edges)) as fh:
-            graph = Graph.from_edge_text(fh.read())
+        graph = Graph.from_edge_text(read_text(args.edges))
         inst, _ = gen_from_graph(graph, policy)
     write_json(instance_to_dict(inst, graph), args.out)
     return EXIT_OK
@@ -297,11 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     ec.add_argument("--threshold", type=float, default=1.0)
     ec.add_argument("--csv", default="-", metavar="FILE",
                     help="per-trial rows, - for stdout")
-    ec.add_argument("--seed", type=int, default=None)
-    ec.add_argument("--threads", type=int, default=1)
-    ec.add_argument("--numeric-policy", metavar="FILE")
-    ec.add_argument("--out", default=None, metavar="FILE",
-                    help="optional summary report")
+    _common(ec, out_default=None)
     el = es.add_parser("laguerre",
                        help="largest root of the shrunk expected polynomial")
     el.add_argument("--n", type=int, required=True)
@@ -309,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     el.add_argument("--margin", type=float, default=0.05,
                     help="slack added to the comparison interval")
     el.add_argument("--csv", default="-", metavar="FILE")
-    el.add_argument("--numeric-policy", metavar="FILE")
 
     g.set_defaults(func=cmd_gen)
     p.set_defaults(func=cmd_partition)

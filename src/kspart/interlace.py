@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from . import linalg, realpoly
+from . import realpoly
 from ._parallel import ordered_map
 from .mixedchar import (RandomVectorEnsemble, conditional_expected_poly,
                         outcome_block)
@@ -89,7 +89,9 @@ def descend(e: RandomVectorEnsemble, policy: NumericPolicy = DEFAULT_POLICY,
             range(v.support_size),
             threads=threads,
         )
-        child_roots = [realpoly.largest_root(c, policy=policy) for c in children]
+        # the parent's largest_root checked that their common degree is >= 1
+        child_sets = [realpoly.roots(c, policy=policy) for c in children]
+        child_roots = [float(r.values[-1]) for r in child_sets]
         best = min(child_roots)
         if best > parent_root + policy.descent_slack:
             raise DescentError(
@@ -101,10 +103,7 @@ def descend(e: RandomVectorEnsemble, policy: NumericPolicy = DEFAULT_POLICY,
         chosen = tied[0]
         if len(tied) > 1:
             tol = policy.tie_tol * (1.0 + abs(best))
-            profiles = {
-                i: realpoly.roots(children[i], policy=policy).expand()[::-1]
-                for i in tied
-            }
+            profiles = {i: child_sets[i].expand()[::-1] for i in tied}
             for i in tied[1:]:
                 if _profile_beats(profiles[i], profiles[chosen], tol):
                     chosen = i

@@ -100,25 +100,6 @@ def _singularity_threshold(a: np.ndarray, policy: NumericPolicy) -> float:
     return policy.singularity_rtol * max(row, 1e-300) ** d
 
 
-def rank1_update_det(a, u, v, policy: NumericPolicy = DEFAULT_POLICY) -> complex:
-    """det(A + u v*) for invertible A, via det(A) (1 + v* A^{-1} u)."""
-    am = as_complex_matrix(a)
-    uv = as_complex_vector(u)
-    vv = as_complex_vector(v)
-    if uv.shape[0] != am.shape[0] or vv.shape[0] != am.shape[0]:
-        raise ValidationError("vector lengths do not match the matrix dimension")
-    base = det(am)
-    if abs(base) < _singularity_threshold(am, policy):
-        raise SingularMatrixError(
-            f"base determinant {abs(base):.3e} below the singularity threshold"
-        )
-    try:
-        x = np.linalg.solve(am, uv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    return complex(base * (1.0 + np.vdot(vv, x)))
-
-
 def jacobi_directional(a, b, policy: NumericPolicy = DEFAULT_POLICY) -> complex:
     """Directional determinant derivative d/dt det(A + tB) at t=0.
 
@@ -140,11 +121,6 @@ def jacobi_directional(a, b, policy: NumericPolicy = DEFAULT_POLICY) -> complex:
     return complex(base * np.trace(solved))
 
 
-def eigvalsh(m, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(as_hermitian(m, policy))
-
-
 def operator_norm(m, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Largest eigenvalue of a PSD Hermitian matrix.
 
@@ -161,13 +137,6 @@ def operator_norm(m, policy: NumericPolicy = DEFAULT_POLICY) -> float:
             f"matrix is indefinite: smallest eigenvalue {ev[0]:.3e}"
         )
     return float(ev[-1])
-
-
-def min_eigenvalue(m, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    a = as_hermitian(m, policy)
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 def check_psd(m, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -143,8 +143,6 @@ def partition_report_to_dict(rep: PartitionReport, with_trace: bool) -> dict:
     doc = _plain(rep)
     if not with_trace:
         doc.pop("trace")
-    else:
-        doc["trace"] = trace_to_dict(rep.trace)
     return doc
 
 
@@ -190,12 +188,16 @@ def write_json(doc: dict, path: str) -> None:
             fh.write(text)
 
 
-def read_json(path: str) -> dict:
+def read_text(path: str) -> str:
+    """The contents of a file, or of stdin for "-"; stdin stays open."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def read_json(path: str) -> dict:
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

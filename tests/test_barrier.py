@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kspart import (
+    DEFAULT_POLICY,
     CapabilityError,
     CapacityError,
     DeterminantEvaluator,
@@ -161,9 +162,40 @@ def test_analytic_derivative_refuses_singular_point():
     ev = DeterminantEvaluator(mats)
     assert ev.ranks == (2, 2)
     y = (1.0, -3.0)  # sum y_i A_i = diag(0, -2)
-    for method in ("auto", "analytic"):
-        with pytest.raises(SingularMatrixError):
-            ev.derivative(y, 0, method=method)
+    with pytest.raises(SingularMatrixError):
+        ev.derivative(y, 0)
+
+
+def test_determinant_derivative_matches_sampled_difference():
+    # the unit-step difference (rank one, after 0-3 operators) and Jacobi's
+    # formula (rank two) against the Richardson difference of the values
+    rng = np.random.default_rng(53)
+    inst = random_rank1_isotropic(rng, 2, 5)
+    ev = DeterminantEvaluator(inst.matrices)
+    rank_one = [ev]
+    for i in (3, 0, 4):
+        rank_one.append(rank_one[-1].apply_one_minus_partial(i))
+    rank_two = DeterminantEvaluator([np.diag([0.75, 0.25]),
+                                     np.diag([0.25, 0.75])])
+    assert rank_two.ranks == (2, 2)
+    for exact in rank_one + [rank_two]:
+        sampled = CallableEvaluator(exact.value, exact.nvars)
+        for _ in range(3):
+            y = rng.uniform(1.5, 3.0, size=exact.nvars)
+            for i in range(exact.nvars):
+                want = sampled.derivative(y, i)
+                got = exact.derivative(y, i)
+                assert abs(got - want) <= 1e-7 * (1.0 + abs(want))
+
+
+def test_barrier_difference_step_follows_the_policy():
+    # Richardson's difference is exact up to degree 4, so a transcendental
+    # function shows the step: Phi^0 of exp(y_0 + 2 y_1) is exactly 1
+    sampled = CallableEvaluator(lambda y: np.exp(y[0] + 2.0 * y[1]), 2)
+    z = (0.0, 0.5)
+    coarse = DEFAULT_POLICY.merged({"fd_step_scale": 0.5})
+    assert abs(barrier_value(sampled, z, 0) - 1.0) < 1e-8
+    assert abs(barrier_value(sampled, z, 0, coarse) - 1.0) > 1e-6
 
 
 def test_trace_identity_at_scaled_ones():
@@ -202,10 +234,10 @@ def test_above_roots_probe_exact_for_determinants():
 
 def test_above_roots_probe_sampled_for_polynomials():
     fx = bivariate_fixture()
-    ev = above_roots_probe(fx.p, (3.0, 3.0), seed=2)
+    ev = above_roots_probe(fx.p, (3.0, 3.0))
     assert ev.above and not ev.exact
     # p(x, 0) = 4(2x+1)(x+1) dips negative inside the probe's reach here
-    assert not above_roots_probe(fx.p, (-1.5, 0.0), seed=2).above
+    assert not above_roots_probe(fx.p, (-1.5, 0.0)).above
 
 
 def test_lemma_above_on_fixture():

@@ -4,6 +4,7 @@ determinism contract on reports."""
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def test_gen_graph_file(tmp_path):
     doc = serialize.read_json(out)
     assert doc["d"] == 3 and len(doc["vectors"]) == 6
     assert doc["graph"]["n"] == 4
+
+
+def test_gen_graph_reads_stdin_and_leaves_it_open(tmp_path, monkeypatch):
+    edges = Path(write_k4(tmp_path)).read_text()
+    stdin = io.StringIO(edges)
+    monkeypatch.setattr("sys.stdin", stdin)
+    out = str(tmp_path / "k4.json")
+    assert main(["gen", "graph", "--edges", "-", "--out", out]) == 0
+    assert not stdin.closed
+    assert serialize.read_json(out)["graph"]["n"] == 4
 
 
 def test_gen_gaussian_is_isotropic(tmp_path):
@@ -238,6 +249,11 @@ def test_laguerre_row(tmp_path):
         0.5 * (1 - np.sqrt(0.2)) ** 2)
     assert float(rec["interval_hi"]) == pytest.approx(
         0.5 * (1 + np.sqrt(0.2)) ** 2)
+    # the row uses no tolerance, so the command takes no policy file
+    pol = tmp_path / "pol.json"
+    pol.write_text("{}\n")
+    assert main(["experiment", "laguerre", "--n", "50", "--delta", "0.1",
+                 "--csv", out_csv, "--numeric-policy", str(pol)]) == 2
 
 
 def test_exit_code_2_on_bad_input(tmp_path):
@@ -266,7 +282,7 @@ def test_ks_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("KS_SEED")
     assert main(["gen", "gaussian", "--n", "3", "--delta", "0.5",
                  "--seed", "7", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_policy_override_echoed(tmp_path):

@@ -1,5 +1,5 @@
 """Dense Hermitian kernel: determinants, characteristic polynomials,
-rank-one update identities, and the isotropy normalizer."""
+Jacobi's directional derivative, PSD checks, and the isotropy normalizer."""
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -13,9 +13,7 @@ from kspart.linalg import (
     det,
     isotropic_normalizer,
     jacobi_directional,
-    min_eigenvalue,
     operator_norm,
-    rank1_update_det,
 )
 
 
@@ -75,34 +73,6 @@ def test_char_poly_matches_eigenvalue_route():
         assert np.max(np.abs(p - q)) <= 1e-9 * scale
 
 
-def test_rank1_update_pinned_examples():
-    eye = np.eye(2)
-    e1 = np.array([1.0, 0.0])
-    # det(I + e1 e1*) = 2
-    assert abs(rank1_update_det(eye, e1, e1) - 2.0) < 1e-12
-    # det(I - e1 e1*) = 0
-    assert abs(rank1_update_det(eye, e1, -e1)) < 1e-12
-
-
-def test_rank1_update_matches_direct_determinant():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        d = int(rng.integers(1, 6))
-        a = random_hermitian(rng, d) + 2.0 * d * np.eye(d)
-        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        got = rank1_update_det(a, u, v)
-        want = det(a + np.outer(u, v.conj()))
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-
-def test_rank1_update_rejects_singular_base():
-    with pytest.raises(SingularMatrixError):
-        rank1_update_det(np.zeros((2, 2)), [1.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValidationError):
-        rank1_update_det(np.eye(2), [1.0], [1.0, 0.0])
-
-
 def test_jacobi_directional_identity_case():
     # d/dt det(I + tB) at 0 equals tr B
     b = np.array([[2.0, 1.0], [0.0, 5.0]])
@@ -126,10 +96,9 @@ def test_jacobi_directional_rejects_singular_base():
         jacobi_directional(np.diag([1.0, 0.0]), np.eye(2))
 
 
-def test_operator_norm_and_min_eigenvalue():
+def test_operator_norm():
     a = np.diag([0.3, 0.7])
     assert abs(operator_norm(a) - 0.7) < 1e-12
-    assert abs(min_eigenvalue(a) - 0.3) < 1e-12
     # indefinite input is flagged rather than absolute-valued
     with pytest.raises(ValidationError):
         operator_norm(np.diag([-2.0, 1.0]))
