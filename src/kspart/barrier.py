@@ -147,7 +147,6 @@ class DeterminantEvaluator(Evaluator):
         self.dim = d
         self.nvars = len(mats)
         self.applied: tuple[int, ...] = ()
-        self._policy = policy
         ranks = []
         for m in mats:
             ev = np.linalg.eigvalsh(m)
@@ -216,11 +215,6 @@ class DeterminantEvaluator(Evaluator):
             raise CapabilityError(
                 "operator application needs rank-one matrices; "
                 f"ranks are {self.ranks}"
-            )
-        if len(self.applied) + 1 > self._policy.operator_cap:
-            raise CapacityError(
-                f"operator count {len(self.applied) + 1} exceeds the cap "
-                f"{self._policy.operator_cap}"
             )
         child = copy.copy(self)
         child.applied = tuple(sorted(self.applied + (i,)))

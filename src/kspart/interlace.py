@@ -140,15 +140,14 @@ class FamilyReport:
 
 
 def verify_interlacing_family(e: RandomVectorEnsemble,
-                              tol: float | None = None,
-                              samples: int = 16, seed: int = 0,
                               policy: NumericPolicy = DEFAULT_POLICY) -> FamilyReport:
     """Check the two family facts at every internal node of the atom tree.
 
     For each prefix: the node polynomial equals the coefficientwise sum of
     its children (within tree_sum_rtol relative to the parent scale), and the
-    children pass the sampled common-interlacing test.  Exhaustive over the
-    tree, so the leaf count is capped.
+    children pass the sampled common-interlacing test, which draws
+    policy.combo_samples combinations per node.  Exhaustive over the tree,
+    so the leaf count is capped.
     """
     if e.leaf_count > policy.family_cap:
         raise CapacityError(
@@ -178,9 +177,7 @@ def verify_interlacing_family(e: RandomVectorEnsemble,
                     f"children sum deviates by {dev:.3e} (scale {scale:.3g})",
                 ))
             if len(children) > 1:
-                if not realpoly.common_interlacing_test(
-                        children, samples=samples, tol=tol, seed=seed,
-                        policy=policy):
+                if not realpoly.common_interlacing_test(children, policy):
                     violations.append(FamilyViolation(
                         prefix, "common-interlacing",
                         "sampled convex combination not real-rooted",

@@ -5,6 +5,10 @@ follows the companion-matrix route with one Newton polish per root, then
 clusters nearby roots into multiplicities; a polynomial that fails the
 real-rootedness check raises RootednessError carrying the offending
 imaginary magnitude.
+
+No function takes a per-call tolerance, sample count or seed: those come
+from the NumericPolicy argument or the module constants COMBO_SEED (the
+sampled tests) and NEWTON_RTOL (shrunk_power_largest_root).
 """
 from __future__ import annotations
 
@@ -21,6 +25,9 @@ from .policy import (
     RootednessError,
     ValidationError,
 )
+
+COMBO_SEED = 0
+NEWTON_RTOL = 1e-13
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -92,8 +99,7 @@ def gaussian_expected_poly(dim: int, delta: float) -> np.ndarray:
     return laguerre_expected(dim, applications, delta / dim)
 
 
-def shrunk_power_largest_root(n: int, applications: int, delta: float,
-                              rel_tol: float = 1e-13) -> float:
+def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
     """Largest root of (1 - delta d/dx)^applications x^n, computed exactly.
 
     Beyond degree ~20 the float64 monomial coefficients of this polynomial no
@@ -102,7 +108,8 @@ def shrunk_power_largest_root(n: int, applications: int, delta: float,
     and the coefficients into exact integers; Newton from above the Cauchy
     bound then descends monotonically to the top root in rational arithmetic
     (iterates are rounded up, preserving the from-above invariant, to keep
-    denominators near 2^80).
+    denominators near 2^80) until a step moves x by at most NEWTON_RTOL
+    relative.
     """
     n = int(n)
     applications = int(applications)
@@ -132,7 +139,7 @@ def shrunk_power_largest_root(n: int, applications: int, delta: float,
             bound = max(bound, 2.0 * math.exp(math.log(abs(c)) / k))
     x = Fraction(math.ceil(bound))
     cap = 1 << 80
-    thresh = Fraction(rel_tol).limit_denominator(10 ** 18)
+    thresh = Fraction(NEWTON_RTOL).limit_denominator(10 ** 18)
     for _ in range(10000):
         slope = ev(deriv, x)
         if slope <= 0:
@@ -172,12 +179,18 @@ class RealRootedness:
     max_imag: float
 
 
+def _nonzero_poly(p) -> np.ndarray:
+    """as_poly(p), refusing the zero polynomial, which has no root set."""
+    q = as_poly(p)
+    if q.size == 1 and q[0] == 0.0:
+        raise ValidationError("the zero polynomial has no root set")
+    return q
+
+
 def complex_roots(p) -> np.ndarray:
     """Companion-matrix roots with one Newton polish each."""
-    q = as_poly(p)
-    if degree(q) < 0:
-        raise ValidationError("the zero polynomial has no root set")
-    if degree(q) == 0:
+    q = _nonzero_poly(p)
+    if q.size == 1:
         return np.array([], dtype=np.complex128)
     raw = npp.polyroots(q)
     dq = npp.polyder(q)
@@ -210,11 +223,12 @@ def _greedy_clusters(croots: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.asarray(c) for c in clusters]
 
 
-def _try_real_clustering(q, croots, radius, tol, policy):
+def _try_real_clustering(q, croots, radius, policy):
     """One clustering attempt; (values, mults) or None.
 
-    Accepts when every cluster mean is real within tol and the residual of q
-    at the mean is at evaluation-noise level for coefficients of this size.
+    Accepts when every cluster mean is real within real_root_imag_rtol and
+    the residual of q at the mean is at evaluation-noise level for
+    coefficients of this size.
     A genuine multiple root passes (cluster means cancel the companion-matrix
     ring noise to machine precision); a merged pair of distinct roots leaves
     a residual far above noise and is refused, so coarser radii cannot paper
@@ -224,7 +238,7 @@ def _try_real_clustering(q, croots, radius, tol, policy):
     values, mults = [], []
     for cluster in _greedy_clusters(croots, radius):
         m = complex(np.mean(cluster))
-        if abs(m.imag) > tol * (1.0 + abs(m.real)):
+        if abs(m.imag) > policy.real_root_imag_rtol * (1.0 + abs(m.real)):
             return None
         x = _polish_multiple(q, m.real, len(cluster), 2.0 * radius)
         noise = policy.root_residual_rtol * float(
@@ -263,7 +277,7 @@ def _polish_multiple(q, x: float, k: int, leash: float) -> float:
     return x
 
 
-def _root_clustering(q, tol, policy):
+def _root_clustering(q, policy):
     croots = complex_roots(q)
     scale = 1.0 + float(np.max(np.abs(croots)))
     max_imag = float(np.max(np.abs(croots.imag)))
@@ -273,37 +287,31 @@ def _root_clustering(q, tol, policy):
     floor = max(policy.root_merge_rtol, 1e-12)
     radius = floor * scale
     while radius <= 0.101 * scale:
-        got = _try_real_clustering(q, croots, radius, tol, policy)
+        got = _try_real_clustering(q, croots, radius, policy)
         if got is not None:
             return got, max_imag
         radius *= 3.1622776601683795
     return None, max_imag
 
 
-def is_real_rooted(p, tol: float | None = None,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> RealRootedness:
-    """Check all roots are real, allowing multiple-root cluster noise."""
-    q = as_poly(p)
-    if degree(q) < 0:
-        raise ValidationError("the zero polynomial has no root set")
-    if degree(q) == 0:
+def is_real_rooted(p, policy: NumericPolicy = DEFAULT_POLICY) -> RealRootedness:
+    """Check all roots are real, allowing multiple-root cluster noise; a
+    cluster mean counts as real within policy.real_root_imag_rtol."""
+    q = _nonzero_poly(p)
+    if q.size == 1:
         return RealRootedness(True, 0.0)
-    tol = policy.real_root_imag_rtol if tol is None else float(tol)
-    got, max_imag = _root_clustering(q, tol, policy)
+    got, max_imag = _root_clustering(q, policy)
     return RealRootedness(got is not None, max_imag)
 
 
-def roots(p, tol: float | None = None,
-          policy: NumericPolicy = DEFAULT_POLICY) -> RootList:
+def roots(p, policy: NumericPolicy = DEFAULT_POLICY) -> RootList:
     """Real roots with multiplicities; raises RootednessError if no
-    noise-consistent real clustering of the computed roots exists."""
-    q = as_poly(p)
-    if degree(q) < 0:
-        raise ValidationError("the zero polynomial has no root set")
-    if degree(q) == 0:
+    noise-consistent real clustering of the computed roots exists, with
+    cluster means real within policy.real_root_imag_rtol."""
+    q = _nonzero_poly(p)
+    if q.size == 1:
         return RootList(np.array([]), np.array([], dtype=int))
-    tol = policy.real_root_imag_rtol if tol is None else float(tol)
-    got, max_imag = _root_clustering(q, tol, policy)
+    got, max_imag = _root_clustering(q, policy)
     if got is None:
         raise RootednessError(
             f"polynomial is not real-rooted: max imaginary part {max_imag:.3e}",
@@ -315,18 +323,17 @@ def roots(p, tol: float | None = None,
                     np.asarray(mults, dtype=int)[order])
 
 
-def largest_root(p, tol: float | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    r = roots(p, tol, policy)
+def largest_root(p, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    r = roots(p, policy)
     if r.values.size == 0:
         raise ValidationError("constant polynomial has no largest root")
     return float(r.values[-1])
 
 
-def interlaces(g, f, tol: float | None = None,
-               policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def interlaces(g, f, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Weak interlacing: deg g = deg f - 1 and the roots alternate
-    beta_1 <= alpha_1 <= beta_2 <= ... <= beta_n, with relative slack."""
+    beta_1 <= alpha_1 <= beta_2 <= ... <= beta_n, with slack
+    policy.interlace_rtol relative to the largest root magnitude."""
     gp, fp = as_poly(g), as_poly(f)
     if degree(fp) < 1 or degree(gp) != degree(fp) - 1:
         raise ValidationError(
@@ -334,25 +341,23 @@ def interlaces(g, f, tol: float | None = None,
         )
     if gp[-1] <= 0 or fp[-1] <= 0:
         raise ValidationError("leading coefficients must be positive")
-    alpha = roots(gp, tol, policy).expand()
-    beta = roots(fp, tol, policy).expand()
+    alpha = roots(gp, policy).expand()
+    beta = roots(fp, policy).expand()
     allr = np.concatenate([alpha, beta]) if alpha.size else beta
-    slack = (policy.interlace_rtol if tol is None else float(tol))
-    slack *= 1.0 + float(np.max(np.abs(allr)))
+    slack = policy.interlace_rtol * (1.0 + float(np.max(np.abs(allr))))
     for i in range(alpha.size):
         if alpha[i] < beta[i] - slack or alpha[i] > beta[i + 1] + slack:
             return False
     return True
 
 
-def common_interlacing_test(fs, samples: int | None = None,
-                            tol: float | None = None, seed: int = 0,
-                            policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def common_interlacing_test(fs, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Sampled test for a common interlacing of same-degree polynomials.
 
     Checks real-rootedness of the uniform average, every pairwise midpoint,
-    and seeded random convex combinations.  A failure is definitive (no
-    common interlacing); a pass is evidence, not proof.
+    and policy.combo_samples random convex combinations drawn with
+    COMBO_SEED.  A failure is definitive (no common interlacing); a pass is
+    evidence, not proof.
     """
     polys = [as_poly(f) for f in fs]
     if len(polys) == 0:
@@ -366,7 +371,7 @@ def common_interlacing_test(fs, samples: int | None = None,
     for i, p in enumerate(polys):
         if p[-1] <= 0:
             raise ValidationError(f"polynomial {i} must have a positive leading coefficient")
-        if not is_real_rooted(p, tol, policy).real_rooted:
+        if not is_real_rooted(p, policy).real_rooted:
             raise ValidationError(f"polynomial {i} is not real-rooted")
     if len(polys) == 1:
         return True
@@ -375,13 +380,12 @@ def common_interlacing_test(fs, samples: int | None = None,
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             combos.append((stack[i] + stack[j]) / 2.0)
-    n_samples = policy.combo_samples if samples is None else int(samples)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
+    rng = np.random.default_rng(COMBO_SEED)
+    for _ in range(policy.combo_samples):
         lam = rng.dirichlet(np.ones(len(polys)))
         combos.append(lam @ stack)
     for c in combos:
-        if not is_real_rooted(c, tol, policy).real_rooted:
+        if not is_real_rooted(c, policy).real_rooted:
             return False
     return True
 
@@ -397,7 +401,7 @@ class SeparationReport:
     ok: bool
 
 
-def separate_check(fs, s: float, t: float, tol: float | None = None,
+def separate_check(fs, s: float, t: float,
                    policy: NumericPolicy = DEFAULT_POLICY) -> SeparationReport:
     """Verify the one-root-in-a-window argument for a sum of polynomials.
 
@@ -416,7 +420,7 @@ def separate_check(fs, s: float, t: float, tol: float | None = None,
     sign_t: list[int] = []
     problems = []
     for i, p in enumerate(polys):
-        rl = roots(p, tol, policy)
+        rl = roots(p, policy)
         expanded = rl.expand()
         slack = policy.interlace_rtol * (1.0 + float(np.max(np.abs(expanded))) if expanded.size else 1.0)
         inside = expanded[(expanded >= s - slack) & (expanded <= t + slack)]
@@ -438,7 +442,7 @@ def separate_check(fs, s: float, t: float, tol: float | None = None,
     total = polys[0]
     for p in polys[1:]:
         total = npp.polyadd(total, p)
-    sum_inside = roots(total, tol, policy).expand()
+    sum_inside = roots(total, policy).expand()
     sum_inside = sum_inside[(sum_inside >= s) & (sum_inside <= t)]
     lo, hi = float(min(window_roots)), float(max(window_roots))
     ok = sum_inside.size == 1 and lo - 1e-9 <= sum_inside[0] <= hi + 1e-9
@@ -451,25 +455,25 @@ def separate_check(fs, s: float, t: float, tol: float | None = None,
     )
 
 
-def hko_test(f, g, samples: int | None = None, tol: float | None = None,
-             seed: int = 0, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def hko_test(f, g, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Sampled converse-pair test: every nonnegative combination a f + b g
-    drawn is real-rooted.  Failure is definitive, success is evidence."""
+    drawn (four fixed pairs and policy.combo_samples angles drawn with
+    COMBO_SEED) is real-rooted.  Failure is definitive, success is
+    evidence."""
     fp, gp = as_poly(f), as_poly(g)
     for name, p in (("f", fp), ("g", gp)):
         if degree(p) < 1:
             raise ValidationError(f"{name} must be non-constant")
-        if not is_real_rooted(p, tol, policy).real_rooted:
+        if not is_real_rooted(p, policy).real_rooted:
             raise ValidationError(f"{name} is not real-rooted")
-    n_samples = policy.combo_samples if samples is None else int(samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMBO_SEED)
     pairs = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
-    theta = rng.uniform(0.0, np.pi / 2.0, size=n_samples)
+    theta = rng.uniform(0.0, np.pi / 2.0, size=policy.combo_samples)
     pairs.extend(zip(np.cos(theta), np.sin(theta)))
     for a, b in pairs:
         combo = as_poly(npp.polyadd(a * fp, b * gp))
         if degree(combo) < 1:
             continue
-        if not is_real_rooted(combo, tol, policy).real_rooted:
+        if not is_real_rooted(combo, policy).real_rooted:
             return False
     return True

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .barrier import BarrierCertificate
-from .interlace import DescentTrace
 from .mixedchar import FiniteSupportVector, RandomVectorEnsemble
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 from .weaver import ExperimentStats, Graph, PartitionReport, WeaverInstance
@@ -106,7 +105,11 @@ def ensemble_from_dict(doc: dict,
 
 
 def _plain(obj):
-    """Recursively convert dataclasses and numpy types to JSON-safe values."""
+    """Recursively convert dataclasses and numpy types to JSON-safe values.
+
+    Also the ``default`` hook of ``dumps``: json calls it only for values it
+    cannot encode itself, so plain documents are not walked twice.
+    """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _plain(getattr(obj, f.name))
@@ -128,11 +131,9 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
-    return obj
-
-
-def trace_to_dict(trace: DescentTrace) -> dict:
-    return _plain(trace)
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def certificate_to_dict(cert: BarrierCertificate) -> dict:
@@ -176,7 +177,7 @@ def report_envelope(kind: str, payload: dict, seed: int | None,
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def write_json(doc: dict, path: str) -> None:

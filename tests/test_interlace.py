@@ -19,6 +19,7 @@ from kspart import (
     lift,
     verify_interlacing_family,
 )
+from kspart import realpoly
 
 from test_mixedchar import bernoulli_diagonal, random_ensemble
 
@@ -113,6 +114,25 @@ def test_verify_family_singleton_and_random():
         d = int(rng.integers(1, 4))
         e = random_ensemble(rng, d, int(rng.integers(1, 4)), 3)
         assert verify_interlacing_family(e).ok
+
+
+def test_verify_family_draws_policy_combo_samples(monkeypatch):
+    counted = []
+    real = realpoly.is_real_rooted
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(realpoly, "is_real_rooted", counting)
+    e = bernoulli_diagonal(1, 0.5)
+    calls = []
+    for samples in (0, 5):
+        counted.clear()
+        assert verify_interlacing_family(
+            e, policy=NumericPolicy(combo_samples=samples)).ok
+        calls.append(len(counted))
+    assert calls[1] - calls[0] == 5 * 3  # all three nodes have two children
 
 
 def test_capacity_guards():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kspart import (
+    NumericPolicy,
     RootednessError,
     ValidationError,
     common_interlacing_test,
@@ -118,6 +119,13 @@ def test_interlaces_examples():
     assert not interlaces([-3.0, 1.0], [2.0, -3.0, 1.0])    # root 3 outside [1,2]
     with pytest.raises(ValidationError):
         interlaces([-1.0, 1.0], from_roots([1.0, 2.0, 3.0]))
+
+
+def test_interlace_slack_follows_the_policy():
+    g = [-(2.0 + 1e-6), 1.0]            # root 1e-6 above the top root of f
+    f = from_roots([1.0, 2.0])
+    assert not interlaces(g, f)
+    assert interlaces(g, f, policy=NumericPolicy(interlace_rtol=1e-5))
 
 
 def test_interlaces_rolle_property():

@@ -1,6 +1,7 @@
 """File formats: instance and ensemble round-trips, the report envelope,
 and stdin/stdout streaming."""
 
+import dataclasses
 import io
 import json
 
@@ -11,7 +12,6 @@ from kspart import (
     Graph,
     ValidationError,
     WeaverInstance,
-    descend,
     gen_diagonal,
     gen_from_graph,
     lift,
@@ -19,8 +19,6 @@ from kspart import (
 )
 from kspart import serialize
 from kspart.policy import DEFAULT_POLICY
-
-from test_mixedchar import bernoulli_diagonal
 
 
 def test_instance_round_trip(tmp_path):
@@ -90,6 +88,50 @@ def test_dumps_is_stable_and_sorted():
     assert one.index('"a"') < one.index('"b"') < one.index('"z"')
 
 
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: float
+    tags: tuple
+
+
+def test_dumps_encodes_dataclasses_numpy_and_complex():
+    doc = {"point": _Point(np.float64(0.25), (1, np.int64(2))),
+           "z": np.array([1 + 2j, 3 - 0.5j]), "i": np.int64(3),
+           "f": np.float32(0.5), "b": np.bool_(True), "t": (1, 2.5),
+           "nan": float("nan")}
+    want = """{
+  "b": true,
+  "f": 0.5,
+  "i": 3,
+  "nan": NaN,
+  "point": {
+    "tags": [
+      1,
+      2
+    ],
+    "x": 0.25
+  },
+  "t": [
+    1,
+    2.5
+  ],
+  "z": [
+    [
+      1.0,
+      2.0
+    ],
+    [
+      3.0,
+      -0.5
+    ]
+  ]
+}
+"""
+    assert serialize.dumps(doc) == want
+    with pytest.raises(TypeError):
+        serialize.dumps({"s": {1, 2}})
+
+
 def test_streaming_stdout_stdin(monkeypatch, capsys):
     doc = serialize.instance_to_dict(gen_diagonal(1, 1.0))
     serialize.write_json(doc, "-")
@@ -99,17 +141,14 @@ def test_streaming_stdout_stdin(monkeypatch, capsys):
 
 
 def test_trace_and_partition_report_dicts():
-    trace = descend(bernoulli_diagonal(1, 0.5))
-    doc = serialize.trace_to_dict(trace)
-    assert doc["final_assignment"] == [0, 0]
-    assert len(doc["steps"]) == 2
-    assert isinstance(doc["steps"][0]["candidate_roots"], list)
-
     rep = partition(gen_diagonal(2, 0.5), 2)
     slim = serialize.partition_report_to_dict(rep, with_trace=False)
     assert "trace" not in slim
     full = serialize.partition_report_to_dict(rep, with_trace=True)
-    assert full["trace"]["final_assignment"] == list(rep.trace.final_assignment)
+    doc = full["trace"]
+    assert doc["final_assignment"] == list(rep.trace.final_assignment)
+    assert len(doc["steps"]) == len(rep.trace.steps) == 4
+    assert isinstance(doc["steps"][0]["candidate_roots"], list)
     # both forms serialize cleanly
     serialize.dumps(slim)
     serialize.dumps(full)
