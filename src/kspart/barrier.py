@@ -31,7 +31,6 @@ from . import linalg
 from .mixedchar import MixedInstance
 from .policy import (
     CapabilityError,
-    CapacityError,
     DEFAULT_POLICY,
     NumericPolicy,
     PoleError,
@@ -456,6 +455,27 @@ def ks_bound(eps: float) -> float:
     return float((1.0 + np.sqrt(eps)) ** 2)
 
 
+# Work model, in the units of NumericPolicy.work_cap (see mixedchar):
+LEVEL_WORK = 250_000
+"""A certificate level's fixed cost: its above-roots test and bookkeeping;
+0.25-0.35 ms a level at m <= 80, d <= 5."""
+POINT_WORK = 5_000
+"""A barrier point's fixed cost, plus POINT_WORK_CUBE d^3 for its
+determinant and POINT_WORK_ENTRY for each of the m d^2 multiply-adds of
+sum_i y_i A_i: 4-15 us a point for d <= 10 and m = 14..400, 35 us at d=20,
+m=200."""
+POINT_WORK_CUBE = 2
+POINT_WORK_ENTRY = 0.5
+
+
+def certificate_work(m: int, d: int) -> float:
+    """Predicted work of ``build_certificate`` on m matrices of size d:
+    m + 1 levels of m + 1 barrier points each."""
+    point = (POINT_WORK + POINT_WORK_CUBE * d ** 3
+             + POINT_WORK_ENTRY * m * d * d)
+    return float((m + 1) * LEVEL_WORK + (m + 1) ** 2 * point)
+
+
 @dataclass(frozen=True)
 class CertificateStep:
     level: int
@@ -494,15 +514,15 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
     trace.
     Instances with a matrix of rank two or more are refused: the exact
     multiaffine evaluation underpinning the certificate does not apply.
+    So is a request whose ``certificate_work`` exceeds the work cap, before
+    any matrix is examined.
     """
     mats = list(inst.matrices)
     m = len(mats)
     if m == 0:
         raise ValidationError("certificate needs at least one matrix")
-    if m > policy.operator_cap:
-        raise CapacityError(
-            f"{m} operator applications exceed the cap {policy.operator_cap}"
-        )
+    policy.admit(certificate_work(m, inst.dim),
+                 f"certificate over {m} matrices")
     ev = DeterminantEvaluator(mats, policy)
     if not ev.all_rank_one:
         raise CapabilityError(

@@ -11,6 +11,7 @@ import csv
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -240,7 +241,13 @@ def cmd_laguerre(args) -> int:
     return EXIT_OK if lo - eta <= top <= hi + eta else EXIT_BOUND
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every ``main`` call.
+
+    Each subcommand names its handler, which ``main`` looks up at call time,
+    so a replaced ``cmd_*`` function takes effect.
+    """
     ap = argparse.ArgumentParser(
         prog="kspart",
         description="Partition finite frames into spectrally small parts "
@@ -305,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slack added to the comparison interval")
     el.add_argument("--csv", default="-", metavar="FILE")
 
-    g.set_defaults(func=cmd_gen)
-    p.set_defaults(func=cmd_partition)
-    m.set_defaults(func=cmd_mixed)
-    c.set_defaults(func=cmd_certify)
-    ec.set_defaults(func=cmd_chernoff)
-    el.set_defaults(func=cmd_laguerre)
+    g.set_defaults(handler="cmd_gen")
+    p.set_defaults(handler="cmd_partition")
+    m.set_defaults(handler="cmd_mixed")
+    c.set_defaults(handler="cmd_certify")
+    ec.set_defaults(handler="cmd_chernoff")
+    el.set_defaults(handler="cmd_laguerre")
     return ap
 
 
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (CapacityError, CapabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPACITY

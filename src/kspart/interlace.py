@@ -17,13 +17,48 @@ import numpy as np
 from . import realpoly
 from ._parallel import ordered_map
 from .mixedchar import (RandomVectorEnsemble, conditional_expected_poly,
-                        outcome_block)
-from .policy import (
-    CapacityError,
-    DEFAULT_POLICY,
-    DescentError,
-    NumericPolicy,
-)
+                        expansion_work, outcome_sums)
+from .policy import DEFAULT_POLICY, DescentError, NumericPolicy
+
+# Work model, in the units of NumericPolicy.work_cap (see mixedchar):
+ROOTS_WORK = 100_000
+"""A ``realpoly.roots`` or ``is_real_rooted`` call on degree D costs
+ROOTS_WORK + ROOTS_WORK_PER_DEGREE * D: 0.18 ms at D=1, 0.4 ms at D=4,
+1.2 ms at D=10, 2.3 ms at D=16."""
+ROOTS_WORK_PER_DEGREE = 110_000
+EIGVALSH_WORK = 1_000
+"""An eigenvalue decomposition of size D in a stack of 4096 costs
+EIGVALSH_WORK + EIGVALSH_WORK_CUBE * D^3: 0.45 us at D=2, 7 us at D=8,
+22 us at D=16."""
+EIGVALSH_WORK_CUBE = 5
+
+
+def _roots_work(dim: int) -> float:
+    return ROOTS_WORK + ROOTS_WORK_PER_DEGREE * dim
+
+
+def descent_work(support_sizes: tuple[int, ...], dim: int) -> float:
+    """Predicted work of ``descend`` on an ensemble with these support sizes
+    in dimension dim: the root and every child along the walk cost one
+    subset expansion and one root finding each (the prefix-sum cache is not
+    counted on)."""
+    nodes = 1 + sum(support_sizes)
+    return nodes * (expansion_work(len(support_sizes), dim) + _roots_work(dim))
+
+
+def family_work(e: RandomVectorEnsemble,
+                policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Predicted work of ``verify_interlacing_family``: at every internal
+    node, one subset expansion per child, and for s > 1 children the
+    s + 1 + C(s, 2) + combo_samples root tests of the interlacing check."""
+    expansion = expansion_work(len(e.vectors), e.dim)
+    roots = _roots_work(e.dim)
+    total, nodes = expansion, 1.0
+    for s in e.support_sizes:
+        tests = s + 1 + s * (s - 1) // 2 + policy.combo_samples if s > 1 else 0
+        total += nodes * (s * expansion + tests * roots)
+        nodes *= s
+    return total
 
 
 @dataclass(frozen=True)
@@ -75,8 +110,11 @@ def descend(e: RandomVectorEnsemble, policy: NumericPolicy = DEFAULT_POLICY,
 
     At every level the chosen child's largest root must not exceed the
     parent's beyond the descent slack; if no child qualifies the walk aborts
-    with a diagnostic rather than continue from a spurious node.
+    with a diagnostic rather than continue from a spurious node.  The whole
+    walk is refused up front when ``descent_work`` exceeds the work cap.
     """
+    policy.admit(descent_work(e.support_sizes, e.dim),
+                 f"descent over {len(e.vectors)} vectors")
     cache: dict = {}
     parent_poly = conditional_expected_poly(e, (), policy, cache)
     parent_root = realpoly.largest_root(parent_poly, policy=policy)
@@ -147,13 +185,9 @@ def verify_interlacing_family(e: RandomVectorEnsemble,
     its children (within tree_sum_rtol relative to the parent scale), and the
     children pass the sampled common-interlacing test, which draws
     policy.combo_samples combinations per node.  Exhaustive over the tree,
-    so the leaf count is capped.
+    so it is refused up front when ``family_work`` exceeds the work cap.
     """
-    if e.leaf_count > policy.family_cap:
-        raise CapacityError(
-            f"{e.leaf_count} leaves exceed the family verification cap "
-            f"{policy.family_cap}"
-        )
+    policy.admit(family_work(e, policy), "interlacing family verification")
     cache: dict = {}
     violations = []
     nodes = 0
@@ -189,31 +223,17 @@ def exhaustive_minimum(e: RandomVectorEnsemble,
                        policy: NumericPolicy = DEFAULT_POLICY) -> tuple[tuple[int, ...], float]:
     """Smallest achievable largest eigenvalue over every full assignment.
 
-    Ground truth for the descent's sandwich property; capped enumeration.
+    Ground truth for the descent's sandwich property; its work is capped.
     Ties resolve to the lexicographically first assignment.
     """
-    leaves = e.leaf_count
-    if leaves > policy.enumeration_cap:
-        raise CapacityError(
-            f"{leaves} assignments exceed the enumeration cap "
-            f"{policy.enumeration_cap}"
-        )
-    d = e.dim
-    outers = [
-        np.einsum("aj,ak->ajk", v.values, v.values.conj())
-        for v in e.vectors
-    ]
-    best_idx = 0
-    best_val = np.inf
-    for start in range(0, leaves, 8192):
-        chunk = outcome_block(e.support_sizes, start, min(start + 8192, leaves))
-        sums = np.zeros((chunk.shape[0], d, d), dtype=np.complex128)
-        for i in range(len(e.vectors)):
-            sums += outers[i][chunk[:, i]]
-        tops = np.linalg.eigvalsh(sums)[:, -1] if d else np.zeros(chunk.shape[0])
+    def chunk_minimum(idx, sums):
+        tops = (np.linalg.eigvalsh(sums)[:, -1] if e.dim
+                else np.zeros(idx.shape[0]))
         local = int(np.argmin(tops))
-        if tops[local] < best_val:
-            best_val = float(tops[local])
-            best_idx = start + local
-    best = outcome_block(e.support_sizes, best_idx, best_idx + 1)[0]
-    return tuple(int(t) for t in best), best_val
+        return float(tops[local]), tuple(int(t) for t in idx[local])
+
+    work = EIGVALSH_WORK + EIGVALSH_WORK_CUBE * e.dim ** 3
+    best_val, best = min(outcome_sums(e, chunk_minimum, work,
+                                      "exhaustive minimum", policy),
+                         key=lambda found: found[0])
+    return best, best_val

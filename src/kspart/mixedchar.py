@@ -28,12 +28,7 @@ import numpy as np
 
 from . import linalg
 from ._parallel import ordered_map
-from .policy import (
-    CapacityError,
-    DEFAULT_POLICY,
-    NumericPolicy,
-    ValidationError,
-)
+from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
 
 @dataclass(frozen=True)
@@ -148,6 +143,35 @@ def ensemble_instance(e: RandomVectorEnsemble,
     return MixedInstance(e.dim, tuple(ensemble_covariances(e)), policy)
 
 
+CHUNK = 4096
+"""Matrices per ``char_poly_stack`` call in the subset expansion and the
+outcome enumerator, so no stack holds more than CHUNK * D^2 entries."""
+
+# Work model, in the units of NumericPolicy.work_cap (about a nanosecond
+# each on the machine these were measured on, timing stacks of 4096):
+POLY_WORK = 1_500
+"""A characteristic polynomial of size D costs POLY_WORK + POLY_WORK_CUBE *
+D^3: 1.6 us at D=2, 8 us at D=6, 12 us at D=8, 17-32 us at D=10, 88 us at
+D=16."""
+POLY_WORK_CUBE = 20
+TERM_WORK = 60
+"""A signed term of the alternating sums; 50-120 ns a term over the
+expansions with m = 16..20 and D = 6..10."""
+GATHER_WORK = 5
+"""A matrix entry added into an outcome sum; 3-6 ns at D = 2..16."""
+
+
+def _poly_work(dim: int) -> float:
+    return POLY_WORK + POLY_WORK_CUBE * dim ** 3
+
+
+def expansion_work(m: int, dim: int) -> float:
+    """Predicted work of one subset expansion of m matrices of size dim:
+    sum over k <= min(m, dim) of C(m, k) polynomials and C(m, k) 2^k terms."""
+    return float(sum(math.comb(m, k) * (_poly_work(dim) + TERM_WORK * 2 ** k)
+                     for k in range(min(m, dim) + 1)))
+
+
 def outcome_block(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """Outcomes start..stop-1 of product(*(range(s) for s in sizes)).
 
@@ -159,38 +183,52 @@ def outcome_block(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
 
 
+def outcome_sums(e: RandomVectorEnsemble, kernel, kernel_work: float,
+                 what: str, policy: NumericPolicy = DEFAULT_POLICY,
+                 threads: int = 1) -> list:
+    """kernel(idx, sums) over every outcome of e, CHUNK outcomes at a time.
+
+    idx holds a chunk of outcomes as ``outcome_block`` rows and sums their
+    matrices sum_i v_i v_i*; the kernel results come back in outcome order.
+    The request is refused up front when leaves * (m D^2 GATHER_WORK +
+    kernel_work), kernel_work being the kernel's work per outcome, exceeds
+    the work cap.
+    """
+    d, sizes = e.dim, e.support_sizes
+    per_outcome = len(sizes) * d * d * GATHER_WORK + kernel_work
+    policy.admit(math.prod(map(float, sizes)) * per_outcome, what)
+    outers = [
+        np.einsum("aj,ak->ajk", v.values, v.values.conj())
+        for v in e.vectors
+    ]
+    leaves = e.leaf_count
+
+    def run_chunk(start):
+        idx = outcome_block(sizes, start, min(start + CHUNK, leaves))
+        sums = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
+        for i, outer in enumerate(outers):
+            sums += outer[idx[:, i]]
+        return kernel(idx, sums)
+
+    return ordered_map(run_chunk, range(0, leaves, CHUNK), threads=threads)
+
+
 def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
                                   policy: NumericPolicy = DEFAULT_POLICY,
                                   threads: int = 1) -> np.ndarray:
     """E det(xI - sum v_i v_i*) by enumerating every outcome of the ensemble.
 
-    Independent oracle for the subset expansion; outcome count is capped.
+    Independent oracle for the subset expansion; its work is capped.
     """
-    leaves = e.leaf_count
-    if leaves > policy.bruteforce_cap:
-        raise CapacityError(
-            f"{leaves} outcomes exceed the brute-force cap {policy.bruteforce_cap}"
-        )
-    d = e.dim
-    outers = [
-        np.einsum("aj,ak->ajk", v.values, v.values.conj())
-        for v in e.vectors
-    ]
-    sizes = e.support_sizes
-
-    def run_chunk(start):
-        idx = outcome_block(sizes, start, min(start + 4096, leaves))
-        sums = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
+    def weighted_polys(idx, sums):
         weights = np.ones(idx.shape[0])
         for i, v in enumerate(e.vectors):
-            sums += outers[i][idx[:, i]]
             weights *= v.probabilities[idx[:, i]]
-        polys = linalg.char_poly_stack(sums)
-        return weights @ polys
+        return weights @ linalg.char_poly_stack(sums)
 
-    parts = ordered_map(run_chunk, range(0, leaves, 4096), threads=threads)
-    total = np.zeros(d + 1)
-    for part in parts:
+    total = np.zeros(e.dim + 1)
+    for part in outcome_sums(e, weighted_polys, _poly_work(e.dim),
+                             "brute-force oracle", policy, threads):
         total += part
     return total
 
@@ -261,10 +299,12 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
                   policy: NumericPolicy) -> np.ndarray:
     """Subset-expansion engine; mats are validated Hermitian PSD.
 
-    Subsets S of size k <= min(m, d) are laid out by size, then in
+    Refused before any work when ``expansion_work(m, d)`` exceeds the work
+    cap.  Subsets S of size k <= min(m, d) are laid out by size, then in
     ``combinations`` order; row T of the stack holds -sum_{i in T} A_i,
-    subtracted in index order from zero.  The summation order is part of
-    the contract: c_S adds sign * h_T[d-k] over T subset S by size, then in
+    subtracted in index order from zero, and only CHUNK rows of the stack
+    exist at a time.  The summation order is part of the contract: c_S
+    adds sign * h_T[d-k] over T subset S by size, then in
     ``combinations(S, r)`` order, one term at a time, and mu[d-k] adds the
     signed c_S in subset order.  Sequential ``cumsum`` keeps that order
     (``np.sum`` would sum pairwise), so every coefficient is bit-identical
@@ -276,32 +316,29 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
     DescentError.
     """
     m = len(mats)
-    if m > policy.matrix_cap:
-        raise CapacityError(f"{m} matrices exceed the cap {policy.matrix_cap}")
+    policy.admit(expansion_work(m, d), f"subset expansion of {m} matrices")
     kmax = min(m, d)
-    n_subsets = sum(math.comb(m, k) for k in range(kmax + 1))
-    if n_subsets > policy.subset_cap:
-        raise CapacityError(
-            f"{n_subsets} subsets exceed the expansion cap {policy.subset_cap}"
-        )
     tab = _expansion_tables(m, kmax)
     sizes, offsets, rows = tab.sizes, tab.offsets, tab.rows
     a = np.asarray(mats, dtype=np.complex128)
-    stack = np.zeros((n_subsets, d, d), dtype=np.complex128)
-    for k in range(1, kmax + 1):
-        block = stack[offsets[k]:offsets[k] + sizes[k]]
-        for j in range(k):
-            block -= a[rows[k][:, j]]
     # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector
-    h = linalg.char_poly_stack(stack)
+    h = np.empty((offsets[-1], d + 1))
+    for k in range(kmax + 1):
+        for lo in range(0, sizes[k], CHUNK):
+            idx = rows[k][lo:lo + CHUNK]
+            block = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
+            for j in range(k):
+                block -= a[idx[:, j]]
+            h[offsets[k] + lo:offsets[k] + lo + idx.shape[0]] = \
+                linalg.char_poly_stack(block)
     mu = np.zeros(d + 1)
     mu[d] = 1.0
     for k in range(1, kmax + 1):
         col, sign, base = tab.col[k], tab.sign[k], tab.base[k]
         h_k = h[:, d - k]
         c = np.empty(sizes[k])
-        # no per-chunk intermediate larger than the stack
-        step = max(1, stack.nbytes // (8 * max(col.shape[1], k * (kmax + 2))))
+        # no per-step index table larger than a CHUNK of the stack
+        step = max(1, 2 * CHUNK * d * d // max(col.shape[1], k * (kmax + 2)))
         for lo in range(0, sizes[k], step):
             table = tab.binom[(m - 1) - rows[k][lo:lo + step]]
             t_rows = base - table[:, 0, col[0]]

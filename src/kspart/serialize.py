@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,23 +51,39 @@ def instance_to_dict(inst: WeaverInstance, graph: Graph | None = None) -> dict:
     return doc
 
 
+@contextmanager
+def _parsing(kind: str):
+    """Report a missing field or a value of the wrong shape or type in a
+    document as ValidationError."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValidationError(
+            f"{kind} document lacks the field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"malformed {kind} document: {err}") from None
+
+
 def instance_from_dict(doc: dict) -> tuple[WeaverInstance, Graph | None]:
     if doc.get("schema") != SCHEMA_INSTANCE:
         raise ValidationError(
             f"expected schema {SCHEMA_INSTANCE!r}, got {doc.get('schema')!r}"
         )
-    d = int(doc["d"])
-    vectors = np.array(
-        [_unpairs(v) for v in doc["vectors"]], dtype=np.complex128
-    ).reshape(len(doc["vectors"]), d)
-    delta = float(doc.get("delta", np.max(np.sum(np.abs(vectors) ** 2, axis=1))))
-    graph = None
-    if "graph" in doc:
-        gd = doc["graph"]
-        graph = Graph(
-            n=int(gd["n"]),
-            edges=tuple((int(a), int(b), float(w)) for a, b, w in gd["edges"]),
-        )
+    with _parsing("instance"):
+        d = int(doc["d"])
+        vectors = np.array(
+            [_unpairs(v) for v in doc["vectors"]], dtype=np.complex128
+        ).reshape(len(doc["vectors"]), d)
+        delta = float(doc.get("delta",
+                              np.max(np.sum(np.abs(vectors) ** 2, axis=1))))
+        graph = None
+        if "graph" in doc:
+            gd = doc["graph"]
+            graph = Graph(
+                n=int(gd["n"]),
+                edges=tuple((int(a), int(b), float(w))
+                            for a, b, w in gd["edges"]),
+            )
     return WeaverInstance(d, vectors, delta), graph
 
 
@@ -92,15 +109,16 @@ def ensemble_from_dict(doc: dict,
         raise ValidationError(
             f"expected schema {SCHEMA_ENSEMBLE!r}, got {doc.get('schema')!r}"
         )
-    d = int(doc["d"])
-    vectors = []
-    for v in doc["vectors"]:
-        atoms = v["atoms"]
-        probs = np.array([float(a["p"]) for a in atoms])
-        values = np.array(
-            [_unpairs(a["value"]) for a in atoms], dtype=np.complex128
-        ).reshape(len(atoms), d)
-        vectors.append(FiniteSupportVector(probs, values, policy))
+    with _parsing("ensemble"):
+        d = int(doc["d"])
+        vectors = []
+        for v in doc["vectors"]:
+            atoms = v["atoms"]
+            probs = np.array([float(a["p"]) for a in atoms])
+            values = np.array(
+                [_unpairs(a["value"]) for a in atoms], dtype=np.complex128
+            ).reshape(len(atoms), d)
+            vectors.append(FiniteSupportVector(probs, values, policy))
     return RandomVectorEnsemble(d, tuple(vectors))
 
 

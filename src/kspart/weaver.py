@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from ._parallel import chunked, ordered_map
-from .interlace import DescentTrace, descend
+from .interlace import DescentTrace, descend, descent_work
 from .mixedchar import FiniteSupportVector, RandomVectorEnsemble
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
@@ -199,8 +199,14 @@ class Graph:
                 raise ValidationError(
                     f"line {lineno}: expected 'a b weight', got {line!r}"
                 )
-            a, b = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            try:
+                a, b = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise ValidationError(
+                    f"line {lineno}: expected 'a b weight' with integer "
+                    f"vertices, got {line!r}"
+                ) from None
             top = max(top, a, b)
             edges.append((a, b, w))
         if not edges:
@@ -327,7 +333,12 @@ def partition(inst: WeaverInstance, r: int,
     The descent runs on the lifted ensemble; the chosen atom of each lifted
     vector is its part label.  Each part norm is checked against
     (1/sqrt(r) + sqrt(delta))^2 with delta recomputed from the vectors.
+    The request is refused before any work when the descent's predicted
+    work exceeds the work cap.
     """
+    r = int(r)
+    policy.admit(descent_work((r,) * inst.count, r * inst.dim),
+                 f"partition of {inst.count} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:
         raise ValidationError(
@@ -335,7 +346,6 @@ def partition(inst: WeaverInstance, r: int,
             f"{rep.isotropy_deviation:.3e}, max norm {rep.max_norm_sq:.6g} "
             f"vs declared delta {rep.delta_declared:.6g}"
         )
-    r = int(r)
     delta = rep.max_norm_sq
     ens = lift(inst, r, policy)
     trace = descend(ens, policy, threads=threads)

@@ -34,7 +34,7 @@ from kspart import (
 
 from kspart.cli import ensemble_instance_from_vectors
 
-from test_mixedchar import random_rank1_isotropic
+from test_mixedchar import no_kernels, random_rank1_isotropic
 
 
 def reference_value_many(ev, points):
@@ -337,9 +337,25 @@ def test_certificate_twenty_vectors_in_dimension_five():
     assert largest_root(mixed_char_poly(inst)) <= cert.bound
 
 
-def test_certificate_refusals():
-    with pytest.raises(CapacityError):
-        build_certificate(MixedInstance(1, tuple(
-            np.array([[1.0 / 21]]) for _ in range(21))))
+def test_certificates_past_twenty_vectors():
+    # 21 and 40 matrices; a cap of 20 operators used to refuse both
+    for inst in (MixedInstance(1, tuple(np.array([[1.0 / 21]])
+                                        for _ in range(21))),
+                 ensemble_instance_from_vectors(
+                     gen_gaussian(5, 5 / 40, seed=3))):
+        cert = build_certificate(inst)
+        assert cert.valid
+        assert len(cert.steps) == len(inst.matrices) + 1
+        assert all(step.above.above and step.above.exact
+                   for step in cert.steps)
+
+
+def test_certificate_refusals(monkeypatch):
+    # 1001^2 barrier points, each a sum of 1000 matrices of size 20
+    wide = MixedInstance(20, tuple(np.eye(20) / 1000 for _ in range(1000)))
+    no_kernels(monkeypatch)
+    with pytest.raises(CapacityError, match="predicted work"):
+        build_certificate(wide)
+    monkeypatch.undo()
     with pytest.raises(ValidationError):
         build_certificate(MixedInstance(1, (np.array([[0.5]]),)))  # not isotropic

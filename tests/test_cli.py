@@ -12,7 +12,7 @@ import pytest
 from kspart import serialize
 from kspart.cli import main
 
-from test_mixedchar import bernoulli_diagonal
+from test_mixedchar import bernoulli_diagonal, no_kernels
 
 
 def read_report(path):
@@ -90,6 +90,9 @@ def test_partition_pipeline(tmp_path):
     assert main(["partition", "--in", inst, "--r", "2", "--trace",
                  "--out", rep]) == 0
     assert "trace" in read_report(rep)["payload"]
+    # the parser is shared between calls; --trace must not carry over
+    assert main(["partition", "--in", inst, "--r", "2", "--out", rep]) == 0
+    assert "trace" not in read_report(rep)["payload"]
 
 
 def test_partition_graph_spectral_block(tmp_path):
@@ -190,6 +193,16 @@ def test_certify_rank_two_exits_4(tmp_path):
     assert main(["certify", "--in", ens]) == 4
 
 
+def test_partition_refused_before_any_work_exits_4(tmp_path, monkeypatch,
+                                                  capsys):
+    inst = str(tmp_path / "gauss.json")
+    assert main(["gen", "gaussian", "--n", "5", "--delta", "0.25",
+                 "--out", inst]) == 0
+    no_kernels(monkeypatch)
+    assert main(["partition", "--in", inst, "--r", "2"]) == 4
+    assert "predicted work" in capsys.readouterr().err
+
+
 def test_memory_error_exits_4(monkeypatch, capsys):
     from kspart import cli
 
@@ -271,6 +284,31 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["partition", "--in", inst, "--numeric-policy",
                  str(pol)]) == 2
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--in", '{"schema": "ks-instance/1", "vectors": [[[1.0, 0.0]]]}'),
+    ("--in", '{"schema": "ks-instance/1", "d": 2, "vectors": [[[1.0, 0.0]]]}'),
+    ("mixed --in", '{"schema": "ks-ensemble/1", "d": 1, "vectors": [{}]}'),
+    ("--edges", "a b\n"),
+    ("--numeric-policy", '{"tie_tol": "x"}'),
+    ("--numeric-policy", '{"subset_cap": 4194304}'),  # a removed cap
+])
+def test_malformed_input_exits_2(tmp_path, capsys, flag, text):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "diagonal", "--n", "1", "--delta", "1.0",
+                 "--out", inst]) == 0
+    argv = {
+        "--in": ["partition", "--in", str(bad)],
+        "mixed --in": ["mixed", "--in", str(bad)],
+        "--edges": ["gen", "graph", "--edges", str(bad)],
+        "--numeric-policy": ["partition", "--in", inst,
+                             "--numeric-policy", str(bad)],
+    }[flag]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ks_seed_env_fallback(tmp_path, monkeypatch):

@@ -15,13 +15,14 @@ from kspart import (
     descend,
     exhaustive_minimum,
     gen_diagonal,
+    gen_gaussian,
     largest_root,
     lift,
     verify_interlacing_family,
 )
 from kspart import realpoly
 
-from test_mixedchar import bernoulli_diagonal, random_ensemble
+from test_mixedchar import bernoulli_diagonal, no_kernels, random_ensemble
 
 
 def test_descend_singleton():
@@ -135,12 +136,20 @@ def test_verify_family_draws_policy_combo_samples(monkeypatch):
     assert calls[1] - calls[0] == 5 * 3  # all three nodes have two children
 
 
-def test_capacity_guards():
-    wide = RandomVectorEnsemble(1, tuple(
-        FiniteSupportVector([0.5, 0.5], [[0.0], [0.1]]) for _ in range(17)))
-    with pytest.raises(CapacityError):
-        exhaustive_minimum(wide)  # 2^17 leaves
-    with pytest.raises(CapacityError):
-        verify_interlacing_family(RandomVectorEnsemble(1, tuple(
+def test_capacity_guards(monkeypatch):
+    def coins(count):
+        return RandomVectorEnsemble(1, tuple(
             FiniteSupportVector([0.5, 0.5], [[0.0], [0.1]])
-            for _ in range(15))))  # 2^15 leaves
+            for _ in range(count)))
+
+    # 2^17 leaves, past an enumeration cap of 2^16 that used to refuse it
+    assert exhaustive_minimum(coins(17)) == ((0,) * 17, 0.0)
+    walk = lift(gen_gaussian(5, 0.25, seed=0), 2)  # m=20 in dimension 10
+    no_kernels(monkeypatch)
+    with pytest.raises(CapacityError, match="predicted work"):
+        exhaustive_minimum(coins(40))  # 2^40 leaves
+    with pytest.raises(CapacityError, match="predicted work"):
+        # 2^15 - 1 nodes of 68 root tests each
+        verify_interlacing_family(coins(15))
+    with pytest.raises(CapacityError, match="predicted work"):
+        descend(walk)

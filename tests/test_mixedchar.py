@@ -29,6 +29,7 @@ from kspart import (
     lift,
     mixed_char_poly,
 )
+from kspart import linalg, mixedchar
 from kspart.linalg import char_poly, char_poly_stack, isotropic_normalizer
 from kspart.mixedchar import outcome_block
 
@@ -206,17 +207,35 @@ def test_conditional_rejects_bad_prefix():
         conditional_expected_poly(e, (2,))
 
 
-def test_capacity_guards():
+def no_kernels(monkeypatch):
+    """Make the batched kernels fail, so that a refusal must come first."""
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the capacity refusal")
+
+    monkeypatch.setattr(linalg, "char_poly_stack", kernel)
+    monkeypatch.setattr(np.linalg, "eigvalsh", kernel)
+    monkeypatch.setattr(np.linalg, "det", kernel)
+
+
+def test_capacity_guards(monkeypatch):
     many = RandomVectorEnsemble(1, tuple(
-        FiniteSupportVector([0.5, 0.5], [[0.0], [1.0]]) for _ in range(21)))
-    with pytest.raises(CapacityError):
-        expected_char_poly_bruteforce(many)  # 2^21 outcomes
-    with pytest.raises(CapacityError):
-        mixed_char_poly(MixedInstance(1, tuple(
-            np.array([[1.0 / 25]]) for _ in range(25))))  # 25 > matrix cap
-    with pytest.raises(CapacityError):
-        mixed_char_poly(MixedInstance(24, tuple(
-            np.zeros((24, 24)) for _ in range(24))))  # 2^24 subsets
+        FiniteSupportVector([0.5, 0.5], [[0.0], [1.0]]) for _ in range(40)))
+    square = RandomVectorEnsemble(24, tuple(
+        FiniteSupportVector.deterministic(np.zeros(24)) for _ in range(24)))
+    wide = ensemble_instance(square)
+    no_kernels(monkeypatch)
+    with pytest.raises(CapacityError, match="predicted work"):
+        expected_char_poly_bruteforce(many)  # 2^40 outcomes
+    with pytest.raises(CapacityError, match="predicted work"):
+        mixed_char_poly(wide)  # 2^24 subsets
+    with pytest.raises(CapacityError, match="predicted work"):
+        conditional_expected_poly(square, (0,))
+
+
+def test_work_cap_admits_many_small_matrices():
+    # 26 subsets; a cap of 24 on the matrix count used to refuse this
+    inst = MixedInstance(1, tuple(np.array([[1.0 / 25]]) for _ in range(25)))
+    assert mixed_char_poly(inst) == pytest.approx([-1.0, 1.0], abs=1e-14)
 
 
 def test_cohen_pinned_half_identities():
@@ -316,12 +335,14 @@ def random_psd_instance(rng, d, m):
 
 @pytest.mark.parametrize("d,m", [(3, 0), (3, 1), (2, 6), (4, 7), (5, 5),
                                  (6, 4), (1, 8)])
-def test_expansion_bit_identical_to_loop(d, m):
+def test_expansion_bit_identical_to_loop(d, m, monkeypatch):
     rng = np.random.default_rng(1000 * d + m)
     for _ in range(3):
         inst = random_psd_instance(rng, d, m)
         want = reference_subset_mixed(list(inst.matrices), d)
-        assert_bits_equal(mixed_char_poly(inst), want)
+        for chunk in (mixedchar.CHUNK, 3, 1):
+            monkeypatch.setattr(mixedchar, "CHUNK", chunk)
+            assert_bits_equal(mixed_char_poly(inst), want)
 
 
 def haar_unitary(n, rng):
