@@ -23,8 +23,9 @@ from .mixedchar import (CohenReport, FiniteSupportVector, MixedInstance,
                         conditional_expected_poly, covariance,
                         ensemble_covariances, ensemble_instance,
                         expected_char_poly_bruteforce, mixed_char_poly)
-from .interlace import (DescentStep, DescentTrace, FamilyReport, descend,
-                        exhaustive_minimum, verify_interlacing_family)
+from .interlace import (DescentStep, DescentTrace, FamilyReport, NodeFamily,
+                        descend, exhaustive_minimum,
+                        verify_interlacing_family)
 from .barrier import (AboveRootsEvidence, BarrierCertificate,
                       CallableEvaluator, DeterminantEvaluator, Evaluator,
                       PolynomialEvaluator, above_roots_probe, barrier_value,
@@ -36,6 +37,6 @@ from .weaver import (ExperimentStats, Graph, GraphBasis, PartitionReport,
                      gen_gaussian, improved_bound_r2, lift, measured_delta,
                      normalize_isotropy, partition,
                      random_partition_experiment, spectral_approx_check,
-                     validate)
+                     two_part_node_poly, validate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

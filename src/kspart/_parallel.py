@@ -17,6 +17,7 @@ def ordered_map(fn, items, threads: int = 1) -> list:
 
 
 def chunked(seq, size: int):
-    seq = list(seq)
+    """Consecutive slices of a sequence, taken as they are consumed, so a
+    range yields ranges and nothing is copied up front."""
     for i in range(0, len(seq), size):
         yield seq[i:i + size]

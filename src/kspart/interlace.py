@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from . import realpoly
 from ._parallel import ordered_map
 from .mixedchar import (RandomVectorEnsemble, conditional_expected_poly,
                         expansion_work, outcome_sums)
-from .policy import DEFAULT_POLICY, DescentError, NumericPolicy
+from .policy import (DEFAULT_POLICY, DescentError, NumericPolicy,
+                     ValidationError)
 
 # Work model, in the units of NumericPolicy.work_cap (see mixedchar):
 ROOTS_WORK = 100_000
@@ -33,7 +35,7 @@ EIGVALSH_WORK + EIGVALSH_WORK_CUBE * D^3: 0.45 us at D=2, 7 us at D=8,
 EIGVALSH_WORK_CUBE = 5
 
 
-def _roots_work(dim: int) -> float:
+def roots_work(dim: int) -> float:
     return ROOTS_WORK + ROOTS_WORK_PER_DEGREE * dim
 
 
@@ -43,7 +45,7 @@ def descent_work(support_sizes: tuple[int, ...], dim: int) -> float:
     subset expansion and one root finding each (the prefix-sum cache is not
     counted on)."""
     nodes = 1 + sum(support_sizes)
-    return nodes * (expansion_work(len(support_sizes), dim) + _roots_work(dim))
+    return nodes * (expansion_work(len(support_sizes), dim) + roots_work(dim))
 
 
 def family_work(e: RandomVectorEnsemble,
@@ -52,7 +54,7 @@ def family_work(e: RandomVectorEnsemble,
     node, one subset expansion per child, and for s > 1 children the
     s + 1 + C(s, 2) + combo_samples root tests of the interlacing check."""
     expansion = expansion_work(len(e.vectors), e.dim)
-    roots = _roots_work(e.dim)
+    roots = roots_work(e.dim)
     total, nodes = expansion, 1.0
     for s in e.support_sizes:
         tests = s + 1 + s * (s - 1) // 2 + policy.combo_samples if s > 1 else 0
@@ -99,9 +101,21 @@ def _profile_beats(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return False
 
 
-def descend(e: RandomVectorEnsemble, policy: NumericPolicy = DEFAULT_POLICY,
+@dataclass(frozen=True)
+class NodeFamily:
+    """The tree ``descend`` walks: the number of children at each level and
+    ``node(prefix, cache)``, which returns the roots of the node polynomial
+    at a prefix and may memoize in ``cache``."""
+
+    support_sizes: tuple[int, ...]
+    node: Callable[[tuple[int, ...], dict], realpoly.RootList]
+
+
+def descend(e: RandomVectorEnsemble | NodeFamily,
+            policy: NumericPolicy = DEFAULT_POLICY,
             threads: int = 1) -> DescentTrace:
-    """Walk the atom tree by smallest largest-root.
+    """Walk the atom tree of an ensemble (or any ``NodeFamily``) by
+    smallest largest-root.
 
     Ties on the largest root are refined by comparing the full descending
     root profiles lexicographically, then by lowest index.  The refinement
@@ -110,25 +124,31 @@ def descend(e: RandomVectorEnsemble, policy: NumericPolicy = DEFAULT_POLICY,
 
     At every level the chosen child's largest root must not exceed the
     parent's beyond the descent slack; if no child qualifies the walk aborts
-    with a diagnostic rather than continue from a spurious node.  The whole
-    walk is refused up front when ``descent_work`` exceeds the work cap.
+    with a diagnostic rather than continue from a spurious node.  A walk
+    over an ensemble is refused up front when ``descent_work`` exceeds the
+    work cap; a ``NodeFamily``'s maker admits its own work.
     """
-    policy.admit(descent_work(e.support_sizes, e.dim),
-                 f"descent over {len(e.vectors)} vectors")
+    if isinstance(e, NodeFamily):
+        family = e
+    else:
+        policy.admit(descent_work(e.support_sizes, e.dim),
+                     f"descent over {len(e.vectors)} vectors")
+        family = NodeFamily(
+            e.support_sizes,
+            lambda prefix, cache: realpoly.roots(
+                conditional_expected_poly(e, prefix, policy, cache), policy))
     cache: dict = {}
-    parent_poly = conditional_expected_poly(e, (), policy, cache)
-    parent_root = realpoly.largest_root(parent_poly, policy=policy)
+    top = family.node((), cache)
+    if top.values.size == 0:
+        raise ValidationError("constant polynomial has no largest root")
+    parent_root = float(top.values[-1])
     root_of_empty = parent_root
     prefix: tuple[int, ...] = ()
     steps = []
-    for level, v in enumerate(e.vectors):
-        children = ordered_map(
-            lambda t: conditional_expected_poly(e, prefix + (t,), policy, cache),
-            range(v.support_size),
-            threads=threads,
-        )
-        # the parent's largest_root checked that their common degree is >= 1
-        child_sets = [realpoly.roots(c, policy=policy) for c in children]
+    for level, size in enumerate(family.support_sizes):
+        # the root node's roots show that every node has degree >= 1
+        child_sets = ordered_map(lambda t: family.node(prefix + (t,), cache),
+                                 range(size), threads=threads)
         child_roots = [float(r.values[-1]) for r in child_sets]
         best = min(child_roots)
         if best > parent_root + policy.descent_slack:

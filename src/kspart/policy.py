@@ -7,16 +7,21 @@ scale of the data wherever one exists.
 One cap, ``work_cap``, bounds the size of a request.  Each exponential entry
 point (the subset expansion behind ``mixed_char_poly`` and
 ``conditional_expected_poly``, the brute-force oracle, ``partition`` and
-``descend``, ``exhaustive_minimum``, ``verify_interlacing_family`` and
-``build_certificate``) predicts its work in closed form from the input sizes
-alone, and ``NumericPolicy.admit`` raises CapacityError before any kernel
-runs when the prediction exceeds the cap.  A work unit is about one
-nanosecond on the 2-core machine the per-routine weights were measured on
-(Python 3.11, numpy 2.4), and each module documents its weights beside the
-routine.  The default, 1e11, is about 100 s there.  It admits a
-gauss(4, 1/4) partition with r=2 (m=16: predicted 2.6e10, 27 s measured)
-and refuses gauss(5, 1/4) with r=2 (m=20: predicted 1.3e12).  Working
-memory grows with the same counts, so the cap bounds it too.
+``descend``, ``exhaustive_minimum``, ``verify_interlacing_family``,
+``build_certificate`` and the random-partition experiment) predicts its
+work in closed form from the input sizes alone, and ``NumericPolicy.admit``
+raises CapacityError before any kernel runs when the prediction exceeds the
+cap.  A work unit is about one nanosecond on the 2-core machine the
+per-routine weights were measured on (Python 3.11, numpy 2.4), and each
+module documents its weights beside the routine.  The default, 1e11, is
+about 100 s there.  It admits two-part partitions of gauss(4, 1/8) (m=32:
+predicted 5.9e9, 5 s measured) and gauss(5, 1/4) (m=20: 2.3e9, 2 s), and
+refuses a two-part partition of gauss(8, 1/8) (m=64: predicted 2.5e15).
+Partitions into r >= 3 parts still descend on the lifted ensemble (a
+block-factorised formula split their multiple roots past the descent slack;
+see ``weaver``) and cost what the lift costs: a three-part gauss(4, 1/4)
+(m=16: predicted 2.2e11) is refused.  Working memory grows with the same
+counts, so the cap bounds it too.
 """
 from __future__ import annotations
 

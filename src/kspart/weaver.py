@@ -6,18 +6,33 @@ problem into a descent through an interlacing family in dimension r*d: the
 atom choices of the lifted ensemble are exactly the part labels, and a part's
 norm is 1/r times the norm of its lifted block sum.  The resulting guarantee
 is max part norm <= (1/sqrt(r) + sqrt(delta))^2.
+
+A two-part partition never builds the lift.  Every lifted determinant
+factors into two d x d blocks, so ``two_part_node_poly`` computes each node
+polynomial from d x d characteristic polynomials of the vectors' subset sums
+of size at most d, and ``descend`` walks those; at a leaf it takes the
+eigenvalues of the two part sums.  Partitions into r >= 3 parts still
+descend on the lift: a general-r version of the block formula, tried on
+Haar-rotated diag(3, 1/3) with r = 3, split the node polynomials' triple
+roots by about 2e-6, past the descent slack of 1e-8, and the descent raised
+DescentError on every one of 120 seeds, against 2 of the 120 for the lifted
+descent.  ``lift`` with ``descend`` stays as the oracle of the
+two-part engine.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
+from . import linalg, realpoly
 from ._parallel import chunked, ordered_map
-from .interlace import DescentTrace, descend, descent_work
-from .mixedchar import FiniteSupportVector, RandomVectorEnsemble
+from .interlace import (DescentTrace, NodeFamily, descend, descent_work,
+                        roots_work)
+from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
+                        RandomVectorEnsemble, _expansion_tables, _readonly)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
 
@@ -305,6 +320,203 @@ def lift(inst: WeaverInstance, r: int,
     return RandomVectorEnsemble(r * d, tuple(vectors))
 
 
+@dataclass(frozen=True)
+class _SubsetLattice:
+    """Subsets S of range(m) with |S| <= d, sorted by smallest element (the
+    empty set last; by size, then in ``combinations`` order, within), so
+    the subsets of range(k, m) are the rows from ``starts[k]`` on.
+
+    members: each subset's elements, padded with m; sizes: |S|; upper,
+    lower: the rows of S and of S minus i, one entry per i in S, grouped
+    by i and then in the order of S's row; bounds[i]: where the group of i
+    starts.  Arrays are read-only because they are shared.
+    """
+
+    members: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    bounds: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _subset_lattice(m: int, d: int) -> _SubsetLattice:
+    kmax = min(m, d)
+    # the subset expansion's layout: by size, then in combinations order
+    tab = _expansion_tables(m, kmax)
+    total = int(tab.offsets[-1])
+    members = np.full((total, kmax), m, dtype=np.intp)
+    for j, block in enumerate(tab.rows):
+        members[tab.offsets[j]:tab.offsets[j + 1], :j] = block
+    sizes = np.repeat(np.arange(kmax + 1), tab.sizes)
+    low = members[:, 0] if kmax else np.full(total, m)
+    order = np.argsort(low, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(total)
+    element, upper, lower = [], [], []
+    for j in range(1, kmax + 1):
+        block = tab.rows[j]
+        for q in range(j):
+            rest = np.delete(block, q, axis=1)
+            # lexicographic rank of S minus its q-th element, as in the
+            # expansion: C(m, r) - 1 - sum_t C(m - 1 - s_t, r - t)
+            rank = np.full(len(block), tab.sizes[j - 1] - 1)
+            for t in range(j - 1):
+                rank -= tab.binom[m - 1 - rest[:, t], j - 1 - t]
+            element.append(block[:, q])
+            upper.append(row[tab.offsets[j] + np.arange(len(block))])
+            lower.append(row[tab.offsets[j - 1] + rank])
+    element, upper, lower = (np.concatenate(x) if x else
+                             np.zeros(0, dtype=np.intp)
+                             for x in (element, upper, lower))
+    grouped = np.lexsort((upper, element))
+    return _SubsetLattice(
+        members=_readonly(members[order]), sizes=_readonly(sizes[order]),
+        starts=_readonly(np.searchsorted(low[order], np.arange(m + 1))),
+        upper=_readonly(upper[grouped]), lower=_readonly(lower[grouped]),
+        bounds=_readonly(np.searchsorted(element[grouped],
+                                         np.arange(m + 1))))
+
+
+# Work model of the two-part engine, in the units of NumericPolicy.work_cap
+# (see mixedchar), timed on nodes with n = 8..120 and d = 1..10:
+SUBSET_WORK_PER_DIM = 2_200
+"""A subset of a node's lattice costs SUBSET_WORK_PER_DIM * d +
+SUBSET_WORK_CUBE * d^3 for its two characteristic polynomials, its gathers,
+its share of the Moebius pass and its products: 4.4 us at d=2, 7.7 us at
+d=3, 12 us at d=4, 14-17 us at d=5, 32 us at d=8, 59 us at d=10."""
+SUBSET_WORK_CUBE = 35
+NODE_WORK = 200_000
+"""A node costs NODE_WORK + ELEMENT_WORK * n besides its subsets and its
+root finding, n being its unpinned vectors (one Moebius step each): about
+0.3 ms at n=8 and 1 ms at n=60."""
+ELEMENT_WORK = 10_000
+
+
+def _lattice_size(n: int, d: int) -> int:
+    return sum(math.comb(n, j) for j in range(min(n, d) + 1))
+
+
+def _node_work(n: int, d: int) -> float:
+    return (NODE_WORK + ELEMENT_WORK * n + _lattice_size(n, d)
+            * (SUBSET_WORK_PER_DIM * d + SUBSET_WORK_CUBE * d ** 3))
+
+
+def two_part_work(m: int, d: int) -> float:
+    """Predicted work of a two-part ``partition`` of m vectors in dimension
+    d: the root node and two children at each level, each node costing
+    ``_node_work`` and one root finding of degree 2d (the cache hit at
+    level 0 is not counted on, and the two leaves, which take eigenvalues
+    instead, are counted as nodes)."""
+    node = lambda n: _node_work(n, d) + roots_work(2 * d)
+    return float(node(m) + 2 * sum(node(n) for n in range(m)))
+
+
+def _part_sums(outers: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    """P_0 and P_1: twice the outer products pinned to each block."""
+    bases = np.zeros((2,) + outers.shape[1:], dtype=np.complex128)
+    for i, t in enumerate(prefix):
+        bases[t] += 2.0 * outers[i]
+    return bases
+
+
+def two_part_node_poly(inst: WeaverInstance, prefix,
+                       policy: NumericPolicy = DEFAULT_POLICY,
+                       cache: dict | None = None) -> np.ndarray:
+    """Node polynomial of the two-part descent, from the d-dimensional
+    vectors alone; it equals 2^k ``conditional_expected_poly(lift(inst, 2),
+    prefix)`` for a prefix of length k, and is monic of degree 2d.
+
+    The lifted covariances are I_2 (x) u u*, the pinned atoms fold into the
+    block bases P_b = 2 sum_{i < k, prefix_i = b} u_i u_i*, and every lifted
+    determinant factors into two blocks of size d (Marcus, Spielman and
+    Srivastava, "Interlacing families II").  With U = {k..m-1},
+    C = P_1 + sum_{i in U} u_i u_i* and chi(M) = det(xI - M),
+
+        mu = sum_{S subset U, |S| <= d} (-1)^|S| g(S) chi(C - sum_{i in S} u_i u_i*),
+        g(S) = sum_{T subset S} (-1)^{|S|-|T|} chi(P_0 - sum_{i in T} u_i u_i*),
+
+    where g(S) has degree d - |S|: the coefficients above it are rounding
+    noise and are dropped.  The sum over the second block's subsets closes
+    into one characteristic polynomial because the determinant is affine in
+    each rank-one term.  The polynomials come from two ``char_poly_stack``
+    passes over the subsets, g from a Moebius pass over them, and mu from
+    the (d + 1)^2 dot products of their coefficient columns.  The block
+    swap leaves mu unchanged, so ``cache`` keys on the unordered pair
+    {P_0, P_1} and the unpinned vectors.
+    """
+    prefix = tuple(int(t) for t in prefix)
+    m, d, k = inst.count, inst.dim, len(prefix)
+    if k > m or any(t not in (0, 1) for t in prefix):
+        raise ValidationError(f"prefix {prefix} is not a two-part prefix of "
+                              f"{m} vectors")
+    n = m - k
+    policy.admit(_node_work(n, d), f"two-part node over {n} vectors")
+    u = inst.vectors
+    outers = np.einsum("mj,mk->mjk", u, u.conj())
+    bases = _part_sums(outers, prefix)
+    b0, b1 = bases[0].tobytes(), bases[1].tobytes()
+    key = (min(b0, b1), max(b0, b1), u[k:].tobytes())
+    if cache is not None and key in cache:
+        return cache[key]
+    p0, p1 = (bases[0], bases[1]) if b0 <= b1 else (bases[1], bases[0])
+    top = p1.copy()
+    for i in range(k, m):
+        top += outers[i]
+    lat = _subset_lattice(m, d)
+    start = lat.starts[k]
+    rows = lat.members.shape[0] - start
+    padded = np.concatenate((outers, np.zeros((1, d, d), dtype=np.complex128)))
+    g = np.empty((rows, d + 1))
+    h = np.empty((rows, d + 1))
+    for lo in range(0, rows, CHUNK):
+        members = lat.members[start + lo:start + lo + CHUNK]
+        q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
+        for t in range(members.shape[1]):
+            q += padded[members[:, t]]
+        g[lo:lo + len(q)] = linalg.char_poly_stack(p0 - q)
+        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
+    # Moebius pass, one element at a time: g(S) -= g(S - i) for S with i
+    for i in range(k, m):
+        a, b = lat.bounds[i], lat.bounds[i + 1]
+        c = a + np.searchsorted(lat.upper[a:b], start)
+        g[lat.upper[c:b] - start] -= g[lat.lower[c:b] - start]
+    sizes = lat.sizes[start:]
+    g[np.arange(d + 1) > d - sizes[:, None]] = 0.0
+    g[sizes % 2 == 1] *= -1.0
+    products = np.einsum("sa,sb->ab", g, h)
+    mu = np.zeros(2 * d + 1)
+    for j in range(d + 1):
+        mu[j:j + d + 1] += products[j]
+    if cache is not None:
+        cache[key] = mu
+    return mu
+
+
+def _two_part_family(inst: WeaverInstance,
+                     policy: NumericPolicy) -> NodeFamily:
+    """The two-part descent tree.  Inner nodes take the roots of
+    ``two_part_node_poly``.  A leaf's polynomial is chi(P_0) chi(P_1), so
+    its roots are the eigenvalues of the two part sums, taken exactly: from
+    the coefficients, a double eigenvalue shared by both parts is a
+    fourfold root that rounding scatters by about 1e-4, and roots of close
+    eigenvalues carry errors up to about 3e-8."""
+    m = inst.count
+
+    def node(prefix, cache):
+        if len(prefix) < m:
+            return realpoly.roots(two_part_node_poly(inst, prefix, policy,
+                                                     cache), policy)
+        u = inst.vectors
+        bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix)
+        values, counts = np.unique(np.linalg.eigvalsh(bases),
+                                   return_counts=True)
+        return realpoly.RootList(values, counts)
+
+    return NodeFamily((2,) * m, node)
+
+
 def improved_bound_r2(delta: float) -> float:
     """Two-part bound 1/2 + sqrt(delta (1 - delta)), valid for delta <= 1/2."""
     if not (0 <= delta <= 0.5):
@@ -330,15 +542,21 @@ def partition(inst: WeaverInstance, r: int,
               threads: int = 1) -> PartitionReport:
     """Partition the vectors into r parts by interlacing-family descent.
 
-    The descent runs on the lifted ensemble; the chosen atom of each lifted
-    vector is its part label.  Each part norm is checked against
-    (1/sqrt(r) + sqrt(delta))^2 with delta recomputed from the vectors.
+    For r = 2 the descent walks ``two_part_node_poly`` and, at the leaves,
+    the eigenvalues of the two part sums; otherwise it runs on the lifted
+    ensemble.  Either way the chosen child of each vector is its part
+    label.  Each part norm is checked against (1/sqrt(r) + sqrt(delta))^2
+    with delta recomputed from the vectors.
     The request is refused before any work when the descent's predicted
     work exceeds the work cap.
     """
     r = int(r)
-    policy.admit(descent_work((r,) * inst.count, r * inst.dim),
-                 f"partition of {inst.count} vectors into {r} parts")
+    m, d = inst.count, inst.dim
+    if r == 2 and d < 1:
+        raise ValidationError("dimension must be positive")
+    policy.admit(two_part_work(m, d) if r == 2
+                 else descent_work((r,) * m, r * d),
+                 f"partition of {m} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:
         raise ValidationError(
@@ -347,13 +565,13 @@ def partition(inst: WeaverInstance, r: int,
             f"vs declared delta {rep.delta_declared:.6g}"
         )
     delta = rep.max_norm_sq
-    ens = lift(inst, r, policy)
-    trace = descend(ens, policy, threads=threads)
+    family = (_two_part_family(inst, policy) if r == 2
+              else lift(inst, r, policy))
+    trace = descend(family, policy, threads=threads)
     parts = tuple(
         tuple(i for i, c in enumerate(trace.final_assignment) if c == k)
         for k in range(r)
     )
-    d = inst.dim
     norms = []
     for part in parts:
         s = np.zeros((d, d), dtype=np.complex128)
@@ -427,6 +645,19 @@ def _diagonal_directions(inst: WeaverInstance) -> np.ndarray | None:
     return dirs
 
 
+# Work model of the experiment, in the units of NumericPolicy.work_cap (see
+# mixedchar), timed over 2000 trials each on instances with m = 2..80,
+# d = 1..40 and r = 2..4 (115 us a trial at m=12, d=3, r=2; 0.85 ms at
+# m=80, d=40, r=2):
+TRIAL_WORK = 100_000
+"""Seeding a trial's generator and drawing its labels."""
+PART_WORK = 10_000
+"""A part's sum and eigenvalue call, besides GATHER_WORK per matrix entry
+of its m outer products."""
+DIRECTION_WORK = 10_000
+"""A basis direction's check on a diagonal instance."""
+
+
 def random_partition_experiment(inst: WeaverInstance, r: int = 2,
                                 trials: int = 1000, seed: int = 0,
                                 threshold: float = 1.0,
@@ -440,6 +671,8 @@ def random_partition_experiment(inst: WeaverInstance, r: int = 2,
     analytic value (1 - r^(-copies))^directions; with r = 2 and 1/delta
     copies per direction that is (1 - 2^(-1/delta))^n.  Per-trial seeds
     derive from (seed, trial index), so results do not depend on threading.
+    The request is refused before any trial when its predicted work exceeds
+    the work cap.
     """
     if int(r) < 1:
         raise ValidationError("r must be at least 1")
@@ -448,6 +681,11 @@ def random_partition_experiment(inst: WeaverInstance, r: int = 2,
     r = int(r)
     m, d = inst.count, inst.dim
     dirs = _diagonal_directions(inst)
+    per_trial = TRIAL_WORK + r * (PART_WORK + GATHER_WORK * m * d * d)
+    if dirs is not None:
+        per_trial += DIRECTION_WORK * d
+    policy.admit(trials * per_trial,
+                 f"random partition experiment of {trials} trials")
     analytic = None
     if dirs is not None and m:
         counts = np.bincount(dirs, minlength=d)

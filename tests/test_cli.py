@@ -196,10 +196,17 @@ def test_certify_rank_two_exits_4(tmp_path):
 def test_partition_refused_before_any_work_exits_4(tmp_path, monkeypatch,
                                                   capsys):
     inst = str(tmp_path / "gauss.json")
-    assert main(["gen", "gaussian", "--n", "5", "--delta", "0.25",
+    assert main(["gen", "gaussian", "--n", "8", "--delta", "0.125",
                  "--out", inst]) == 0
     no_kernels(monkeypatch)
     assert main(["partition", "--in", inst, "--r", "2"]) == 4
+    assert "predicted work" in capsys.readouterr().err
+
+
+def test_chernoff_refused_before_any_trial_exits_4(monkeypatch, capsys):
+    no_kernels(monkeypatch)
+    assert main(["experiment", "chernoff", "--diagonal", "--n", "2",
+                 "--delta", "0.5", "--trials", str(10 ** 12)]) == 4
     assert "predicted work" in capsys.readouterr().err
 
 

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from kspart import (
+    DEFAULT_POLICY,
+    CapacityError,
     Graph,
     ValidationError,
     WeaverInstance,
+    conditional_expected_poly,
+    descend,
+    exhaustive_minimum,
     gen_diagonal,
     gen_from_graph,
     gen_gaussian,
@@ -23,7 +28,11 @@ from kspart import (
     spectral_approx_check,
     validate,
 )
-from kspart.weaver import laplacian
+from kspart import weaver
+from kspart._parallel import chunked
+from kspart.weaver import laplacian, two_part_node_poly
+
+from test_mixedchar import haar_unitary, no_kernels
 
 
 K4_EDGES = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
@@ -251,3 +260,118 @@ def test_experiment_gaussian_concentrates():
     stats = random_partition_experiment(inst, trials=100, seed=2)
     assert stats.mono_free is None  # not a diagonal instance
     assert stats.success_frequency >= 0.5
+
+
+def two_part_instances():
+    diag = gen_diagonal(3, 1.0 / 3.0)
+    return {
+        "gauss": gen_gaussian(3, 0.25, seed=0),
+        "k5": gen_from_graph(Graph(5, tuple(
+            (a, b, 1.0) for a in range(5) for b in range(a + 1, 5))))[0],
+        "haar-diag": WeaverInstance(
+            3, diag.vectors @ haar_unitary(3, np.random.default_rng(5)).T,
+            diag.delta),
+        "diag": gen_diagonal(2, 0.5),
+    }
+
+
+def test_two_part_node_poly_matches_lifted_oracle():
+    rng = np.random.default_rng(0)
+    for name, inst in two_part_instances().items():
+        e = lift(inst, 2)
+        for k in range(inst.count + 1):
+            for _ in range(2):
+                prefix = tuple(int(t) for t in rng.integers(0, 2, size=k))
+                got = two_part_node_poly(inst, prefix)
+                want = 2.0 ** k * conditional_expected_poly(e, prefix)
+                assert got[-1] == 1.0 and got.shape == want.shape
+                dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert dev <= 1e-12, (name, prefix, dev)
+    with pytest.raises(ValidationError):
+        two_part_node_poly(gen_diagonal(1, 0.5), (0, 2))
+
+
+def test_two_part_node_poly_cache_and_chunks(monkeypatch):
+    inst = gen_gaussian(3, 0.25, seed=1)
+    cache = {}
+    left = two_part_node_poly(inst, (0,), cache=cache)
+    # the block swap is one cache entry: level 0's children coincide
+    assert two_part_node_poly(inst, (1,), cache=cache) is left
+    assert len(cache) == 1
+    # equal pinned sums (none at the root) of another instance do not collide
+    other = gen_gaussian(3, 0.25, seed=2)
+    two_part_node_poly(inst, (), cache=cache)
+    assert np.array_equal(two_part_node_poly(other, (), cache=cache),
+                          two_part_node_poly(other, ()))
+    for prefix in ((), (0, 1, 1), (1, 0, 0, 1, 0)):
+        want = two_part_node_poly(inst, prefix)
+        for chunk in (3, 1):
+            monkeypatch.setattr(weaver, "CHUNK", chunk)
+            assert np.array_equal(two_part_node_poly(inst, prefix), want)
+        monkeypatch.undo()
+
+
+def test_two_part_partition_matches_lifted_descent():
+    cases = dict(two_part_instances(),
+                 k4=gen_from_graph(Graph(4, K4_EDGES))[0],
+                 basis=WeaverInstance(2, np.eye(2), 1.0))
+    for name, inst in cases.items():
+        rep = partition(inst, 2)
+        oracle = descend(lift(inst, 2))
+        want = tuple(tuple(i for i, c in enumerate(oracle.final_assignment)
+                           if c == k) for k in range(2))
+        assert rep.parts == want, name
+        assert math.isclose(rep.root_of_empty, oracle.root_of_empty,
+                            rel_tol=1e-10)
+        for got, ref in zip(rep.trace.steps, oracle.steps):
+            assert got.chosen_index == ref.chosen_index
+            assert np.allclose(got.candidate_roots, ref.candidate_roots,
+                               rtol=1e-10, atol=0.0), name
+
+
+def test_two_part_leaf_roots_are_part_eigenvalues():
+    # a part of K5 can share a double eigenvalue with the other part; from
+    # the coefficients of the leaf polynomial that fourfold root comes out
+    # about 1e-4 off on edge orders 4 and 11
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    for seed in range(12):
+        perm = np.random.default_rng(seed).permutation(len(edges))
+        inst = gen_from_graph(Graph(5, tuple(
+            (edges[j][0], edges[j][1], 1.0) for j in perm)))[0]
+        rep = partition(inst, 2)
+        # the leaf's roots are those of 2 * (each part's sum)
+        assert math.isclose(rep.trace.final_root, 2 * max(rep.part_norms),
+                            rel_tol=1e-12), seed
+
+
+def test_two_part_scale_rung():
+    inst = gen_gaussian(4, 0.25, seed=0)  # m=16, past a minute when lifted
+    rep = partition(inst, 2)
+    assert inst.count == 16 and rep.within_bound
+    slack = DEFAULT_POLICY.descent_slack
+    prev = rep.root_of_empty
+    for step in rep.trace.steps:
+        assert step.chosen_root <= prev + slack
+        prev = step.chosen_root
+    _, floor = exhaustive_minimum(lift(inst, 2))
+    assert rep.trace.final_root >= floor - slack
+
+
+def test_two_part_refused_before_any_kernel(monkeypatch):
+    inst = gen_gaussian(8, 0.125, seed=0)  # m=64, d=8
+    no_kernels(monkeypatch)
+    with pytest.raises(CapacityError, match="predicted work"):
+        partition(inst, 2)
+
+
+def test_chunked_slices_lazily():
+    first = next(chunked(range(10 ** 15), 256))
+    assert first == range(0, 256)
+    assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
+
+
+def test_experiment_refused_before_any_trial(monkeypatch):
+    inst = gen_diagonal(2, 0.5)
+    no_kernels(monkeypatch)
+    with pytest.raises(CapacityError, match="predicted work"):
+        random_partition_experiment(inst, trials=10 ** 12)
