@@ -23,11 +23,12 @@ from .policy import (DEFAULT_POLICY, DescentError, NumericPolicy,
                      ValidationError)
 
 # Work model, in the units of NumericPolicy.work_cap (see mixedchar):
-ROOTS_WORK = 100_000
+ROOTS_WORK = 70_000
 """A ``realpoly.roots`` or ``is_real_rooted`` call on degree D costs
-ROOTS_WORK + ROOTS_WORK_PER_DEGREE * D: 0.18 ms at D=1, 0.4 ms at D=4,
-1.2 ms at D=10, 2.3 ms at D=16."""
-ROOTS_WORK_PER_DEGREE = 110_000
+ROOTS_WORK + ROOTS_WORK_PER_DEGREE * D: 0.09 ms at D=1, 0.17 ms at D=4,
+0.25 ms at D=6, 0.36 ms at D=10, 0.54 ms at D=16 (simple roots; each
+multiple root adds a clustering attempt or more)."""
+ROOTS_WORK_PER_DEGREE = 30_000
 EIGVALSH_WORK = 1_000
 """An eigenvalue decomposition of size D in a stack of 4096 costs
 EIGVALSH_WORK + EIGVALSH_WORK_CUBE * D^3: 0.45 us at D=2, 7 us at D=8,

@@ -15,7 +15,7 @@ cap.  A work unit is about one nanosecond on the 2-core machine the
 per-routine weights were measured on (Python 3.11, numpy 2.4), and each
 module documents its weights beside the routine.  The default, 1e11, is
 about 100 s there.  It admits two-part partitions of gauss(4, 1/8) (m=32:
-predicted 5.9e9, 5 s measured) and gauss(5, 1/4) (m=20: 2.3e9, 2 s), and
+predicted 5.9e9, 5 s measured) and gauss(5, 1/4) (m=20: 2.2e9, 2 s), and
 refuses a two-part partition of gauss(8, 1/8) (m=64: predicted 2.5e15).
 Partitions into r >= 3 parts still descend on the lifted ensemble (a
 block-factorised formula split their multiple roots past the descent slack;
@@ -26,6 +26,7 @@ counts, so the cap bounds it too.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 
@@ -103,9 +104,10 @@ class NumericPolicy:
     def merged(self, overrides: dict) -> "NumericPolicy":
         """Return a copy with the given fields replaced.
 
-        Unknown keys and values of the wrong type are rejected so typos in a
-        policy file do not pass silently; an integer is accepted for a float
-        field and stored as a float.
+        Unknown keys, values of the wrong type and values that are not
+        finite and nonnegative are rejected so typos in a policy file do not
+        pass silently (a NaN work_cap would admit every request); an
+        integer is accepted for a float field and stored as a float.
         """
         known = {f.name for f in dataclasses.fields(self)}
         bad = sorted(set(overrides) - known)
@@ -119,6 +121,11 @@ class NumericPolicy:
                 raise ValidationError(
                     f"numeric-policy field {name!r} must be a "
                     f"{kind.__name__}, got {value!r}"
+                )
+            if not 0 <= value <= sys.float_info.max:
+                raise ValidationError(
+                    f"numeric-policy field {name!r} must be finite and "
+                    f"nonnegative, got {value!r}"
                 )
             typed[name] = kind(value)
         return dataclasses.replace(self, **typed)

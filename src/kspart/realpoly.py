@@ -4,7 +4,9 @@ Polynomials are 1-D float arrays of ascending coefficients.  Root finding
 follows the companion-matrix route with one Newton polish per root, then
 clusters nearby roots into multiplicities; a polynomial that fails the
 real-rootedness check raises RootednessError carrying the offending
-imaginary magnitude.
+imaginary magnitude.  Inside it every evaluation is Horner's rule on Python
+floats (on plain arrays for the polish), by ``npp.polyval``'s operations,
+so it gives numpy's bits without numpy's per-call overhead.
 
 No function takes a per-call tolerance, sample count or seed: those come
 from the NumericPolicy argument or the module constants COMBO_SEED (the
@@ -187,98 +189,147 @@ def _nonzero_poly(p) -> np.ndarray:
     return q
 
 
-def complex_roots(p) -> np.ndarray:
-    """Companion-matrix roots with one Newton polish each."""
-    q = _nonzero_poly(p)
-    if q.size == 1:
-        return np.array([], dtype=np.complex128)
-    raw = npp.polyroots(q)
-    dq = npp.polyder(q)
-    vals = npp.polyval(raw, q)
-    slopes = npp.polyval(raw, dq)
+def _horner(c: list, x):
+    """``npp.polyval(x, c)`` for a list c of Python floats, by its own
+    operations: c[-1] + x*0, then c[-i] + acc*x.  x is a Python float or
+    a plain array."""
+    acc = c[-1] + x * 0
+    for a in c[-2::-1]:
+        acc = a + acc * x
+    return acc
+
+
+def _derivatives(c: list) -> list[list]:
+    """c and its derivatives down to a constant, each by ``npp.polyder``'s
+    operations (j * c[j])."""
+    out = [c]
+    while len(out[-1]) > 1:
+        d = out[-1]
+        out.append([j * d[j] for j in range(1, len(d))])
+    return out
+
+
+def _companion_roots(qs: list[np.ndarray]) -> list[np.ndarray]:
+    """``npp.polyroots`` of trimmed polynomials of degree >= 1.  Those of
+    one degree n >= 2 share one ``np.linalg.eigvals`` call over their
+    stacked ``npp.polycompanion`` matrices, each made real when its roots
+    are and sorted as ``polyroots`` does."""
+    n = qs[0].size - 1
+    if n < 2 or any(q.size != n + 1 for q in qs):
+        return [npp.polyroots(q) for q in qs]
+    mats = np.zeros((len(qs), n, n))
+    mats[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    stack = np.array(qs)
+    mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
+    out = []
+    for w in np.linalg.eigvals(mats):
+        if not w.imag.any():
+            w = w.real
+        w.sort()
+        out.append(w)
+    return out
+
+
+def _polished_roots(derivs: list[list], raw: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots raw of ``derivs[0]`` with one Newton polish
+    each."""
+    c = derivs[0]
+    vals = _horner(c, raw)
+    slopes = _horner(derivs[1], raw)
     safe = np.abs(slopes) > 1e-300
     polished = raw.copy()
     polished[safe] = raw[safe] - vals[safe] / slopes[safe]
     # keep the polish only where it did not wander
-    worse = np.abs(npp.polyval(polished, q)) > np.abs(vals)
+    worse = np.abs(_horner(c, polished)) > np.abs(vals)
     polished[worse] = raw[worse]
     return polished
 
 
-def _greedy_clusters(croots: np.ndarray, radius: float) -> list[np.ndarray]:
+def _greedy_clusters(croots: np.ndarray, radius: float) -> list[list[complex]]:
     """Group roots whose running centroid stays within radius.
 
     Input order is (re, im)-sorted so conjugate pairs land adjacently and a
     conjugate-closed cluster has an exactly real mean.
     """
     order = np.lexsort((croots.imag, croots.real))
-    pts = croots[order]
-    clusters: list[list[complex]] = [[pts[0]]]
+    pts = croots[order].astype(np.complex128).tolist()
+    clusters = [[pts[0]]]
     for z in pts[1:]:
-        c = np.mean(clusters[-1])
+        last = clusters[-1]
+        c = last[0] if len(last) == 1 else np.mean(last)
         if abs(z - c) <= radius:
-            clusters[-1].append(z)
+            last.append(z)
         else:
             clusters.append([z])
-    return [np.asarray(c) for c in clusters]
+    return clusters
 
 
-def _try_real_clustering(q, croots, radius, policy):
-    """One clustering attempt; (values, mults) or None.
+def _try_real_clustering(derivs, croots, radius, policy):
+    """One clustering attempt for c = derivs[0], a coefficient list, and
+    its ``_derivatives``; (values, mults) or None.
 
     Accepts when every cluster mean is real within real_root_imag_rtol and
-    the residual of q at the mean is at evaluation-noise level for
+    the residual of c at the mean is at evaluation-noise level for
     coefficients of this size.
     A genuine multiple root passes (cluster means cancel the companion-matrix
     ring noise to machine precision); a merged pair of distinct roots leaves
     a residual far above noise and is refused, so coarser radii cannot paper
     over genuinely complex roots.
     """
-    absq = np.abs(q)
+    c = derivs[0]
+    absc = [abs(a) for a in c]
     values, mults = [], []
     for cluster in _greedy_clusters(croots, radius):
-        m = complex(np.mean(cluster))
+        # a singleton's mean: + 0.0 turns -0.0 into 0.0, as np.mean does
+        m = (cluster[0] + 0.0 if len(cluster) == 1
+             else complex(np.mean(cluster)))
         if abs(m.imag) > policy.real_root_imag_rtol * (1.0 + abs(m.real)):
             return None
-        x = _polish_multiple(q, m.real, len(cluster), 2.0 * radius)
-        noise = policy.root_residual_rtol * float(
-            npp.polyval(max(1.0, abs(x)), absq))
-        if abs(npp.polyval(x, q)) > max(noise, 1e-250):
+        x = _polish_multiple(derivs, m.real, len(cluster), 2.0 * radius)
+        noise = policy.root_residual_rtol * _horner(absc, max(1.0, abs(x)))
+        if abs(_horner(c, x)) > max(noise, 1e-250):
             return None
         values.append(x)
         mults.append(len(cluster))
     return values, mults
 
 
-def _polish_multiple(q, x: float, k: int, leash: float) -> float:
+def _polish_multiple(derivs: list[list], x: float, k: int,
+                     leash: float) -> float:
     """Newton-polish a k-fold root candidate on the (k-1)-th derivative.
 
-    A k-fold root of q is a simple root there, so the cluster mean (accurate
-    only to a fractional power of the noise) sharpens to near machine
-    precision.  Movement is leashed to the cluster scale; a step that fails
+    A k-fold root of c = derivs[0] is a simple root there, so the cluster
+    mean (accurate only to a fractional power of the noise) sharpens to
+    near machine precision.  Movement is leashed to the cluster scale; a step that fails
     to reduce the derivative magnitude is discarded.
     """
-    dk = q
-    for _ in range(k - 1):
-        dk = npp.polyder(dk)
-    dk1 = npp.polyder(dk)
+    # k is at most the degree, so derivs[k] exists
+    dk, dk1 = derivs[k - 1], derivs[k]
     start = x
+    fx = _horner(dk, x)
     for _ in range(3):
-        den = npp.polyval(x, dk1)
+        den = _horner(dk1, x)
         if abs(den) < 1e-300:
             break
-        xn = x - npp.polyval(x, dk) / den
+        xn = x - fx / den
         if abs(xn - start) > leash + 1e-30:
             break
-        if abs(npp.polyval(xn, dk)) < abs(npp.polyval(x, dk)):
-            x = float(xn)
+        fxn = _horner(dk, xn)
+        if abs(fxn) < abs(fx):
+            x, fx = xn, fxn
         else:
             break
     return x
 
 
-def _root_clustering(q, policy):
-    croots = complex_roots(q)
+def _root_clustering(q, policy, raw=None):
+    """Real clustering of the roots of a trimmed q of degree >= 1 (raw: its
+    companion-matrix roots, if already found); ((values, mults) or None,
+    max_imag)."""
+    if raw is None:
+        raw = npp.polyroots(q)
+    derivs = _derivatives(q.tolist())
+    croots = _polished_roots(derivs, raw)
     scale = 1.0 + float(np.max(np.abs(croots)))
     max_imag = float(np.max(np.abs(croots.imag)))
     # escalate the merge radius half a decade at a time: a multiplicity-k
@@ -287,7 +338,7 @@ def _root_clustering(q, policy):
     floor = max(policy.root_merge_rtol, 1e-12)
     radius = floor * scale
     while radius <= 0.101 * scale:
-        got = _try_real_clustering(q, croots, radius, policy)
+        got = _try_real_clustering(derivs, croots, radius, policy)
         if got is not None:
             return got, max_imag
         radius *= 3.1622776601683795
@@ -356,8 +407,9 @@ def common_interlacing_test(fs, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
 
     Checks real-rootedness of the uniform average, every pairwise midpoint,
     and policy.combo_samples random convex combinations drawn with
-    COMBO_SEED.  A failure is definitive (no common interlacing); a pass is
-    evidence, not proof.
+    COMBO_SEED; their companion matrices go through one eigenvalue call.
+    A failure is definitive (no common interlacing); a pass is evidence,
+    not proof.
     """
     polys = [as_poly(f) for f in fs]
     if len(polys) == 0:
@@ -384,8 +436,9 @@ def common_interlacing_test(fs, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     for _ in range(policy.combo_samples):
         lam = rng.dirichlet(np.ones(len(polys)))
         combos.append(lam @ stack)
-    for c in combos:
-        if not is_real_rooted(c, policy).real_rooted:
+    qs = [_nonzero_poly(c) for c in combos]
+    for q, raw in zip(qs, _companion_roots(qs)):
+        if _root_clustering(q, policy, raw)[0] is None:
             return False
     return True
 

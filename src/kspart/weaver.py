@@ -413,6 +413,14 @@ def two_part_work(m: int, d: int) -> float:
     return float(node(m) + 2 * sum(node(n) for n in range(m)))
 
 
+def _outer_products(inst: WeaverInstance) -> np.ndarray:
+    """u_i u_i* for i < m, then one zero matrix, the padding that
+    ``_SubsetLattice.members`` indexes."""
+    u, d = inst.vectors, inst.dim
+    return np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
+                           np.zeros((1, d, d), dtype=np.complex128)))
+
+
 def _part_sums(outers: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
     """P_0 and P_1: twice the outer products pinned to each block."""
     bases = np.zeros((2,) + outers.shape[1:], dtype=np.complex128)
@@ -440,7 +448,7 @@ def two_part_node_poly(inst: WeaverInstance, prefix,
     where g(S) has degree d - |S|: the coefficients above it are rounding
     noise and are dropped.  The sum over the second block's subsets closes
     into one characteristic polynomial because the determinant is affine in
-    each rank-one term.  The polynomials come from two ``char_poly_stack``
+    each rank-one term.  The polynomials come from ``char_poly_stack``
     passes over the subsets, g from a Moebius pass over them, and mu from
     the (d + 1)^2 dot products of their coefficient columns.  The block
     swap leaves mu unchanged, so ``cache`` keys on the unordered pair
@@ -451,13 +459,18 @@ def two_part_node_poly(inst: WeaverInstance, prefix,
     if k > m or any(t not in (0, 1) for t in prefix):
         raise ValidationError(f"prefix {prefix} is not a two-part prefix of "
                               f"{m} vectors")
-    n = m - k
-    policy.admit(_node_work(n, d), f"two-part node over {n} vectors")
-    u = inst.vectors
-    outers = np.einsum("mj,mk->mjk", u, u.conj())
-    bases = _part_sums(outers, prefix)
+    policy.admit(_node_work(m - k, d), f"two-part node over {m - k} vectors")
+    outers = _outer_products(inst)
+    return _node_poly(inst, outers, _part_sums(outers, prefix), k, cache)
+
+
+def _node_poly(inst: WeaverInstance, outers: np.ndarray, bases: np.ndarray,
+               k: int, cache: dict | None) -> np.ndarray:
+    """``two_part_node_poly`` at a prefix of length k with part sums bases,
+    given ``_outer_products(inst)``."""
+    m, d = inst.count, inst.dim
     b0, b1 = bases[0].tobytes(), bases[1].tobytes()
-    key = (min(b0, b1), max(b0, b1), u[k:].tobytes())
+    key = (min(b0, b1), max(b0, b1), inst.vectors[k:].tobytes())
     if cache is not None and key in cache:
         return cache[key]
     p0, p1 = (bases[0], bases[1]) if b0 <= b1 else (bases[1], bases[0])
@@ -467,16 +480,17 @@ def two_part_node_poly(inst: WeaverInstance, prefix,
     lat = _subset_lattice(m, d)
     start = lat.starts[k]
     rows = lat.members.shape[0] - start
-    padded = np.concatenate((outers, np.zeros((1, d, d), dtype=np.complex128)))
     g = np.empty((rows, d + 1))
     h = np.empty((rows, d + 1))
-    for lo in range(0, rows, CHUNK):
-        members = lat.members[start + lo:start + lo + CHUNK]
+    # chi(P_0 - Q) and chi(C - Q) in one stack of at most CHUNK matrices
+    step = max(1, CHUNK // 2)
+    for lo in range(0, rows, step):
+        members = lat.members[start + lo:start + lo + step]
         q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
-            q += padded[members[:, t]]
-        g[lo:lo + len(q)] = linalg.char_poly_stack(p0 - q)
-        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
+            q += outers[members[:, t]]
+        both = linalg.char_poly_stack(np.concatenate((p0 - q, top - q)))
+        g[lo:lo + len(q)], h[lo:lo + len(q)] = np.split(both, 2)
     # Moebius pass, one element at a time: g(S) -= g(S - i) for S with i
     for i in range(k, m):
         a, b = lat.bounds[i], lat.bounds[i + 1]
@@ -501,15 +515,27 @@ def _two_part_family(inst: WeaverInstance,
     its roots are the eigenvalues of the two part sums, taken exactly: from
     the coefficients, a double eigenvalue shared by both parts is a
     fourfold root that rounding scatters by about 1e-4, and roots of close
-    eigenvalues carry errors up to about 3e-8."""
+    eigenvalues carry errors up to about 3e-8.
+
+    The outer products are built once, and a child's part sums are its
+    parent's plus 2 u_k u_k*, added in ``_part_sums``' order.
+    """
     m = inst.count
+    outers = _outer_products(inst)
+    sums = {(): _part_sums(outers, ())}
+
+    def part_sums(prefix):
+        if prefix not in sums:
+            bases = part_sums(prefix[:-1]).copy()
+            bases[prefix[-1]] += 2.0 * outers[len(prefix) - 1]
+            sums[prefix] = bases
+        return sums[prefix]
 
     def node(prefix, cache):
+        bases = part_sums(prefix)
         if len(prefix) < m:
-            return realpoly.roots(two_part_node_poly(inst, prefix, policy,
-                                                     cache), policy)
-        u = inst.vectors
-        bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix)
+            return realpoly.roots(_node_poly(inst, outers, bases, len(prefix),
+                                             cache), policy)
         values, counts = np.unique(np.linalg.eigvalsh(bases),
                                    return_counts=True)
         return realpoly.RootList(values, counts)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kspart import serialize
+from kspart import (DEFAULT_POLICY, NumericPolicy, ValidationError, cli,
+                    serialize)
 from kspart.cli import main
 
 from test_mixedchar import bernoulli_diagonal, no_kernels
@@ -111,14 +112,19 @@ def test_partition_graph_spectral_block(tmp_path):
         assert part["kappa2"] >= part["kappa1"] > 0
 
 
-def test_partition_descent_abort_exits_3(tmp_path):
+def test_partition_descent_abort_exits_3(tmp_path, monkeypatch):
     inst = str(tmp_path / "inst.json")
     pol = tmp_path / "policy.json"
     pol.write_text('{"descent_slack": -1.0}\n')
     assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
                  "--out", inst]) == 0
+    # a policy file may not set a negative slack, so the demand that every
+    # step fall by 1 comes in as the default policy
     assert main(["partition", "--in", inst, "--numeric-policy",
-                 str(pol)]) == 3
+                 str(pol)]) == 2
+    monkeypatch.setattr(cli, "DEFAULT_POLICY",
+                        NumericPolicy(descent_slack=-1.0))
+    assert main(["partition", "--in", inst]) == 3
 
 
 def test_partition_repair_isotropy(tmp_path):
@@ -201,6 +207,34 @@ def test_partition_refused_before_any_work_exits_4(tmp_path, monkeypatch,
     no_kernels(monkeypatch)
     assert main(["partition", "--in", inst, "--r", "2"]) == 4
     assert "predicted work" in capsys.readouterr().err
+
+
+def test_nan_work_cap_exits_2_before_any_work(tmp_path, monkeypatch,
+                                              capsys):
+    # a NaN cap compares false with every prediction, so it would admit
+    # the m=64 partition above, which runs for hours
+    inst = str(tmp_path / "gauss.json")
+    assert main(["gen", "gaussian", "--n", "8", "--delta", "0.125",
+                 "--out", inst]) == 0
+    pol = tmp_path / "pol.json"
+    pol.write_text('{"work_cap": NaN}\n')
+    no_kernels(monkeypatch)
+    assert main(["partition", "--in", inst, "--r", "2",
+                 "--numeric-policy", str(pol)]) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+
+
+def test_policy_merged_rejects_non_finite_and_negative():
+    for value in (float("nan"), float("inf"), -float("inf"), -1, -1e-12,
+                  10 ** 400):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            DEFAULT_POLICY.merged({"work_cap": value})
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        DEFAULT_POLICY.merged({"combo_samples": -1})
+    assert DEFAULT_POLICY.merged({"descent_slack": 0}).descent_slack == 0.0
+    assert DEFAULT_POLICY.merged({"work_cap": 1e300}).work_cap == 1e300
+    # the constructor is not checked: tests build a negative slack on purpose
+    assert NumericPolicy(descent_slack=-1.0).descent_slack == -1.0
 
 
 def test_chernoff_refused_before_any_trial_exits_4(monkeypatch, capsys):
@@ -300,6 +334,7 @@ def test_exit_code_2_on_bad_input(tmp_path):
     ("--edges", "a b\n"),
     ("--numeric-policy", '{"tie_tol": "x"}'),
     ("--numeric-policy", '{"subset_cap": 4194304}'),  # a removed cap
+    ("--numeric-policy", '{"tie_tol": -Infinity}'),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, flag, text):
     bad = tmp_path / "bad"

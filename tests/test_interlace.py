@@ -119,13 +119,14 @@ def test_verify_family_singleton_and_random():
 
 def test_verify_family_draws_policy_combo_samples(monkeypatch):
     counted = []
-    real = realpoly.is_real_rooted
+    real = realpoly._root_clustering
 
     def counting(*args, **kwargs):
         counted.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(realpoly, "is_real_rooted", counting)
+    # every root test, of a child or of a combination, clusters once
+    monkeypatch.setattr(realpoly, "_root_clustering", counting)
     e = bernoulli_diagonal(1, 0.5)
     calls = []
     for samples in (0, 5):

@@ -5,26 +5,39 @@ separation argument."""
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from kspart import (
+    DEFAULT_POLICY,
+    Graph,
     NumericPolicy,
+    RootList,
     RootednessError,
     ValidationError,
+    WeaverInstance,
     common_interlacing_test,
     from_roots,
     gaussian_expected_poly,
+    gen_diagonal,
+    gen_from_graph,
+    gen_gaussian,
     hko_test,
     interlaces,
     is_real_rooted,
     laguerre_expected,
     largest_root,
     one_minus_c_derivative,
+    partition,
     poly_eval,
+    realpoly,
     roots,
     separate_check,
     shrunk_power_largest_root,
 )
+from kspart.realpoly import COMBO_SEED, as_poly
+
+from test_mixedchar import haar_unitary
 
 
 def cubic(a, b, c, scale=0.03):
@@ -239,3 +252,204 @@ def test_gaussian_expected_poly_small_case():
     assert np.allclose(p, [0.125, -1.0, 1.0])
     with pytest.raises(ValidationError):
         gaussian_expected_poly(0, 0.5)
+
+
+# -- reference oracles: root clustering by numpy.polynomial, one call each --
+
+def reference_complex_roots(q):
+    raw = npp.polyroots(q)
+    dq = npp.polyder(q)
+    vals = npp.polyval(raw, q)
+    slopes = npp.polyval(raw, dq)
+    safe = np.abs(slopes) > 1e-300
+    polished = raw.copy()
+    polished[safe] = raw[safe] - vals[safe] / slopes[safe]
+    worse = np.abs(npp.polyval(polished, q)) > np.abs(vals)
+    polished[worse] = raw[worse]
+    return polished
+
+
+def reference_greedy_clusters(croots, radius):
+    order = np.lexsort((croots.imag, croots.real))
+    pts = croots[order]
+    clusters = [[pts[0]]]
+    for z in pts[1:]:
+        c = np.mean(clusters[-1])
+        if abs(z - c) <= radius:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    return [np.asarray(c) for c in clusters]
+
+
+def reference_polish_multiple(q, x, k, leash):
+    dk = q
+    for _ in range(k - 1):
+        dk = npp.polyder(dk)
+    dk1 = npp.polyder(dk)
+    start = x
+    for _ in range(3):
+        den = npp.polyval(x, dk1)
+        if abs(den) < 1e-300:
+            break
+        xn = x - npp.polyval(x, dk) / den
+        if abs(xn - start) > leash + 1e-30:
+            break
+        if abs(npp.polyval(xn, dk)) < abs(npp.polyval(x, dk)):
+            x = float(xn)
+        else:
+            break
+    return x
+
+
+def reference_try_real_clustering(q, croots, radius, policy):
+    absq = np.abs(q)
+    values, mults = [], []
+    for cluster in reference_greedy_clusters(croots, radius):
+        m = complex(np.mean(cluster))
+        if abs(m.imag) > policy.real_root_imag_rtol * (1.0 + abs(m.real)):
+            return None
+        x = reference_polish_multiple(q, m.real, len(cluster), 2.0 * radius)
+        noise = policy.root_residual_rtol * float(
+            npp.polyval(max(1.0, abs(x)), absq))
+        if abs(npp.polyval(x, q)) > max(noise, 1e-250):
+            return None
+        values.append(x)
+        mults.append(len(cluster))
+    return values, mults
+
+
+def reference_root_clustering(q, policy):
+    croots = reference_complex_roots(q)
+    scale = 1.0 + float(np.max(np.abs(croots)))
+    max_imag = float(np.max(np.abs(croots.imag)))
+    radius = max(policy.root_merge_rtol, 1e-12) * scale
+    while radius <= 0.101 * scale:
+        got = reference_try_real_clustering(q, croots, radius, policy)
+        if got is not None:
+            return got, max_imag
+        radius *= 3.1622776601683795
+    return None, max_imag
+
+
+def reference_roots(p, policy=DEFAULT_POLICY):
+    q = as_poly(p)
+    if q.size == 1:
+        return RootList(np.array([]), np.array([], dtype=int))
+    got, max_imag = reference_root_clustering(q, policy)
+    if got is None:
+        raise RootednessError(
+            f"polynomial is not real-rooted: max imaginary part {max_imag:.3e}",
+            max_imag)
+    values, mults = got
+    order = np.argsort(values)
+    return RootList(np.asarray(values)[order],
+                    np.asarray(mults, dtype=int)[order])
+
+
+def reference_common_interlacing_test(fs, policy=DEFAULT_POLICY):
+    stack = np.array([as_poly(f) for f in fs])
+    combos = [np.mean(stack, axis=0)]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            combos.append((stack[i] + stack[j]) / 2.0)
+    rng = np.random.default_rng(COMBO_SEED)
+    for _ in range(policy.combo_samples):
+        combos.append(rng.dirichlet(np.ones(len(fs))) @ stack)
+    return all(reference_root_clustering(as_poly(c), policy)[0] is not None
+               for c in combos)
+
+
+def descent_node_polys(monkeypatch):
+    """Every polynomial whose roots three descents take: two-part
+    gauss(3, 1/4), the lifted Haar-rotated diag(3, 1/3) with r = 3 and the
+    two-part K5."""
+    seen = []
+    real = realpoly.roots
+
+    def record(p, policy=DEFAULT_POLICY):
+        seen.append(np.array(p, dtype=np.float64))
+        return real(p, policy)
+
+    monkeypatch.setattr(realpoly, "roots", record)
+    diag = gen_diagonal(3, 1.0 / 3.0)
+    haar = WeaverInstance(
+        3, diag.vectors @ haar_unitary(3, np.random.default_rng(5)).T,
+        diag.delta)
+    k5 = gen_from_graph(Graph(5, tuple(
+        (a, b, 1.0) for a in range(5) for b in range(a + 1, 5))))[0]
+    for inst, r in ((gen_gaussian(3, 0.25, seed=0), 2), (haar, 3), (k5, 2)):
+        partition(inst, r)
+    monkeypatch.undo()
+    return seen
+
+
+def assert_same_roots(p):
+    try:
+        want = reference_roots(p)
+    except RootednessError as err:
+        with pytest.raises(RootednessError) as got:
+            roots(p)
+        assert str(got.value) == str(err)
+        assert got.value.max_imag == err.max_imag
+        return
+    got = roots(p)
+    assert np.array_equal(got.values.view(np.int64),
+                          want.values.view(np.int64)), p
+    assert np.array_equal(got.multiplicities, want.multiplicities), p
+
+
+def test_roots_bit_identical_to_reference_on_node_polys(monkeypatch):
+    polys = descent_node_polys(monkeypatch)
+    assert len(polys) > 60
+    for p in polys:
+        assert_same_roots(p)
+
+
+def test_roots_bit_identical_to_reference_on_synthetic_polys():
+    polys = [from_roots([1.0, 1.0, 2.0]),
+             from_roots([0.5, 0.5, 0.5, 2.0]),
+             from_roots([0.3, 0.3, 0.3, 0.3, -1.0]),
+             3.0 * from_roots([-2.0, -2.0, 0.7, 0.7, 0.7, 1.5]),
+             [0.0, 2.0],                            # -0.0 from the companion
+             from_roots([0.0, 0.0, 1.0]),           # a double root at zero
+             laguerre_expected(4, 2, 0.1),          # a double root at zero
+             [-2.0, 1.0, -2.0, 1.0],                # (x - 2)(x^2 + 1)
+             [1.0, 0.0, 1.0]]                       # x^2 + 1
+    for p in polys:
+        assert_same_roots(p)
+    with pytest.raises(RootednessError):
+        roots(polys[-2])
+
+
+def test_common_interlacing_matches_reference(monkeypatch):
+    polys = descent_node_polys(monkeypatch)
+    rng = np.random.default_rng(11)
+    cases = [FIGURE_CUBICS,
+             [np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 1.0])]]
+    for _ in range(6):
+        a, b = rng.choice(len(polys), size=2, replace=False)
+        if polys[a].size == polys[b].size:
+            cases.append([polys[a], polys[b]])
+    for _ in range(6):
+        deg, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        cases.append([from_roots(rng.uniform(-2.0, 2.0, deg))
+                      for _ in range(k)])
+    outcomes = []
+    for fs in cases:
+        outcomes.append(common_interlacing_test(fs))
+        assert outcomes[-1] == reference_common_interlacing_test(fs)
+    assert True in outcomes and False in outcomes
+
+
+def test_batched_companion_roots_equal_polyroots():
+    rng = np.random.default_rng(3)
+    for deg in (1, 2, 3, 6):
+        qs = [as_poly(from_roots(rng.uniform(-2.0, 2.0, deg)))
+              for _ in range(5)]
+        qs.append(as_poly(np.concatenate((rng.uniform(-1.0, 1.0, deg),
+                                          [1.0]))))
+        for q, got in zip(qs, realpoly._companion_roots(qs)):
+            want = npp.polyroots(q)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

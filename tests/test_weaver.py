@@ -28,8 +28,9 @@ from kspart import (
     spectral_approx_check,
     validate,
 )
-from kspart import weaver
+from kspart import realpoly, weaver
 from kspart._parallel import chunked
+from kspart.linalg import char_poly_stack
 from kspart.weaver import laplacian, two_part_node_poly
 
 from test_mixedchar import haar_unitary, no_kernels
@@ -375,3 +376,109 @@ def test_experiment_refused_before_any_trial(monkeypatch):
     no_kernels(monkeypatch)
     with pytest.raises(CapacityError, match="predicted work"):
         random_partition_experiment(inst, trials=10 ** 12)
+
+
+def reference_two_part_node_poly(inst, prefix, cache=None):
+    """The first two-part node body: outer products and part sums built
+    anew at every node, and two ``char_poly_stack`` calls per chunk of
+    ``weaver.CHUNK`` subsets."""
+    prefix = tuple(int(t) for t in prefix)
+    m, d, k = inst.count, inst.dim, len(prefix)
+    u = inst.vectors
+    outers = np.einsum("mj,mk->mjk", u, u.conj())
+    bases = np.zeros((2, d, d), dtype=np.complex128)
+    for i, t in enumerate(prefix):
+        bases[t] += 2.0 * outers[i]
+    b0, b1 = bases[0].tobytes(), bases[1].tobytes()
+    key = (min(b0, b1), max(b0, b1), u[k:].tobytes())
+    if cache is not None and key in cache:
+        return cache[key]
+    p0, p1 = (bases[0], bases[1]) if b0 <= b1 else (bases[1], bases[0])
+    top = p1.copy()
+    for i in range(k, m):
+        top += outers[i]
+    lat = weaver._subset_lattice(m, d)
+    start = lat.starts[k]
+    rows = lat.members.shape[0] - start
+    padded = np.concatenate((outers, np.zeros((1, d, d), dtype=np.complex128)))
+    g = np.empty((rows, d + 1))
+    h = np.empty((rows, d + 1))
+    for lo in range(0, rows, weaver.CHUNK):
+        members = lat.members[start + lo:start + lo + weaver.CHUNK]
+        q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
+        for t in range(members.shape[1]):
+            q += padded[members[:, t]]
+        g[lo:lo + len(q)] = char_poly_stack(p0 - q)
+        h[lo:lo + len(q)] = char_poly_stack(top - q)
+    for i in range(k, m):
+        a, b = lat.bounds[i], lat.bounds[i + 1]
+        c = a + np.searchsorted(lat.upper[a:b], start)
+        g[lat.upper[c:b] - start] -= g[lat.lower[c:b] - start]
+    sizes = lat.sizes[start:]
+    g[np.arange(d + 1) > d - sizes[:, None]] = 0.0
+    g[sizes % 2 == 1] *= -1.0
+    products = np.einsum("sa,sb->ab", g, h)
+    mu = np.zeros(2 * d + 1)
+    for j in range(d + 1):
+        mu[j:j + d + 1] += products[j]
+    if cache is not None:
+        cache[key] = mu
+    return mu
+
+
+def descent_prefixes(inst):
+    """The root, then both children of every inner node of the two-part
+    descent, in the walk's order; the last level's children are leaves."""
+    path = partition(inst, 2).trace.final_assignment
+    return [()] + [path[:k] + (t,) for k in range(inst.count) for t in (0, 1)]
+
+
+def oracle_instances():
+    return {"gauss": gen_gaussian(3, 0.25, seed=0),
+            "k5": two_part_instances()["k5"]}
+
+
+def test_two_part_node_poly_bit_identical_to_reference():
+    insts = oracle_instances()
+    walks = {name: descent_prefixes(inst) for name, inst in insts.items()}
+    shared = {}
+    for name, inst in insts.items():
+        for prefix in walks[name]:
+            want = reference_two_part_node_poly(inst, prefix).tobytes()
+            assert two_part_node_poly(inst, prefix).tobytes() == want
+            got = two_part_node_poly(inst, prefix, cache=shared)
+            assert got.tobytes() == want, (name, prefix)
+    # one cache shared by the two instances, in the other order
+    shared = {}
+    for name, inst in reversed(insts.items()):
+        for prefix in walks[name]:
+            assert (two_part_node_poly(inst, prefix, cache=shared).tobytes()
+                    == reference_two_part_node_poly(inst, prefix).tobytes())
+
+
+def test_two_part_descent_nodes_bit_identical_to_reference(monkeypatch):
+    for name, inst in oracle_instances().items():
+        prefixes = descent_prefixes(inst)
+        m = inst.count
+        seen = []
+        real = realpoly.roots
+
+        def record(p, policy=DEFAULT_POLICY):
+            seen.append(p)
+            return real(p, policy)
+
+        monkeypatch.setattr(realpoly, "roots", record)
+        rep = partition(inst, 2)
+        monkeypatch.undo()
+        inner = [p for p in prefixes if len(p) < m]
+        assert len(seen) == len(inner)
+        for p, prefix in zip(seen, inner):
+            want = reference_two_part_node_poly(inst, prefix)
+            assert p.tobytes() == want.tobytes(), (name, prefix)
+        # the leaves' part sums, grown one vector at a time, are the ones
+        # summed anew
+        leaf = rep.trace.final_assignment
+        u = inst.vectors
+        bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()), leaf)
+        values = np.unique(np.linalg.eigvalsh(bases))
+        assert rep.trace.final_root == values[-1]
