@@ -5,14 +5,26 @@ for any thread count; threads only change wall time.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def ordered_map(fn, items, threads: int = 1) -> list:
+    """[fn(x) for x in items] on at most ``threads`` worker threads, and
+    never more than there are usable CPUs or items."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, usable_cpus(), len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 
 

@@ -1,14 +1,16 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 bad usage or invalid input, 3 a checked bound or
-descent failed, 4 the request exceeds a capacity or capability limit or
-runs out of memory.
+Each subcommand takes only the options its handler reads.
+
+Exit codes: 0 success, 2 bad usage or invalid or unreadable input (a
+missing file, a directory, bytes that are not UTF-8, malformed JSON), 3 a
+checked bound or descent failed, 4 the request exceeds a capacity or
+capability limit or runs out of memory.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from functools import cache
@@ -21,7 +23,7 @@ from .mixedchar import (ensemble_instance, expected_char_poly_bruteforce,
                         mixed_char_poly)
 from .policy import (DEFAULT_POLICY, CapabilityError, CapacityError,
                      DescentError, KsError, NumericPolicy, RootednessError,
-                     SingularMatrixError, ValidationError)
+                     ValidationError)
 from .realpoly import largest_root, roots, shrunk_power_largest_root
 from .serialize import (SCHEMA_ENSEMBLE, SCHEMA_INSTANCE, certificate_to_dict,
                         ensemble_from_dict, instance_from_dict,
@@ -38,23 +40,10 @@ EXIT_BOUND = 3
 EXIT_CAPACITY = 4
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("KS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"KS_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _resolve_policy(args) -> NumericPolicy:
-    path = getattr(args, "numeric_policy", None)
-    if path is None:
+    if args.numeric_policy is None:
         return DEFAULT_POLICY
-    return DEFAULT_POLICY.merged(read_json(path))
+    return DEFAULT_POLICY.merged(read_json(args.numeric_policy))
 
 
 def _open_csv(path: str):
@@ -63,25 +52,34 @@ def _open_csv(path: str):
     return open(path, "w", newline=""), True
 
 
-def _common(sub, out_default="-"):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed; falls back to KS_SEED, then 0")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--numeric-policy", metavar="FILE",
-                     help="JSON file of tolerance overrides")
+# options that several subcommands share
+SHARED = {
+    "seed": dict(type=int, default=0, help="RNG seed"),
+    "threads": dict(type=int, default=1,
+                    help="worker threads, at most one per usable CPU; "
+                         "output bytes do not depend on them"),
+    "numeric-policy": dict(metavar="FILE",
+                           help="JSON file of tolerance overrides"),
+}
+
+
+def _options(sub, *shared, out_default="-"):
+    """Add the named shared options, then --out."""
+    for name in shared:
+        sub.add_argument("--" + name, **SHARED[name])
     sub.add_argument("--out", default=out_default, metavar="FILE",
                      help="output path, - for stdout")
 
 
 def cmd_gen(args) -> int:
-    policy = _resolve_policy(args)
-    seed = _resolve_seed(args)
     graph = None
     if args.kind == "diagonal":
         inst = gen_diagonal(args.n, args.delta)
     elif args.kind == "gaussian":
-        inst = gen_gaussian(args.n, args.delta, seed=seed, policy=policy)
+        inst = gen_gaussian(args.n, args.delta, seed=args.seed,
+                            policy=_resolve_policy(args))
     else:
+        policy = _resolve_policy(args)
         graph = Graph.from_edge_text(read_text(args.edges))
         inst, _ = gen_from_graph(graph, policy)
     write_json(instance_to_dict(inst, graph), args.out)
@@ -155,7 +153,6 @@ def cmd_mixed(args) -> int:
 
 def cmd_certify(args) -> int:
     policy = _resolve_policy(args)
-    seed = _resolve_seed(args)
     t0 = time.perf_counter()
     doc = read_json(args.infile)
     schema = doc.get("schema")
@@ -168,7 +165,7 @@ def cmd_certify(args) -> int:
         raise ValidationError(f"unrecognized schema {schema!r}")
     eps = args.epsilon
     cert = build_certificate(mi, epsilon=eps, policy=policy)
-    out = report_envelope("certify", certificate_to_dict(cert), seed=seed,
+    out = report_envelope("certify", certificate_to_dict(cert), seed=args.seed,
                           policy=policy, wall_time_s=time.perf_counter() - t0)
     write_json(out, args.out)
     return EXIT_OK if cert.valid else EXIT_BOUND
@@ -183,20 +180,10 @@ def ensemble_instance_from_vectors(inst: WeaverInstance,
 
 def cmd_chernoff(args) -> int:
     policy = _resolve_policy(args)
-    seed = _resolve_seed(args)
     t0 = time.perf_counter()
-    if args.diagonal:
-        if args.infile is not None:
-            raise ValidationError("--diagonal and --in are mutually exclusive")
-        if args.n is None or args.delta is None:
-            raise ValidationError("--diagonal needs --n and --delta")
-        inst = gen_diagonal(args.n, args.delta)
-    else:
-        if args.infile is None:
-            raise ValidationError("need an instance: --in FILE or --diagonal")
-        inst, _ = instance_from_dict(read_json(args.infile))
+    inst, _ = instance_from_dict(read_json(args.infile))
     stats = random_partition_experiment(
-        inst, r=args.r, trials=args.trials, seed=seed,
+        inst, r=args.r, trials=args.trials, seed=args.seed,
         threshold=args.threshold, policy=policy, threads=args.threads)
     fh, close = _open_csv(args.csv)
     try:
@@ -211,7 +198,7 @@ def cmd_chernoff(args) -> int:
             fh.close()
     if args.out is not None:
         doc = report_envelope("experiment-chernoff", stats_to_dict(stats),
-                              seed=seed, policy=policy,
+                              seed=args.seed, policy=policy,
                               wall_time_s=time.perf_counter() - t0)
         write_json(doc, args.out)
     return EXIT_OK
@@ -260,15 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     gd = gs.add_parser("diagonal", help="1/delta copies of each scaled basis vector")
     gd.add_argument("--n", type=int, required=True)
     gd.add_argument("--delta", type=float, required=True)
-    _common(gd)
+    _options(gd)
     gg = gs.add_parser("gaussian", help="normalized random frame")
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--delta", type=float, required=True)
-    _common(gg)
+    _options(gg, "seed", "numeric-policy")
     ge = gs.add_parser("graph", help="edge vectors of a connected graph")
     ge.add_argument("--edges", required=True, metavar="FILE",
                     help="edge list, one 'a b [weight]' per line, - for stdin")
-    _common(ge)
+    _options(ge, "numeric-policy")
 
     p = sub.add_parser("partition", help="descend to an r-partition")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -277,33 +264,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full descent trace in the report")
     p.add_argument("--repair-isotropy", action="store_true",
                    help="renormalize a slightly non-isotropic instance first")
-    _common(p)
+    _options(p, "threads", "numeric-policy")
 
     m = sub.add_parser("mixed", help="expected characteristic polynomial")
     m.add_argument("--in", dest="infile", required=True, metavar="FILE")
     m.add_argument("--oracle", action="store_true",
                    help="also enumerate outcomes and report the deviation")
-    _common(m)
+    _options(m, "threads", "numeric-policy")
 
     c = sub.add_parser("certify", help="barrier-induction certificate")
     c.add_argument("--in", dest="infile", required=True, metavar="FILE")
     c.add_argument("--epsilon", type=float, default=None)
-    _common(c)
+    _options(c, "seed", "numeric-policy")
 
     e = sub.add_parser("experiment", help="numerical experiments")
     es = e.add_subparsers(dest="experiment", required=True)
     ec = es.add_parser("chernoff", help="random partitions of an instance")
-    ec.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    ec.add_argument("--diagonal", action="store_true",
-                    help="run on gen_diagonal(--n, --delta) directly")
-    ec.add_argument("--n", type=int, default=None)
-    ec.add_argument("--delta", type=float, default=None)
+    ec.add_argument("--in", dest="infile", required=True, metavar="FILE")
     ec.add_argument("--r", type=int, default=2)
     ec.add_argument("--trials", type=int, default=1000)
     ec.add_argument("--threshold", type=float, default=1.0)
     ec.add_argument("--csv", default="-", metavar="FILE",
                     help="per-trial rows, - for stdout")
-    _common(ec, out_default=None)
+    _options(ec, "seed", "threads", "numeric-policy", out_default=None)
     el = es.add_parser("laguerre",
                        help="largest root of the shrunk expected polynomial")
     el.add_argument("--n", type=int, required=True)
@@ -321,6 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(err: BaseException, code: int) -> int:
+    # a bare MemoryError has no message
+    print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -329,21 +318,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return globals()[args.handler](args)
-    except (CapacityError, CapabilityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except MemoryError as err:
-        print(f"error: {err or 'out of memory'}", file=sys.stderr)
-        return EXIT_CAPACITY
+    except (CapacityError, CapabilityError, MemoryError) as err:
+        return _fail(err, EXIT_CAPACITY)
     except (DescentError, RootednessError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BOUND
-    except (ValidationError, SingularMatrixError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except KsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(err, EXIT_BOUND)
+    except (KsError, OSError) as err:
+        return _fail(err, EXIT_USAGE)
 
 
 if __name__ == "__main__":

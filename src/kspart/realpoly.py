@@ -209,11 +209,12 @@ def _derivatives(c: list) -> list[list]:
     return out
 
 
-def _companion_roots(qs: list[np.ndarray]) -> list[np.ndarray]:
-    """``npp.polyroots`` of trimmed polynomials of degree >= 1.  Those of
-    one degree n >= 2 share one ``np.linalg.eigvals`` call over their
-    stacked ``npp.polycompanion`` matrices, each made real when its roots
-    are and sorted as ``polyroots`` does."""
+def _companion_roots(qs) -> list[np.ndarray]:
+    """``npp.polyroots`` of trimmed polynomials of degree >= 1, given as a
+    list of arrays or as the rows of one.  Those of one degree n >= 2 share
+    one ``np.linalg.eigvals`` call over their stacked ``npp.polycompanion``
+    matrices, each made real when its roots are and sorted as ``polyroots``
+    does."""
     n = qs[0].size - 1
     if n < 2 or any(q.size != n + 1 for q in qs):
         return [npp.polyroots(q) for q in qs]
@@ -436,8 +437,12 @@ def common_interlacing_test(fs, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     for _ in range(policy.combo_samples):
         lam = rng.dirichlet(np.ones(len(polys)))
         combos.append(lam @ stack)
-    qs = [_nonzero_poly(c) for c in combos]
-    for q, raw in zip(qs, _companion_roots(qs)):
+    # convex combinations keep a positive leading coefficient, so their
+    # rows need no trimming
+    combos = np.array(combos)
+    if not np.all(np.isfinite(combos)):
+        raise ValidationError("polynomial has non-finite coefficients")
+    for q, raw in zip(combos, _companion_roots(combos)):
         if _root_clustering(q, policy, raw)[0] is None:
             return False
     return True

@@ -209,17 +209,22 @@ def write_json(doc: dict, path: str) -> None:
 
 def read_text(path: str) -> str:
     """The contents of a file, or of stdin for "-"; stdin stays open."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except ValueError as err:  # UnicodeDecodeError
+        raise ValidationError(f"cannot decode {path!r}: {err}") from None
 
 
 def read_json(path: str) -> dict:
     text = read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    # JSONDecodeError and the limit on integer digits are ValueErrors;
+    # deep nesting exhausts the recursion limit
+    except (ValueError, RecursionError) as err:
         raise ValidationError(f"invalid JSON in {path!r}: {err}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"top level of {path!r} is not an object")

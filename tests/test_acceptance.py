@@ -337,14 +337,17 @@ def test_criterion_12_thread_determinism(tmp_path):
         f"{a} {b}" for a in range(4) for b in range(a + 1, 4)) + "\n")
     k4 = str(tmp_path / "k4.json")
     assert main(["gen", "graph", "--edges", str(k4_edges), "--out", k4]) == 0
+    diag2 = str(tmp_path / "diag2.json")
+    assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
+                 "--out", diag2]) == 0
 
     runs = {
         "mixed-oracle": ["mixed", "--in", ens_path, "--oracle"],
         "descent-trace": ["partition", "--in", gauss, "--trace"],
         "diag3-r3": ["partition", "--in", diag3, "--r", "3"],
         "k4-r2": ["partition", "--in", k4, "--r", "2"],
-        "chernoff": ["experiment", "chernoff", "--diagonal", "--n", "2",
-                     "--delta", "0.5", "--trials", "64", "--seed", "9"],
+        "chernoff": ["experiment", "chernoff", "--in", diag2,
+                     "--trials", "64", "--seed", "9"],
     }
     ok = True
     for name, argv in runs.items():

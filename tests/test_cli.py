@@ -237,10 +237,14 @@ def test_policy_merged_rejects_non_finite_and_negative():
     assert NumericPolicy(descent_slack=-1.0).descent_slack == -1.0
 
 
-def test_chernoff_refused_before_any_trial_exits_4(monkeypatch, capsys):
+def test_chernoff_refused_before_any_trial_exits_4(tmp_path, monkeypatch,
+                                                  capsys):
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
+                 "--out", inst]) == 0
     no_kernels(monkeypatch)
-    assert main(["experiment", "chernoff", "--diagonal", "--n", "2",
-                 "--delta", "0.5", "--trials", str(10 ** 12)]) == 4
+    assert main(["experiment", "chernoff", "--in", inst,
+                 "--trials", str(10 ** 12)]) == 4
     assert "predicted work" in capsys.readouterr().err
 
 
@@ -276,16 +280,6 @@ def test_chernoff_csv_and_summary(tmp_path):
                  "--csv", out_csv]) == 0
     with open(out_csv) as fh:
         assert len(list(csv.reader(fh))) == 1
-
-
-def test_chernoff_diagonal_shortcut(tmp_path):
-    out_csv = str(tmp_path / "t.csv")
-    assert main(["experiment", "chernoff", "--diagonal", "--n", "2",
-                 "--delta", "0.5", "--trials", "10", "--seed", "1",
-                 "--csv", out_csv]) == 0
-    with open(out_csv) as fh:
-        assert len(list(csv.reader(fh))) == 11
-    assert main(["experiment", "chernoff", "--diagonal", "--trials", "1"]) == 2
 
 
 def test_laguerre_row(tmp_path):
@@ -353,16 +347,47 @@ def test_malformed_input_exits_2(tmp_path, capsys, flag, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_ks_seed_env_fallback(tmp_path, monkeypatch):
-    a = str(tmp_path / "a.json")
-    b = str(tmp_path / "b.json")
-    monkeypatch.setenv("KS_SEED", "7")
-    assert main(["gen", "gaussian", "--n", "3", "--delta", "0.5",
-                 "--out", a]) == 0
-    monkeypatch.delenv("KS_SEED")
-    assert main(["gen", "gaussian", "--n", "3", "--delta", "0.5",
-                 "--seed", "7", "--out", b]) == 0
-    assert Path(a).read_bytes() == Path(b).read_bytes()
+@pytest.mark.parametrize("content", [
+    None,  # a directory
+    b"\xff",
+    b'{"work_cap": ' + b"9" * 5000 + b"}",  # past the 4300-digit limit
+    b"[" * 100000,
+], ids=["directory", "not-utf8", "long-int", "deep-nesting"])
+def test_unreadable_input_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "diagonal", "--n", "1", "--delta", "1.0",
+                 "--out", inst]) == 0
+    out = str(tmp_path / "out.json")
+    for argv in (["partition", "--in", str(bad)],
+                 ["partition", "--in", inst, "--numeric-policy", str(bad)],
+                 ["gen", "graph", "--edges", str(bad)]):
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "diagonal", "--seed", "5"],
+    ["gen", "diagonal", "--threads", "8"],
+    ["gen", "diagonal", "--numeric-policy", "policy.json"],
+    ["gen", "gaussian", "--threads", "8"],
+    ["gen", "graph", "--edges", "edges.txt", "--seed", "5"],
+    ["gen", "graph", "--edges", "edges.txt", "--threads", "8"],
+    ["partition", "--in", "inst.json", "--seed", "7"],
+    ["mixed", "--in", "ens.json", "--seed", "7"],
+    ["certify", "--in", "inst.json", "--threads", "8"],
+    ["experiment", "chernoff", "--in", "inst.json", "--diagonal"],
+], ids="_".join)
+def test_unread_options_are_refused(argv, capsys):
+    # every other argument is valid, so only the named option is refused
+    if argv[1] in ("diagonal", "gaussian"):
+        argv = argv + ["--n", "2", "--delta", "0.5"]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_policy_override_echoed(tmp_path):
@@ -394,7 +419,7 @@ def test_report_determinism_across_threads(tmp_path):
     blobs = []
     for threads in ("1", "2", "8"):
         rep = str(tmp_path / f"rep{threads}.json")
-        assert main(["partition", "--in", inst, "--seed", "0",
-                     "--threads", threads, "--trace", "--out", rep]) == 0
+        assert main(["partition", "--in", inst, "--threads", threads,
+                     "--trace", "--out", rep]) == 0
         blobs.append(canonical_bytes(rep))
     assert blobs[0] == blobs[1] == blobs[2]

@@ -3,6 +3,9 @@ its norm guarantee, graph spectral comparisons, and the random-partition
 Monte-Carlo baseline."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from kspart import (
     validate,
 )
 from kspart import realpoly, weaver
-from kspart._parallel import chunked
+from kspart._parallel import chunked, ordered_map, usable_cpus
 from kspart.linalg import char_poly_stack
 from kspart.weaver import laplacian, two_part_node_poly
 
@@ -482,3 +485,16 @@ def test_two_part_descent_nodes_bit_identical_to_reference(monkeypatch):
         bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()), leaf)
         values = np.unique(np.linalg.eigvalsh(bases))
         assert rep.trace.final_root == values[-1]
+
+
+def test_ordered_map_starts_at_most_one_thread_per_cpu():
+    idents = set()
+
+    def record(x):
+        idents.add(threading.get_ident())
+        time.sleep(0.001)
+        return 2 * x
+
+    assert ordered_map(record, range(100), threads=10 ** 6) == [
+        2 * x for x in range(100)]
+    assert len(idents) <= usable_cpus() <= os.cpu_count()
