@@ -52,9 +52,17 @@ def _open_csv(path: str):
     return open(path, "w", newline=""), True
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # options that several subcommands share
 SHARED = {
-    "seed": dict(type=int, default=0, help="RNG seed"),
+    "seed": dict(type=_seed, default=0, help="RNG seed, at least 0"),
     "threads": dict(type=int, default=1,
                     help="worker threads, at most one per usable CPU; "
                          "output bytes do not depend on them"),
@@ -207,7 +215,10 @@ def cmd_chernoff(args) -> int:
 def cmd_laguerre(args) -> int:
     if args.n < 1 or not 0 < args.delta <= args.n:
         raise ValidationError("need n >= 1 and 0 < delta <= n")
-    applications = int(round(args.n / (2.0 * args.delta)))
+    applications = args.n / (2.0 * args.delta)
+    if applications == float("inf"):
+        raise ValidationError("delta is too small: n/(2 delta) overflows")
+    applications = int(round(applications))
     top = shrunk_power_largest_root(args.n, applications, args.delta / args.n)
     # n/(2 delta) applications to x^n is a half-sample, so the edge positions
     # follow the square-root of twice the norm ceiling

@@ -247,14 +247,14 @@ def exhaustive_minimum(e: RandomVectorEnsemble,
     Ground truth for the descent's sandwich property; its work is capped.
     Ties resolve to the lexicographically first assignment.
     """
-    def chunk_minimum(idx, sums):
-        tops = (np.linalg.eigvalsh(sums)[:, -1] if e.dim
-                else np.zeros(idx.shape[0]))
+    def chunk_minimum(first, weights, sums):
+        tops = np.linalg.eigvalsh(sums)[:, -1]
         local = int(np.argmin(tops))
-        return float(tops[local]), tuple(int(t) for t in idx[local])
+        return float(tops[local]), first + local
 
     work = EIGVALSH_WORK + EIGVALSH_WORK_CUBE * e.dim ** 3
     best_val, best = min(outcome_sums(e, chunk_minimum, work,
                                       "exhaustive minimum", policy),
                          key=lambda found: found[0])
-    return best, best_val
+    return (tuple(int(t) for t in np.unravel_index(best, e.support_sizes)),
+            best_val)

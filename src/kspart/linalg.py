@@ -66,6 +66,15 @@ def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     rounding, but it divides by k at every step and rounding errors grow
     with d and with the spread of the spectrum.
 
+    A stack costs d - 2 batched matrix products (none for d <= 2): M_1 is A
+    itself, and the last step needs only a trace, c_d = -tr(A B) / d with
+    B = M_{d-1} + c_{d-1} I, taken as the elementwise sum of A_ij B_ji in
+    O(d^2) per matrix.  c_1 .. c_{d-1} are bit-identical to the recursion
+    that forms every product, M_1 = A I included: taking A for A I and
+    adding c_k to the diagonal for adding c_k I change only the signs of
+    zero entries, which no nonzero sum sees, and a zero trace is +0 either
+    way.  Only c_d changes, in its last bits.
+
     The matrices must be Hermitian: the coefficients are then real, and only
     the real part of each trace is kept, without a check.
     """
@@ -76,13 +85,14 @@ def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     coeffs[..., d] = 1.0
     if d == 0:
         return coeffs
-    eye = np.eye(d, dtype=np.complex128)
-    m_k = np.zeros_like(ms)
-    c_k = np.ones(batch, dtype=np.complex128)
-    for k in range(1, d + 1):
-        m_k = ms @ (m_k + c_k[..., None, None] * eye)
-        c_k = -np.trace(m_k, axis1=-2, axis2=-1) / k
+    diag = np.arange(d)
+    b = np.broadcast_to(np.eye(d, dtype=np.complex128), ms.shape)  # B_0 = I
+    for k in range(1, d):
+        b = ms.copy() if k == 1 else ms @ b  # M_k = A B_{k-1}
+        c_k = -np.trace(b, axis1=-2, axis2=-1) / k
         coeffs[..., d - k] = c_k.real
+        b[..., diag, diag] += c_k[..., None]  # B_k = M_k + c_k I
+    coeffs[..., 0] = -np.einsum("...ij,...ji->...", ms, b).real / d
     return coeffs
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -149,20 +149,22 @@ outcome enumerator, so no stack holds more than CHUNK * D^2 entries."""
 
 # Work model, in the units of NumericPolicy.work_cap (about a nanosecond
 # each on the machine these were measured on, timing stacks of 4096):
-POLY_WORK = 1_500
-"""A characteristic polynomial of size D costs POLY_WORK + POLY_WORK_CUBE *
-D^3: 1.6 us at D=2, 8 us at D=6, 12 us at D=8, 17-32 us at D=10, 88 us at
-D=16."""
-POLY_WORK_CUBE = 20
+POLY_WORK = 1_100
+"""A characteristic polynomial of size D costs POLY_WORK * (D - 2), for its
+D - 2 batched products and their traces, plus POLY_WORK_CUBE * D^3 (none
+of the first for D <= 2): 0.12 us at D=2, 1.6 us at D=3, 3.2 us at D=4,
+6.4 us at D=6, 12 us at D=8, 21 us at D=10, 65 us at D=16."""
+POLY_WORK_CUBE = 15
 TERM_WORK = 60
 """A signed term of the alternating sums; 50-120 ns a term over the
 expansions with m = 16..20 and D = 6..10."""
 GATHER_WORK = 5
-"""A matrix entry added into an outcome sum; 3-6 ns at D = 2..16."""
+"""A matrix entry added into an outcome sum, grown from its prefix's;
+4-11 ns at D = 2..16."""
 
 
 def _poly_work(dim: int) -> float:
-    return POLY_WORK + POLY_WORK_CUBE * dim ** 3
+    return POLY_WORK * max(dim - 2, 0) + POLY_WORK_CUBE * dim ** 3
 
 
 def expansion_work(m: int, dim: int) -> float:
@@ -172,45 +174,56 @@ def expansion_work(m: int, dim: int) -> float:
                      for k in range(min(m, dim) + 1)))
 
 
-def outcome_block(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Outcomes start..stop-1 of product(*(range(s) for s in sizes)).
-
-    Decoded from the flat outcome index, last index fastest, as a
-    (stop - start, len(sizes)) array, so no enumeration is materialised.
-    """
-    if not sizes:
-        return np.zeros((stop - start, 0), dtype=np.intp)
-    return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
-
-
 def outcome_sums(e: RandomVectorEnsemble, kernel, kernel_work: float,
                  what: str, policy: NumericPolicy = DEFAULT_POLICY,
                  threads: int = 1) -> list:
-    """kernel(idx, sums) over every outcome of e, CHUNK outcomes at a time.
+    """kernel(first, weights, sums) over every outcome of e, in the order of
+    product(*(range(s) for s in e.support_sizes)), at most CHUNK at a time.
 
-    idx holds a chunk of outcomes as ``outcome_block`` rows and sums their
-    matrices sum_i v_i v_i*; the kernel results come back in outcome order.
-    The request is refused up front when leaves * (m D^2 GATHER_WORK +
+    A call covers the consecutive outcomes first, first + 1, ...; sums holds
+    their matrices sum_i v_i v_i* and weights their probabilities, and the
+    results come back in outcome order.  The trailing vectors whose support
+    sizes multiply to at most CHUNK form the inner block, and the vector
+    before them is cut into slices that fill a chunk.  A call grows its sums
+    from zero one vector at a time, in index order: by one atom of each
+    leading vector, then by a slice of the cut vector and by every atom of
+    the inner block.  Each outcome's sum so gets the same additions in the
+    same order as adding its atoms' outer products into zero, and its weight
+    the same products as multiplying its probabilities into one.
+
+    The request is refused up front when leaves * (D^2 GATHER_WORK +
     kernel_work), kernel_work being the kernel's work per outcome, exceeds
     the work cap.
     """
-    d, sizes = e.dim, e.support_sizes
-    per_outcome = len(sizes) * d * d * GATHER_WORK + kernel_work
-    policy.admit(math.prod(map(float, sizes)) * per_outcome, what)
+    d, sizes, m = e.dim, e.support_sizes, len(e.vectors)
+    policy.admit(math.prod(map(float, sizes)) * (d * d * GATHER_WORK
+                                                 + kernel_work), what)
     outers = [
         np.einsum("aj,ak->ajk", v.values, v.values.conj())
         for v in e.vectors
     ]
-    leaves = e.leaf_count
+    probs = [v.probabilities for v in e.vectors]
+    inner, cut = 1, m  # vectors cut.. form the inner block
+    while cut and inner * sizes[cut - 1] <= CHUNK:
+        cut -= 1
+        inner *= sizes[cut]
+    width = [1] * cut + list(sizes[cut:])  # atoms of each vector in a chunk
+    if cut:
+        width[cut - 1] = CHUNK // inner
 
-    def run_chunk(start):
-        idx = outcome_block(sizes, start, min(start + CHUNK, leaves))
-        sums = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
-        for i, outer in enumerate(outers):
-            sums += outer[idx[:, i]]
-        return kernel(idx, sums)
+    def run_chunk(fixed):
+        sums = np.zeros((1, d, d), dtype=np.complex128)
+        weights = np.ones(1)
+        first = 0
+        for i, t in enumerate(fixed):
+            atoms = slice(t, t + width[i])
+            sums = (sums[:, None] + outers[i][None, atoms]).reshape(-1, d, d)
+            weights = (weights[:, None] * probs[i][None, atoms]).reshape(-1)
+            first = first * sizes[i] + t
+        return kernel(first, weights, sums)
 
-    return ordered_map(run_chunk, range(0, leaves, CHUNK), threads=threads)
+    lead = product(*(range(0, s, w) for s, w in zip(sizes, width)))
+    return ordered_map(run_chunk, lead, threads=threads)
 
 
 def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
@@ -220,10 +233,7 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
 
     Independent oracle for the subset expansion; its work is capped.
     """
-    def weighted_polys(idx, sums):
-        weights = np.ones(idx.shape[0])
-        for i, v in enumerate(e.vectors):
-            weights *= v.probabilities[idx[:, i]]
+    def weighted_polys(first, weights, sums):
         return weights @ linalg.char_poly_stack(sums)
 
     total = np.zeros(e.dim + 1)

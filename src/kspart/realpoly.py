@@ -15,6 +15,7 @@ sampled tests) and NEWTON_RTOL (shrunk_power_largest_root).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,17 +102,29 @@ def gaussian_expected_poly(dim: int, delta: float) -> np.ndarray:
     return laguerre_expected(dim, applications, delta / dim)
 
 
+def _shrunk_power_coeffs(n: int, a: int) -> list[int]:
+    """Ascending integer coefficients of (1 - d/dy)^a y^n, which are
+    c_{n-j} = (-1)^j C(a, j) n!/(n-j)!."""
+    coeffs = [0] * (n + 1)
+    falling = 1  # n!/(n-j)!
+    for j in range(min(n, a) + 1):
+        coeffs[n - j] = (-1) ** j * math.comb(a, j) * falling
+        falling *= n - j
+    return coeffs
+
+
 def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
     """Largest root of (1 - delta d/dx)^applications x^n, computed exactly.
 
     Beyond degree ~20 the float64 monomial coefficients of this polynomial no
     longer determine its clustered roots, so companion-matrix root finding
     falls apart.  Substituting x = delta*y turns the operator into (1 - d/dy)
-    and the coefficients into exact integers; Newton from above the Cauchy
-    bound then descends monotonically to the top root in rational arithmetic
-    (iterates are rounded up, preserving the from-above invariant, to keep
-    denominators near 2^80) until a step moves x by at most NEWTON_RTOL
-    relative.
+    and the coefficients into exact integers, taken in closed form, so the
+    cost does not grow with the number of applications.  Newton from above
+    the Cauchy bound then descends monotonically to the top root in rational
+    arithmetic (iterates are rounded up, preserving the from-above
+    invariant, to keep denominators near 2^80) until a step moves x by at
+    most NEWTON_RTOL relative.
     """
     n = int(n)
     applications = int(applications)
@@ -119,12 +132,12 @@ def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
         raise ValidationError("need n >= 1 and applications >= 0")
     if not (0.0 < delta < float("inf")):
         raise ValidationError("delta must be positive and finite")
+    if 2 * n * applications > sys.float_info.max:
+        # the root bound below is up to 2 n applications, a float
+        raise ValidationError("2 n applications exceeds the float range")
     if applications == 0:
         return 0.0
-    coeffs = [0] * n + [1]
-    for _ in range(applications):
-        coeffs = [coeffs[k] - (k + 1) * coeffs[k + 1] if k < n else coeffs[k]
-                  for k in range(n + 1)]
+    coeffs = _shrunk_power_coeffs(n, applications)
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
 
     def ev(poly: list, x: Fraction) -> Fraction:

@@ -381,12 +381,12 @@ def _subset_lattice(m: int, d: int) -> _SubsetLattice:
 
 # Work model of the two-part engine, in the units of NumericPolicy.work_cap
 # (see mixedchar), timed on nodes with n = 8..120 and d = 1..10:
-SUBSET_WORK_PER_DIM = 2_200
+SUBSET_WORK_PER_DIM = 700
 """A subset of a node's lattice costs SUBSET_WORK_PER_DIM * d +
 SUBSET_WORK_CUBE * d^3 for its two characteristic polynomials, its gathers,
-its share of the Moebius pass and its products: 4.4 us at d=2, 7.7 us at
-d=3, 12 us at d=4, 14-17 us at d=5, 32 us at d=8, 59 us at d=10."""
-SUBSET_WORK_CUBE = 35
+its share of the Moebius pass and its products: 1.0-1.2 us at d=2, 3.7 us
+at d=3, 6.0 us at d=4, 8.1 us at d=5, 23 us at d=8, 46 us at d=10."""
+SUBSET_WORK_CUBE = 40
 NODE_WORK = 200_000
 """A node costs NODE_WORK + ELEMENT_WORK * n besides its subsets and its
 root finding, n being its unpinned vectors (one Moebius step each): about

@@ -304,6 +304,33 @@ def test_laguerre_row(tmp_path):
                  "--csv", out_csv, "--numeric-policy", str(pol)]) == 2
 
 
+def test_laguerre_tiny_delta_finishes(tmp_path):
+    # n/(2 delta) = 2.5e300 applications, taken in closed form
+    out_csv = str(tmp_path / "l.csv")
+    assert main(["experiment", "laguerre", "--n", "5", "--delta", "1e-300",
+                 "--csv", out_csv]) == 0
+    with open(out_csv) as fh:
+        header, row = list(csv.reader(fh))
+    assert float(dict(zip(header, row))["largest_root"]) == \
+        pytest.approx(0.5, abs=1e-9)
+    # past the float range the request is refused, not overflowed
+    for delta in ("1e-307", "1e-320"):
+        assert main(["experiment", "laguerre", "--n", "5", "--delta", delta,
+                     "--csv", out_csv]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "gaussian", "--n", "2", "--delta", "0.5"],
+    ["certify", "--in", "inst.json"],
+    ["experiment", "chernoff", "--in", "inst.json"],
+], ids=["gen-gaussian", "certify", "chernoff"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_must_be_non_negative_integer(argv, seed, capsys):
+    assert main(argv + ["--seed", seed]) == 2
+    assert "--seed: expected a non-negative integer" in \
+        capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["partition", "--in", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

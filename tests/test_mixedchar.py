@@ -29,9 +29,9 @@ from kspart import (
     lift,
     mixed_char_poly,
 )
-from kspart import linalg, mixedchar
+from kspart import exhaustive_minimum, linalg, mixedchar
 from kspart.linalg import char_poly, char_poly_stack, isotropic_normalizer
-from kspart.mixedchar import outcome_block
+from kspart.mixedchar import outcome_sums
 
 
 def bernoulli_diagonal(n, delta):
@@ -392,13 +392,55 @@ def test_lifted_nodes_bit_identical_to_loop(name):
         assert_bits_equal(conditional_expected_poly(e, prefix), want)
 
 
-def test_outcome_block_follows_product_order():
-    for sizes in [(), (1,), (3,), (2, 3, 1, 4), (3, 3, 3)]:
-        every = list(product(*(range(s) for s in sizes)))
-        total = len(every)
-        assert outcome_block(sizes, 0, total).tolist() == \
-            [list(t) for t in every]
-        for start, stop in [(0, 1), (total // 2, total), (total - 1, total)]:
-            assert outcome_block(sizes, start, stop).tolist() == \
-                [list(t) for t in every[start:stop]]
-    assert outcome_block((), 0, 1).shape == (1, 0)
+# -- bit-for-bit reference for the outcome enumerator -----------------------
+
+def reference_outcome_sums(e):
+    """Every outcome's sum and weight, in product order, gathered from its
+    atom indices: each sum adds its atoms' outer products into zero in index
+    order, each weight multiplies its probabilities into one."""
+    sizes = e.support_sizes
+    idx = np.array(list(product(*(range(s) for s in sizes))),
+                   dtype=np.intp).reshape(e.leaf_count, len(sizes))
+    sums = np.zeros((idx.shape[0], e.dim, e.dim), dtype=np.complex128)
+    weights = np.ones(idx.shape[0])
+    for i, v in enumerate(e.vectors):
+        outer = np.einsum("aj,ak->ajk", v.values, v.values.conj())
+        sums += outer[idx[:, i]]
+        weights *= v.probabilities[idx[:, i]]
+    return sums, weights, idx
+
+
+def ensemble_with_sizes(rng, d, sizes):
+    vectors = []
+    for l in sizes:
+        vals = 0.5 * (rng.standard_normal((l, d)) +
+                      1j * rng.standard_normal((l, d)))
+        vals[rng.random((l, d)) < 0.2] = 0.0
+        vals.real[rng.random((l, d)) < 0.2] *= -0.0
+        vals.imag[rng.random((l, d)) < 0.2] *= -0.0
+        vectors.append(FiniteSupportVector(rng.dirichlet(np.ones(l)), vals))
+    return RandomVectorEnsemble(d, tuple(vectors))
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 5, 2), (7, 5, 1, 9, 3, 5, 2),
+                                   (2, 4100), (5,), ()],
+                         ids=["ragged", "over-chunk", "wide-vector",
+                              "single", "empty"])
+def test_outcome_sums_bit_identical_to_gather(sizes, monkeypatch):
+    rng = np.random.default_rng(sum(sizes) + len(sizes))
+    e = ensemble_with_sizes(rng, 3, sizes)
+    want_sums, want_weights, idx = reference_outcome_sums(e)
+    tops = np.linalg.eigvalsh(want_sums)[:, -1]
+    best = int(np.argmin(tops))
+    for chunk in (mixedchar.CHUNK, 3, 1):
+        monkeypatch.setattr(mixedchar, "CHUNK", chunk)
+        got = outcome_sums(e, lambda first, w, s: (first, w, s), 0.0, "test")
+        assert [first for first, _, _ in got] == \
+            list(np.cumsum([0] + [len(w) for _, w, _ in got[:-1]]))
+        assert max(len(w) for _, w, _ in got) <= chunk
+        assert_bits_equal(np.concatenate([s for _, _, s in got]), want_sums)
+        assert_bits_equal(np.concatenate([w for _, w, _ in got]),
+                          want_weights)
+        assignment, value = exhaustive_minimum(e)
+        assert assignment == tuple(int(t) for t in idx[best])
+        assert_bits_equal(np.array(value), tops[best])

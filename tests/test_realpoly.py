@@ -35,7 +35,7 @@ from kspart import (
     separate_check,
     shrunk_power_largest_root,
 )
-from kspart.realpoly import COMBO_SEED, as_poly
+from kspart.realpoly import COMBO_SEED, _shrunk_power_coeffs, as_poly
 
 from test_mixedchar import haar_unitary
 
@@ -234,6 +234,17 @@ def test_shrunk_power_matches_companion_route_at_small_degree():
         dense = largest_root(laguerre_expected(n, a, d))
         assert abs(exact - dense) <= 1e-9 * max(1.0, abs(dense))
     assert shrunk_power_largest_root(5, 0, 0.3) == 0.0
+
+
+def test_shrunk_power_closed_form_equals_repeated_operator():
+    # the closed form gives the integers that applying (1 - d/dy) a times
+    # to y^n gives, exactly
+    for n, a in [(5, 3), (7, 40), (20, 1000), (1, 0), (3, 1), (2, 9)]:
+        coeffs = [0] * n + [1]
+        for _ in range(a):
+            coeffs = [coeffs[k] - (k + 1) * coeffs[k + 1] if k < n
+                      else coeffs[k] for k in range(n + 1)]
+        assert _shrunk_power_coeffs(n, a) == coeffs
 
 
 def test_shrunk_power_half_sample_edge():
