@@ -33,10 +33,10 @@ from .barrier import (AboveRootsEvidence, BarrierCertificate,
                       lemma_above_check, lemma_barrier_check,
                       monotonicity_convexity_probe)
 from .weaver import (ExperimentStats, Graph, GraphBasis, PartitionReport,
-                     WeaverInstance, gen_diagonal, gen_from_graph,
-                     gen_gaussian, improved_bound_r2, lift, measured_delta,
-                     normalize_isotropy, partition,
+                     WeaverInstance, block_node_poly, gen_diagonal,
+                     gen_from_graph, gen_gaussian, improved_bound_r2, lift,
+                     measured_delta, normalize_isotropy, partition,
                      random_partition_experiment, spectral_approx_check,
-                     two_part_node_poly, validate)
+                     validate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

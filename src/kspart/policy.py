@@ -14,14 +14,10 @@ raises CapacityError before any kernel runs when the prediction exceeds the
 cap.  A work unit is about one nanosecond on the 2-core machine the
 per-routine weights were measured on (Python 3.11, numpy 2.4), and each
 module documents its weights beside the routine.  The default, 1e11, is
-about 100 s there.  It admits two-part partitions of gauss(4, 1/8) (m=32:
-predicted 5.9e9, 5 s measured) and gauss(5, 1/4) (m=20: 2.2e9, 2 s), and
-refuses a two-part partition of gauss(8, 1/8) (m=64: predicted 2.5e15).
-Partitions into r >= 3 parts still descend on the lifted ensemble (a
-block-factorised formula split their multiple roots past the descent slack;
-see ``weaver``) and cost what the lift costs: a three-part gauss(4, 1/4)
-(m=16: predicted 2.2e11) is refused.  Working memory grows with the same
-counts, so the cap bounds it too.
+about 100 s there.  A partition's prediction is ``weaver.block_work``;
+the default admits a three-part partition of gauss(4, 1/4) (m=16:
+predicted 5.9e9, 3.7 s) and refuses one of gauss(4, 1/8) (m=32: 5.5e12).
+Working memory grows with the same counts, so the cap bounds it too.
 """
 from __future__ import annotations
 

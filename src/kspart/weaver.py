@@ -7,30 +7,40 @@ atom choices of the lifted ensemble are exactly the part labels, and a part's
 norm is 1/r times the norm of its lifted block sum.  The resulting guarantee
 is max part norm <= (1/sqrt(r) + sqrt(delta))^2.
 
-A two-part partition never builds the lift.  Every lifted determinant
-factors into two d x d blocks, so ``two_part_node_poly`` computes each node
-polynomial from d x d characteristic polynomials of the vectors' subset sums
-of size at most d, and ``descend`` walks those; at a leaf it takes the
-eigenvalues of the two part sums.  Partitions into r >= 3 parts still
-descend on the lift: a general-r version of the block formula, tried on
-Haar-rotated diag(3, 1/3) with r = 3, split the node polynomials' triple
-roots by about 2e-6, past the descent slack of 1e-8, and the descent raised
-DescentError on every one of 120 seeds, against 2 of the 120 for the lifted
-descent.  ``lift`` with ``descend`` stays as the oracle of the
-two-part engine.
+``partition`` never builds the lift.  Its nodes pin the first k vectors,
+which fold into the block bases P_b = r sum_{i < k, prefix_i = b} u_i u_i*,
+and every lifted determinant factors into r blocks of size d (Marcus,
+Spielman and Srivastava, "Interlacing families II").  Each block is
+multiaffine in the unpinned vectors U, so by Leibniz a node polynomial is
+
+    sum over disjoint S_0 .. S_{r-2} in U, |S_b| <= d, of
+        prod_b F_b(S_b) chi(P_{r-1} + sum_{i in U - union S_b} u_i u_i*),
+
+chi(M) = det(xI - M), the last block closing the sum over its own subsets.
+With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
+
+    F_b(S) = (-1)^|S| sum_{J in [d], |J| = |S|} |det W_b[J, S]|^2
+             prod_{j not in J} (x - lam_{b,j}),
+
+a signed nonnegative combination of minors, so nothing nearly equal is
+subtracted.  ``block_node_poly`` grows the products of the F blocks one
+block at a time over the splits of each union and closes them with d x d
+characteristic polynomials of subset sums; ``descend`` walks those nodes,
+and a leaf takes the eigenvalues of the r part sums.  ``lift`` with
+``descend`` on the ensemble stays as library API and as the oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg, realpoly
 from ._parallel import chunked, ordered_map
-from .interlace import (DescentTrace, NodeFamily, descend, descent_work,
-                        roots_work)
+from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
                         RandomVectorEnsemble, _expansion_tables, _readonly)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
@@ -322,95 +332,102 @@ def lift(inst: WeaverInstance, r: int,
 
 @dataclass(frozen=True)
 class _SubsetLattice:
-    """Subsets S of range(m) with |S| <= d, sorted by smallest element (the
-    empty set last; by size, then in ``combinations`` order, within), so
-    the subsets of range(k, m) are the rows from ``starts[k]`` on.
+    """Subsets S of range(m) with |S| <= size, sorted by smallest element
+    (the empty set last; by size, then in ``combinations`` order, within),
+    so the subsets of range(k, m) are the rows from ``starts[k]`` on.
 
-    members: each subset's elements, padded with m; sizes: |S|; upper,
-    lower: the rows of S and of S minus i, one entry per i in S, grouped
-    by i and then in the order of S's row; bounds[i]: where the group of i
-    starts.  Arrays are read-only because they are shared.
+    members: each subset's elements, ascending, padded with m; by_size[j]:
+    the rows of size j, ascending; last[s, j]: the last row of size at
+    most j among those whose smallest element is s; binom[n, j]: C(n, j).
+    Arrays are read-only because they are shared.
     """
 
     members: np.ndarray
-    sizes: np.ndarray
     starts: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    bounds: np.ndarray
+    by_size: tuple[np.ndarray, ...]
+    last: np.ndarray
+    binom: np.ndarray
+
+    def rank(self, members: np.ndarray) -> np.ndarray:
+        """Rows of the subsets, all of one size j, whose ascending elements
+        e_0 < .. < e_{j-1} are the rows of members: last[e_0, j] minus
+        sum_{t >= 1} C(m - 1 - e_t, j - t), which counts the lexicographic
+        rank of e_1..e_{j-1} back from the end."""
+        count, j = members.shape
+        if j == 0:
+            return np.full(count, self.members.shape[0] - 1)
+        row = self.last[members[:, 0], j]
+        for t in range(1, j):
+            row = row - self.binom[len(self.last) - 1 - members[:, t], j - t]
+        return row
 
 
 @lru_cache(maxsize=4)
-def _subset_lattice(m: int, d: int) -> _SubsetLattice:
-    kmax = min(m, d)
+def _subset_lattice(m: int, size: int) -> _SubsetLattice:
     # the subset expansion's layout: by size, then in combinations order
-    tab = _expansion_tables(m, kmax)
-    total = int(tab.offsets[-1])
-    members = np.full((total, kmax), m, dtype=np.intp)
+    tab = _expansion_tables(m, size)
+    members = np.full((int(tab.offsets[-1]), size), m, dtype=np.intp)
     for j, block in enumerate(tab.rows):
         members[tab.offsets[j]:tab.offsets[j + 1], :j] = block
-    sizes = np.repeat(np.arange(kmax + 1), tab.sizes)
-    low = members[:, 0] if kmax else np.full(total, m)
+    low = members[:, 0] if size else np.full(len(members), m)
     order = np.argsort(low, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(total)
-    element, upper, lower = [], [], []
-    for j in range(1, kmax + 1):
-        block = tab.rows[j]
-        for q in range(j):
-            rest = np.delete(block, q, axis=1)
-            # lexicographic rank of S minus its q-th element, as in the
-            # expansion: C(m, r) - 1 - sum_t C(m - 1 - s_t, r - t)
-            rank = np.full(len(block), tab.sizes[j - 1] - 1)
-            for t in range(j - 1):
-                rank -= tab.binom[m - 1 - rest[:, t], j - 1 - t]
-            element.append(block[:, q])
-            upper.append(row[tab.offsets[j] + np.arange(len(block))])
-            lower.append(row[tab.offsets[j - 1] + rank])
-    element, upper, lower = (np.concatenate(x) if x else
-                             np.zeros(0, dtype=np.intp)
-                             for x in (element, upper, lower))
-    grouped = np.lexsort((upper, element))
+    sizes = np.repeat(np.arange(size + 1), tab.sizes)[order]
+    starts = np.searchsorted(low[order], np.arange(m + 1))
+    # smallest element s, then at most size - 1 of the m - 1 - s above it
+    last = np.zeros((m, size + 1), dtype=np.intp)
+    last[:, 1:] = starts[:m, None] - 1 + np.cumsum(tab.binom[::-1, :size], 1)
     return _SubsetLattice(
-        members=_readonly(members[order]), sizes=_readonly(sizes[order]),
-        starts=_readonly(np.searchsorted(low[order], np.arange(m + 1))),
-        upper=_readonly(upper[grouped]), lower=_readonly(lower[grouped]),
-        bounds=_readonly(np.searchsorted(element[grouped],
-                                         np.arange(m + 1))))
+        members=_readonly(members[order]), starts=_readonly(starts),
+        by_size=tuple(_readonly(np.flatnonzero(sizes == j))
+                      for j in range(size + 1)),
+        last=_readonly(last), binom=tab.binom)
 
 
-# Work model of the two-part engine, in the units of NumericPolicy.work_cap
-# (see mixedchar), timed on nodes with n = 8..120 and d = 1..10:
-SUBSET_WORK_PER_DIM = 700
-"""A subset of a node's lattice costs SUBSET_WORK_PER_DIM * d +
-SUBSET_WORK_CUBE * d^3 for its two characteristic polynomials, its gathers,
-its share of the Moebius pass and its products: 1.0-1.2 us at d=2, 3.7 us
-at d=3, 6.0 us at d=4, 8.1 us at d=5, 23 us at d=8, 46 us at d=10."""
-SUBSET_WORK_CUBE = 40
-NODE_WORK = 200_000
-"""A node costs NODE_WORK + ELEMENT_WORK * n besides its subsets and its
-root finding, n being its unpinned vectors (one Moebius step each): about
-0.3 ms at n=8 and 1 ms at n=60."""
-ELEMENT_WORK = 10_000
+# Work model of the block engine, in the units of NumericPolicy.work_cap
+# (see mixedchar), fitted to 28 partitions of gen_gaussian(d, d/m) with
+# (d, r, m) from (1, 2, 60), (4, 2, 40), (2, 3, 40), (3, 3, 20), (2, 4, 16)
+# to (1, 20, 5), each predicted within a factor of 2:
+BLOCK_WORK = 330_000
+"""A node's fixed cost per block."""
+ROW_WORK = 5
+"""A closing-lattice row costs ROW_WORK * r d^3."""
+MINOR_WORK = 2_000
+"""A minor |det W[J, S]|^2 and its term of F(S)."""
+SPLIT_WORK = 17
+"""A split W = A + S of the growth at step b costs SPLIT_WORK times its
+(b d + 1)(d + 1) coefficient products and its |W| rank steps."""
 
 
-def _lattice_size(n: int, d: int) -> int:
-    return sum(math.comb(n, j) for j in range(min(n, d) + 1))
+def _node_work(n: int, d: int, r: int) -> int:
+    rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
+    minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
+    splits = 0
+    for b in range(1, r - 1):
+        sizes = [(math.comb(n, w) * math.comb(w, s), w)
+                 for w in range(min(n, (b + 1) * d) + 1)
+                 for s in range(max(0, w - b * d), min(w, d) + 1)]
+        count, ranks = sum(c for c, _ in sizes), sum(c * w for c, w in sizes)
+        if b * d < n:
+            splits += count * (b * d + 1) * (d + 1) + ranks
+            continue
+        # the later steps split the same unions, into wider products
+        later = r - 1 - b
+        splits += (count * (d + 1) * later * ((b + r - 2) * d + 2) // 2
+                   + later * ranks)
+        break
+    return (r * BLOCK_WORK + rows * ROW_WORK * r * d ** 3
+            + (r - 1) * minors * MINOR_WORK + splits * SPLIT_WORK)
 
 
-def _node_work(n: int, d: int) -> float:
-    return (NODE_WORK + ELEMENT_WORK * n + _lattice_size(n, d)
-            * (SUBSET_WORK_PER_DIM * d + SUBSET_WORK_CUBE * d ** 3))
-
-
-def two_part_work(m: int, d: int) -> float:
-    """Predicted work of a two-part ``partition`` of m vectors in dimension
-    d: the root node and two children at each level, each node costing
-    ``_node_work`` and one root finding of degree 2d (the cache hit at
-    level 0 is not counted on, and the two leaves, which take eigenvalues
-    instead, are counted as nodes)."""
-    node = lambda n: _node_work(n, d) + roots_work(2 * d)
-    return float(node(m) + 2 * sum(node(n) for n in range(m)))
+def block_work(m: int, d: int, r: int) -> float:
+    """Predicted work of an r-part ``partition`` of m vectors in dimension
+    d: the root node and r children at each level, each node costing its
+    closing-lattice rows, its (r - 1) sum_j C(n, j) C(d, j) minors, its
+    growth splits and one root finding of degree r d, n being its unpinned
+    vectors (the leaves, which take eigenvalues instead, count as nodes)."""
+    node = lambda n: _node_work(n, d, r) + roots_work(r * d)
+    return float(min(node(m) + r * sum(node(n) for n in range(m)),
+                     10 ** 300))
 
 
 def _outer_products(inst: WeaverInstance) -> np.ndarray:
@@ -421,113 +438,172 @@ def _outer_products(inst: WeaverInstance) -> np.ndarray:
                            np.zeros((1, d, d), dtype=np.complex128)))
 
 
-def _part_sums(outers: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
-    """P_0 and P_1: twice the outer products pinned to each block."""
-    bases = np.zeros((2,) + outers.shape[1:], dtype=np.complex128)
+def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
+               r: int) -> np.ndarray:
+    """P_0 .. P_{r-1}: r times the outer products pinned to each block."""
+    bases = np.zeros((r,) + outers.shape[1:], dtype=np.complex128)
     for i, t in enumerate(prefix):
-        bases[t] += 2.0 * outers[i]
+        bases[t] += r * outers[i]
     return bases
 
 
-def two_part_node_poly(inst: WeaverInstance, prefix,
-                       policy: NumericPolicy = DEFAULT_POLICY,
-                       cache: dict | None = None) -> np.ndarray:
-    """Node polynomial of the two-part descent, from the d-dimensional
-    vectors alone; it equals 2^k ``conditional_expected_poly(lift(inst, 2),
-    prefix)`` for a prefix of length k, and is monic of degree 2d.
-
-    The lifted covariances are I_2 (x) u u*, the pinned atoms fold into the
-    block bases P_b = 2 sum_{i < k, prefix_i = b} u_i u_i*, and every lifted
-    determinant factors into two blocks of size d (Marcus, Spielman and
-    Srivastava, "Interlacing families II").  With U = {k..m-1},
-    C = P_1 + sum_{i in U} u_i u_i* and chi(M) = det(xI - M),
-
-        mu = sum_{S subset U, |S| <= d} (-1)^|S| g(S) chi(C - sum_{i in S} u_i u_i*),
-        g(S) = sum_{T subset S} (-1)^{|S|-|T|} chi(P_0 - sum_{i in T} u_i u_i*),
-
-    where g(S) has degree d - |S|: the coefficients above it are rounding
-    noise and are dropped.  The sum over the second block's subsets closes
-    into one characteristic polynomial because the determinant is affine in
-    each rank-one term.  The polynomials come from ``char_poly_stack``
-    passes over the subsets, g from a Moebius pass over them, and mu from
-    the (d + 1)^2 dot products of their coefficient columns.  The block
-    swap leaves mu unchanged, so ``cache`` keys on the unordered pair
-    {P_0, P_1} and the unpinned vectors.
-    """
+def block_node_poly(inst: WeaverInstance, prefix, r: int,
+                    policy: NumericPolicy = DEFAULT_POLICY,
+                    cache: dict | None = None) -> np.ndarray:
+    """Node polynomial of the r-part descent at a prefix of length k, by
+    the block formula of the module docstring; it equals r^k
+    ``conditional_expected_poly(lift(inst, r), prefix)`` and is monic of
+    degree r d.  Blocks are taken in label order, and ``cache`` keys on
+    the ordered bases and the unpinned vectors."""
     prefix = tuple(int(t) for t in prefix)
+    r = int(r)
     m, d, k = inst.count, inst.dim, len(prefix)
-    if k > m or any(t not in (0, 1) for t in prefix):
-        raise ValidationError(f"prefix {prefix} is not a two-part prefix of "
-                              f"{m} vectors")
-    policy.admit(_node_work(m - k, d), f"two-part node over {m - k} vectors")
+    if r < 1 or k > m or any(not 0 <= t < r for t in prefix):
+        raise ValidationError(f"prefix {prefix} is not a prefix of labels "
+                              f"below {r} of {m} vectors")
+    policy.admit(_node_work(m - k, d, r), f"block node over {m - k} vectors")
     outers = _outer_products(inst)
-    return _node_poly(inst, outers, _part_sums(outers, prefix), k, cache)
+    return _node_poly(inst, outers, _part_sums(outers, prefix, r), k, cache)
+
+
+@lru_cache(maxsize=4)
+def _minor_table(m: int, size: int, d: int) -> tuple[np.ndarray, ...]:
+    """The minors behind F: for each row S of ``_subset_lattice(m, size)``
+    with 1 <= |S| <= d and each |S|-subset J of range(d), in row order,
+    then J in ``combinations`` order, the row, whether it is the row's
+    first minor, (-1)^|S|, the bitmask of J and the columns of [W; I]
+    whose determinant is +-det W[J, S]: S, then m + j for j not in J."""
+    lat, found = _subset_lattice(m, size), []
+    for s in range(1, min(d, size) + 1):
+        subsets = _expansion_tables(d, d).rows[s]
+        keep = np.ones((len(subsets), d), dtype=bool)
+        keep[np.arange(len(subsets))[:, None], subsets] = False
+        units = m + np.nonzero(keep)[1].reshape(len(subsets), d - s)
+        count = len(lat.by_size[s])
+        at = np.repeat(lat.by_size[s], len(subsets))
+        found.append((at, np.arange(len(at)) % len(subsets) == 0,
+                      np.full(len(at), (-1.0) ** s),
+                      np.tile(np.sum(1 << subsets, axis=1), count),
+                      np.concatenate((lat.members[at, :s],
+                                      np.tile(units, (count, 1))), axis=1)))
+    order = np.argsort(np.concatenate([x[0] for x in found]), kind="stable")
+    return tuple(_readonly(np.concatenate([x[i] for x in found])[order])
+                 for i in range(5))
+
+
+def _minor_polys(wt: np.ndarray, lam: np.ndarray, lat: _SubsetLattice,
+                 start: int) -> np.ndarray:
+    """F(S) for the lattice rows S from start, with W = wt^T and the
+    eigenvalues lam; zero on the rows with |S| > d."""
+    d = lam.shape[0]
+    # prod_{j not in J} (x - lam_j) for every J in range(d), at J's bitmask
+    comp = np.eye(1, d + 1)
+    for value in lam:
+        times = np.zeros_like(comp)
+        times[:, 1:] = comp[:, :-1]
+        comp = np.concatenate((times - value * comp, comp))
+    f = np.zeros((lat.members.shape[0] - start, d + 1))
+    f[-1] = comp[0]  # the empty set, last in every suffix
+    table = _minor_table(len(lat.last), lat.members.shape[1], d)
+    lo = np.searchsorted(table[0], start)
+    rows, heads, sign, masks, cols = (x[lo:] for x in table)
+    if rows.size:
+        weights = np.empty(len(rows))
+        ext = np.concatenate((wt, np.eye(d)))
+        for c in range(0, len(rows), CHUNK):
+            weights[c:c + CHUNK] = np.abs(
+                np.linalg.det(ext[cols[c:c + CHUNK]])) ** 2
+        heads = np.flatnonzero(heads)
+        f[rows[heads] - start] = np.add.reduceat(
+            (sign * weights)[:, None] * comp[masks], heads)
+    return f
+
+
+def _grow(g: np.ndarray, f: np.ndarray, b: int, lat: _SubsetLattice,
+          start: int) -> np.ndarray:
+    """G'(W) = sum of G(A) F(S) over the splits W = A + S with |S| <= d and
+    |A| <= b d, for the lattice rows W from start, g and f being indexed
+    by row - start; the splits of a union add by the size of S, each size
+    summed over S's positions in ``combinations`` order."""
+    d = f.shape[1] - 1
+    out = np.zeros((g.shape[0], g.shape[1] + d))
+    for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
+        unions = lat.by_size[w][np.searchsorted(lat.by_size[w], start):]
+        if not unions.size:  # nor any larger unions
+            break
+        for s in range(max(0, w - b * d), min(w, d) + 1):
+            pos = list(combinations(range(w), s))
+            rest = np.array([[q for q in range(w) if q not in p] for p in pos],
+                            dtype=np.intp)
+            pos = np.array(pos, dtype=np.intp)
+            step = max(1, CHUNK // len(pos))
+            for lo in range(0, len(unions), step):
+                members = lat.members[unions[lo:lo + step], :w]
+                count = len(members) * len(pos)
+                a = g[lat.rank(members[:, rest].reshape(count, w - s)) - start]
+                part = f[lat.rank(members[:, pos].reshape(count, s)) - start]
+                terms = np.zeros((count, out.shape[1]))
+                for c in range(d + 1):
+                    terms[:, c:c + g.shape[1]] += a * part[:, c:c + 1]
+                out[unions[lo:lo + step] - start] += terms.reshape(
+                    len(members), len(pos), -1).sum(axis=1)
+    return out
 
 
 def _node_poly(inst: WeaverInstance, outers: np.ndarray, bases: np.ndarray,
                k: int, cache: dict | None) -> np.ndarray:
-    """``two_part_node_poly`` at a prefix of length k with part sums bases,
+    """``block_node_poly`` at a prefix of length k with part sums bases,
     given ``_outer_products(inst)``."""
-    m, d = inst.count, inst.dim
-    b0, b1 = bases[0].tobytes(), bases[1].tobytes()
-    key = (min(b0, b1), max(b0, b1), inst.vectors[k:].tobytes())
+    m, d, r = inst.count, inst.dim, bases.shape[0]
+    key = (bases.shape, bases.tobytes(), inst.vectors[k:].tobytes())
     if cache is not None and key in cache:
         return cache[key]
-    p0, p1 = (bases[0], bases[1]) if b0 <= b1 else (bases[1], bases[0])
-    top = p1.copy()
-    for i in range(k, m):
-        top += outers[i]
-    lat = _subset_lattice(m, d)
+    lat = _subset_lattice(m, min(m, (r - 1) * d))
     start = lat.starts[k]
     rows = lat.members.shape[0] - start
-    g = np.empty((rows, d + 1))
+    g = np.ones((rows, 1))  # r = 1: the empty union only
+    if r > 1:
+        lam, basis = np.linalg.eigh(bases[:-1])
+        wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
+        g = _minor_polys(wt[0], lam[0], lat, start)
+        for b in range(1, r - 1):
+            g = _grow(g, _minor_polys(wt[b], lam[b], lat, start), b, lat,
+                      start)
+    # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
+    top = bases[-1].copy()
+    for i in range(k, m):
+        top += outers[i]
     h = np.empty((rows, d + 1))
-    # chi(P_0 - Q) and chi(C - Q) in one stack of at most CHUNK matrices
-    step = max(1, CHUNK // 2)
-    for lo in range(0, rows, step):
-        members = lat.members[start + lo:start + lo + step]
+    for lo in range(0, rows, CHUNK):
+        members = lat.members[start + lo:start + lo + CHUNK]
         q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
             q += outers[members[:, t]]
-        both = linalg.char_poly_stack(np.concatenate((p0 - q, top - q)))
-        g[lo:lo + len(q)], h[lo:lo + len(q)] = np.split(both, 2)
-    # Moebius pass, one element at a time: g(S) -= g(S - i) for S with i
-    for i in range(k, m):
-        a, b = lat.bounds[i], lat.bounds[i + 1]
-        c = a + np.searchsorted(lat.upper[a:b], start)
-        g[lat.upper[c:b] - start] -= g[lat.lower[c:b] - start]
-    sizes = lat.sizes[start:]
-    g[np.arange(d + 1) > d - sizes[:, None]] = 0.0
-    g[sizes % 2 == 1] *= -1.0
+        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
     products = np.einsum("sa,sb->ab", g, h)
-    mu = np.zeros(2 * d + 1)
-    for j in range(d + 1):
+    mu = np.zeros(r * d + 1)
+    for j in range(g.shape[1]):
         mu[j:j + d + 1] += products[j]
     if cache is not None:
         cache[key] = mu
     return mu
 
 
-def _two_part_family(inst: WeaverInstance,
-                     policy: NumericPolicy) -> NodeFamily:
-    """The two-part descent tree.  Inner nodes take the roots of
-    ``two_part_node_poly``.  A leaf's polynomial is chi(P_0) chi(P_1), so
-    its roots are the eigenvalues of the two part sums, taken exactly: from
-    the coefficients, a double eigenvalue shared by both parts is a
-    fourfold root that rounding scatters by about 1e-4, and roots of close
-    eigenvalues carry errors up to about 3e-8.
-
-    The outer products are built once, and a child's part sums are its
-    parent's plus 2 u_k u_k*, added in ``_part_sums``' order.
-    """
+def _block_family(inst: WeaverInstance, r: int,
+                  policy: NumericPolicy) -> NodeFamily:
+    """The r-part descent tree on ``block_node_poly``.  A leaf's roots are
+    the eigenvalues of the r part sums, exact where the coefficients of
+    prod_b chi(P_b) scatter a multiple root (by about 1e-4 for a double
+    eigenvalue shared by two parts).  The outer products are built once,
+    and a child's part sums are its parent's plus r u_k u_k*."""
     m = inst.count
     outers = _outer_products(inst)
-    sums = {(): _part_sums(outers, ())}
+    sums = {(): _part_sums(outers, (), r)}
 
     def part_sums(prefix):
         if prefix not in sums:
             bases = part_sums(prefix[:-1]).copy()
-            bases[prefix[-1]] += 2.0 * outers[len(prefix) - 1]
+            bases[prefix[-1]] += r * outers[len(prefix) - 1]
             sums[prefix] = bases
         return sums[prefix]
 
@@ -540,7 +616,7 @@ def _two_part_family(inst: WeaverInstance,
                                    return_counts=True)
         return realpoly.RootList(values, counts)
 
-    return NodeFamily((2,) * m, node)
+    return NodeFamily((r,) * m, node)
 
 
 def improved_bound_r2(delta: float) -> float:
@@ -568,20 +644,18 @@ def partition(inst: WeaverInstance, r: int,
               threads: int = 1) -> PartitionReport:
     """Partition the vectors into r parts by interlacing-family descent.
 
-    For r = 2 the descent walks ``two_part_node_poly`` and, at the leaves,
-    the eigenvalues of the two part sums; otherwise it runs on the lifted
-    ensemble.  Either way the chosen child of each vector is its part
-    label.  Each part norm is checked against (1/sqrt(r) + sqrt(delta))^2
-    with delta recomputed from the vectors.
-    The request is refused before any work when the descent's predicted
-    work exceeds the work cap.
+    The descent walks ``block_node_poly`` and, at the leaves, the
+    eigenvalues of the r part sums; the chosen child of each vector is its
+    part label.  Each part norm is checked against (1/sqrt(r) +
+    sqrt(delta))^2 with delta recomputed from the vectors.
+    The request is refused before any work when ``block_work`` exceeds the
+    work cap.
     """
     r = int(r)
     m, d = inst.count, inst.dim
-    if r == 2 and d < 1:
-        raise ValidationError("dimension must be positive")
-    policy.admit(two_part_work(m, d) if r == 2
-                 else descent_work((r,) * m, r * d),
+    if r < 1 or d < 1:
+        raise ValidationError("r and the dimension must be positive")
+    policy.admit(block_work(m, d, r),
                  f"partition of {m} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:
@@ -591,9 +665,7 @@ def partition(inst: WeaverInstance, r: int,
             f"vs declared delta {rep.delta_declared:.6g}"
         )
     delta = rep.max_norm_sq
-    family = (_two_part_family(inst, policy) if r == 2
-              else lift(inst, r, policy))
-    trace = descend(family, policy, threads=threads)
+    trace = descend(_block_family(inst, r, policy), policy, threads=threads)
     parts = tuple(
         tuple(i for i, c in enumerate(trace.final_assignment) if c == k)
         for k in range(r)

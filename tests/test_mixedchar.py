@@ -214,6 +214,7 @@ def no_kernels(monkeypatch):
 
     monkeypatch.setattr(linalg, "char_poly_stack", kernel)
     monkeypatch.setattr(np.linalg, "eigvalsh", kernel)
+    monkeypatch.setattr(np.linalg, "eigh", kernel)
     monkeypatch.setattr(np.linalg, "det", kernel)
 
 

@@ -6,6 +6,8 @@ import math
 import os
 import threading
 import time
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from kspart import (
     Graph,
     ValidationError,
     WeaverInstance,
+    block_node_poly,
     conditional_expected_poly,
     descend,
     exhaustive_minimum,
@@ -31,10 +34,9 @@ from kspart import (
     spectral_approx_check,
     validate,
 )
-from kspart import realpoly, weaver
+from kspart import interlace, mixedchar, realpoly, weaver
 from kspart._parallel import chunked, ordered_map, usable_cpus
-from kspart.linalg import char_poly_stack
-from kspart.weaver import laplacian, two_part_node_poly
+from kspart.weaver import laplacian
 
 from test_mixedchar import haar_unitary, no_kernels
 
@@ -266,7 +268,7 @@ def test_experiment_gaussian_concentrates():
     assert stats.success_frequency >= 0.5
 
 
-def two_part_instances():
+def block_instances():
     diag = gen_diagonal(3, 1.0 / 3.0)
     return {
         "gauss": gen_gaussian(3, 0.25, seed=0),
@@ -279,44 +281,158 @@ def two_part_instances():
     }
 
 
-def test_two_part_node_poly_matches_lifted_oracle():
+def relative_deviation(got, want):
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(want, float)))
+                 / np.max(np.abs(np.asarray(want, float))))
+
+
+def test_block_node_poly_matches_lifted_oracle():
     rng = np.random.default_rng(0)
-    for name, inst in two_part_instances().items():
-        e = lift(inst, 2)
-        for k in range(inst.count + 1):
-            for _ in range(2):
-                prefix = tuple(int(t) for t in rng.integers(0, 2, size=k))
-                got = two_part_node_poly(inst, prefix)
-                want = 2.0 ** k * conditional_expected_poly(e, prefix)
+    for r in (2, 3, 4):
+        for name, inst in block_instances().items():
+            e = lift(inst, r)
+            for k in range(inst.count + 1):
+                prefix = tuple(int(t) for t in rng.integers(0, r, size=k))
+                got = block_node_poly(inst, prefix, r)
+                want = float(r) ** k * conditional_expected_poly(e, prefix)
                 assert got[-1] == 1.0 and got.shape == want.shape
-                dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert dev <= 1e-12, (name, prefix, dev)
+                dev = relative_deviation(got, want)
+                assert dev <= 1e-12, (r, name, prefix, dev)
     with pytest.raises(ValidationError):
-        two_part_node_poly(gen_diagonal(1, 0.5), (0, 2))
+        block_node_poly(gen_diagonal(1, 0.5), (0, 2), 2)
+    with pytest.raises(ValidationError):
+        block_node_poly(gen_diagonal(1, 0.5), (), 0)
 
 
-def test_two_part_node_poly_cache_and_chunks(monkeypatch):
+def exact_char_poly(a):
+    """det(xI - A) of a Fraction matrix, ascending, by Faddeev-LeVerrier,
+    which divides only by integers."""
+    d = len(a)
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    b = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        mk = [[sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d)]
+              for i in range(d)]
+        coeffs[d - k] = c = -sum(mk[i][i] for i in range(d)) / k
+        b = [[mk[i][j] + (c if i == j else 0) for j in range(d)]
+             for i in range(d)]
+    return coeffs
+
+
+def exact_node_poly(outers, prefix, r):
+    """r^k E det(xI - lifted sum) at a prefix of length k, in Fractions:
+    the mean over all r^n labellings of the n unpinned vectors of
+    prod_b chi(r sum_{i labelled b} A_i)."""
+    m, d = len(outers), len(outers[0])
+    blocks = {}
+
+    def chi(members):
+        if members not in blocks:
+            blocks[members] = exact_char_poly(
+                [[sum((r * outers[i][p][q] for i in members), Fraction(0))
+                  for q in range(d)] for p in range(d)])
+        return blocks[members]
+
+    total = [Fraction(0)] * (r * d + 1)
+    for rest in product(range(r), repeat=m - len(prefix)):
+        labels = tuple(prefix) + rest
+        poly = [Fraction(1)]
+        for b in range(r):
+            block = chi(tuple(i for i in range(m) if labels[i] == b))
+            poly = [sum(poly[j] * block[t - j] for j in range(len(poly))
+                        if 0 <= t - j < len(block))
+                    for t in range(len(poly) + len(block) - 1)]
+        total = [x + y for x, y in zip(total, poly)]
+    return [x / r ** (m - len(prefix)) for x in total]
+
+
+def cayley(skew):
+    """The rational rotation (I + S)^-1 (I - S) of an integer skew S."""
+    d = len(skew)
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    rows = [[eye[i][j] + skew[i][j] for j in range(d)] + eye[i]
+            for i in range(d)]
+    for c in range(d):  # Gauss-Jordan; I + S is invertible for skew S
+        p = next(i for i in range(c, d) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], [x / rows[p][c] for x in rows[p]]
+        for i in range(d):
+            if i != c:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return [[sum(rows[i][d + t] * (eye[t][j] - skew[t][j]) for t in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+def rational_diagonal(skew=None):
+    """diag(3, 1/3), three copies of each e_j / sqrt(3), rotated by the
+    Cayley transform of skew: the exact outer products and the instance."""
+    d = 3
+    q = cayley(skew) if skew else [[Fraction(int(i == j)) for j in range(d)]
+                                   for i in range(d)]
+    cols = [j for j in range(d) for _ in range(3)]
+    outers = [[[q[p][c] * q[t][c] / 3 for t in range(d)] for p in range(d)]
+              for c in cols]
+    vecs = np.array([[float(q[p][c]) for p in range(d)] for c in cols])
+    return outers, WeaverInstance(d, vecs / math.sqrt(3.0), 1.0 / 3.0)
+
+
+def test_block_node_poly_matches_exact_oracle():
+    rng = np.random.default_rng(1)
+    for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]]):
+        outers, inst = rational_diagonal(skew)
+        for r, most in ((2, 9), (3, 6)):
+            for k in range(inst.count - most, inst.count + 1):
+                prefix = tuple(int(t) for t in rng.integers(0, r, size=k))
+                want = exact_node_poly(outers, prefix, r)
+                dev = relative_deviation(block_node_poly(inst, prefix, r),
+                                         want)
+                assert dev <= 1e-13, (skew, r, prefix, dev)
+
+
+def descent_prefixes(inst, r):
+    """The root, then every child of every inner node of the r-part
+    descent, in the walk's order; the last level's children are leaves."""
+    path = partition(inst, r).trace.final_assignment
+    return [()] + [path[:k] + (t,) for k in range(inst.count)
+                   for t in range(r)]
+
+
+def test_block_node_poly_cache_and_chunks(monkeypatch):
     inst = gen_gaussian(3, 0.25, seed=1)
     cache = {}
-    left = two_part_node_poly(inst, (0,), cache=cache)
-    # the block swap is one cache entry: level 0's children coincide
-    assert two_part_node_poly(inst, (1,), cache=cache) is left
-    assert len(cache) == 1
+    left = block_node_poly(inst, (0,), 2, cache=cache)
+    # blocks are taken in label order: the block swap is a second entry
+    right = block_node_poly(inst, (1,), 2, cache=cache)
+    assert right is not left and len(cache) == 2
+    assert block_node_poly(inst, (0,), 2, cache=cache) is left
+    assert np.allclose(right, left, rtol=1e-12, atol=1e-12)
     # equal pinned sums (none at the root) of another instance do not collide
     other = gen_gaussian(3, 0.25, seed=2)
-    two_part_node_poly(inst, (), cache=cache)
-    assert np.array_equal(two_part_node_poly(other, (), cache=cache),
-                          two_part_node_poly(other, ()))
-    for prefix in ((), (0, 1, 1), (1, 0, 0, 1, 0)):
-        want = two_part_node_poly(inst, prefix)
+    block_node_poly(inst, (), 2, cache=cache)
+    assert np.array_equal(block_node_poly(other, (), 2, cache=cache),
+                          block_node_poly(other, (), 2))
+    # one cache shared by two instances, in either order, returns the
+    # uncached bytes at every node of both walks
+    insts = {"gauss": gen_gaussian(3, 0.25, seed=0),
+             "k5": block_instances()["k5"]}
+    walks = {name: descent_prefixes(inst, 2) for name, inst in insts.items()}
+    for order in (list(insts), list(insts)[::-1]):
+        shared = {}
+        for name in order:
+            for prefix in walks[name]:
+                got = block_node_poly(insts[name], prefix, 2, cache=shared)
+                assert got.tobytes() == block_node_poly(
+                    insts[name], prefix, 2).tobytes(), (name, prefix)
+    for r, prefix in ((2, ()), (2, (0, 1, 1)), (2, (1, 0, 0, 1, 0)),
+                      (3, (2, 0)), (4, (3, 1, 0))):
+        want = block_node_poly(inst, prefix, r)
         for chunk in (3, 1):
             monkeypatch.setattr(weaver, "CHUNK", chunk)
-            assert np.array_equal(two_part_node_poly(inst, prefix), want)
+            assert np.array_equal(block_node_poly(inst, prefix, r), want)
         monkeypatch.undo()
 
 
 def test_two_part_partition_matches_lifted_descent():
-    cases = dict(two_part_instances(),
+    cases = dict(block_instances(),
                  k4=gen_from_graph(Graph(4, K4_EDGES))[0],
                  basis=WeaverInstance(2, np.eye(2), 1.0))
     for name, inst in cases.items():
@@ -334,18 +450,21 @@ def test_two_part_partition_matches_lifted_descent():
 
 
 def test_two_part_leaf_roots_are_part_eigenvalues():
-    # a part of K5 can share a double eigenvalue with the other part; from
+    # a part of K5 can share a double eigenvalue with another part; from
     # the coefficients of the leaf polynomial that fourfold root comes out
-    # about 1e-4 off on edge orders 4 and 11
+    # about 1e-4 off at r = 2 on edge orders 4 and 11, and the lifted
+    # descent's r = 3 leaves were off by 1e-11 to 3e-10
     edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     for seed in range(12):
         perm = np.random.default_rng(seed).permutation(len(edges))
         inst = gen_from_graph(Graph(5, tuple(
             (edges[j][0], edges[j][1], 1.0) for j in perm)))[0]
-        rep = partition(inst, 2)
-        # the leaf's roots are those of 2 * (each part's sum)
-        assert math.isclose(rep.trace.final_root, 2 * max(rep.part_norms),
-                            rel_tol=1e-12), seed
+        for r in (2, 3):
+            rep = partition(inst, r)
+            # the leaf's roots are those of r * (each part's sum)
+            assert math.isclose(rep.trace.final_root,
+                                r * max(rep.part_norms), rel_tol=1e-12), (
+                seed, r)
 
 
 def test_two_part_scale_rung():
@@ -362,10 +481,12 @@ def test_two_part_scale_rung():
 
 
 def test_two_part_refused_before_any_kernel(monkeypatch):
-    inst = gen_gaussian(8, 0.125, seed=0)  # m=64, d=8
+    two = gen_gaussian(8, 0.125, seed=0)  # m=64, d=8
+    three = gen_gaussian(4, 0.125, seed=0)  # m=32, d=4
     no_kernels(monkeypatch)
-    with pytest.raises(CapacityError, match="predicted work"):
-        partition(inst, 2)
+    for inst, r in ((two, 2), (three, 3)):
+        with pytest.raises(CapacityError, match="predicted work"):
+            partition(inst, r)
 
 
 def test_chunked_slices_lazily():
@@ -381,110 +502,54 @@ def test_experiment_refused_before_any_trial(monkeypatch):
         random_partition_experiment(inst, trials=10 ** 12)
 
 
-def reference_two_part_node_poly(inst, prefix, cache=None):
-    """The first two-part node body: outer products and part sums built
-    anew at every node, and two ``char_poly_stack`` calls per chunk of
-    ``weaver.CHUNK`` subsets."""
-    prefix = tuple(int(t) for t in prefix)
-    m, d, k = inst.count, inst.dim, len(prefix)
-    u = inst.vectors
-    outers = np.einsum("mj,mk->mjk", u, u.conj())
-    bases = np.zeros((2, d, d), dtype=np.complex128)
-    for i, t in enumerate(prefix):
-        bases[t] += 2.0 * outers[i]
-    b0, b1 = bases[0].tobytes(), bases[1].tobytes()
-    key = (min(b0, b1), max(b0, b1), u[k:].tobytes())
-    if cache is not None and key in cache:
-        return cache[key]
-    p0, p1 = (bases[0], bases[1]) if b0 <= b1 else (bases[1], bases[0])
-    top = p1.copy()
-    for i in range(k, m):
-        top += outers[i]
-    lat = weaver._subset_lattice(m, d)
-    start = lat.starts[k]
-    rows = lat.members.shape[0] - start
-    padded = np.concatenate((outers, np.zeros((1, d, d), dtype=np.complex128)))
-    g = np.empty((rows, d + 1))
-    h = np.empty((rows, d + 1))
-    for lo in range(0, rows, weaver.CHUNK):
-        members = lat.members[start + lo:start + lo + weaver.CHUNK]
-        q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
-        for t in range(members.shape[1]):
-            q += padded[members[:, t]]
-        g[lo:lo + len(q)] = char_poly_stack(p0 - q)
-        h[lo:lo + len(q)] = char_poly_stack(top - q)
-    for i in range(k, m):
-        a, b = lat.bounds[i], lat.bounds[i + 1]
-        c = a + np.searchsorted(lat.upper[a:b], start)
-        g[lat.upper[c:b] - start] -= g[lat.lower[c:b] - start]
-    sizes = lat.sizes[start:]
-    g[np.arange(d + 1) > d - sizes[:, None]] = 0.0
-    g[sizes % 2 == 1] *= -1.0
-    products = np.einsum("sa,sb->ab", g, h)
-    mu = np.zeros(2 * d + 1)
-    for j in range(d + 1):
-        mu[j:j + d + 1] += products[j]
-    if cache is not None:
-        cache[key] = mu
-    return mu
+def test_descent_nodes_are_block_node_polys(monkeypatch):
+    for r in (2, 3):
+        for name, inst in block_instances().items():
+            if r == 3 and name != "haar-diag":
+                continue
+            prefixes = descent_prefixes(inst, r)
+            m = inst.count
+            seen = []
+            real = realpoly.roots
+
+            def record(p, policy=DEFAULT_POLICY):
+                seen.append(p)
+                return real(p, policy)
+
+            monkeypatch.setattr(realpoly, "roots", record)
+            rep = partition(inst, r)
+            monkeypatch.undo()
+            inner = [p for p in prefixes if len(p) < m]
+            assert len(seen) == len(inner)
+            for p, prefix in zip(seen, inner):
+                want = block_node_poly(inst, prefix, r)
+                assert p.tobytes() == want.tobytes(), (r, name, prefix)
+            # the leaves' part sums, grown one vector at a time, are the
+            # ones summed anew
+            leaf = rep.trace.final_assignment
+            u = inst.vectors
+            bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()),
+                                      leaf, r)
+            values = np.unique(np.linalg.eigvalsh(bases))
+            assert rep.trace.final_root == values[-1]
 
 
-def descent_prefixes(inst):
-    """The root, then both children of every inner node of the two-part
-    descent, in the walk's order; the last level's children are leaves."""
-    path = partition(inst, 2).trace.final_assignment
-    return [()] + [path[:k] + (t,) for k in range(inst.count) for t in (0, 1)]
+def test_partition_never_reaches_the_lift(monkeypatch):
+    def lifted(*args, **kwargs):
+        raise AssertionError("partition reached the lifted ensemble")
 
-
-def oracle_instances():
-    return {"gauss": gen_gaussian(3, 0.25, seed=0),
-            "k5": two_part_instances()["k5"]}
-
-
-def test_two_part_node_poly_bit_identical_to_reference():
-    insts = oracle_instances()
-    walks = {name: descent_prefixes(inst) for name, inst in insts.items()}
-    shared = {}
-    for name, inst in insts.items():
-        for prefix in walks[name]:
-            want = reference_two_part_node_poly(inst, prefix).tobytes()
-            assert two_part_node_poly(inst, prefix).tobytes() == want
-            got = two_part_node_poly(inst, prefix, cache=shared)
-            assert got.tobytes() == want, (name, prefix)
-    # one cache shared by the two instances, in the other order
-    shared = {}
-    for name, inst in reversed(insts.items()):
-        for prefix in walks[name]:
-            assert (two_part_node_poly(inst, prefix, cache=shared).tobytes()
-                    == reference_two_part_node_poly(inst, prefix).tobytes())
-
-
-def test_two_part_descent_nodes_bit_identical_to_reference(monkeypatch):
-    for name, inst in oracle_instances().items():
-        prefixes = descent_prefixes(inst)
-        m = inst.count
-        seen = []
-        real = realpoly.roots
-
-        def record(p, policy=DEFAULT_POLICY):
-            seen.append(p)
-            return real(p, policy)
-
-        monkeypatch.setattr(realpoly, "roots", record)
-        rep = partition(inst, 2)
-        monkeypatch.undo()
-        inner = [p for p in prefixes if len(p) < m]
-        assert len(seen) == len(inner)
-        for p, prefix in zip(seen, inner):
-            want = reference_two_part_node_poly(inst, prefix)
-            assert p.tobytes() == want.tobytes(), (name, prefix)
-        # the leaves' part sums, grown one vector at a time, are the ones
-        # summed anew
-        leaf = rep.trace.final_assignment
-        u = inst.vectors
-        bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()), leaf)
-        values = np.unique(np.linalg.eigvalsh(bases))
-        assert rep.trace.final_root == values[-1]
+    monkeypatch.setattr(weaver, "lift", lifted)
+    monkeypatch.setattr(interlace, "conditional_expected_poly", lifted)
+    monkeypatch.setattr(mixedchar, "conditional_expected_poly", lifted)
+    monkeypatch.setattr(mixedchar, "_subset_mixed", lifted)
+    inst = gen_gaussian(2, 0.4, seed=3)
+    for r in (1, 2, 3, 4):
+        rep = partition(inst, r)
+        assert rep.within_bound and len(rep.parts) == r
+        assert sorted(i for part in rep.parts for i in part) == list(
+            range(inst.count))
+        assert math.isclose(rep.trace.final_root, r * max(rep.part_norms),
+                            rel_tol=1e-12)
 
 
 def test_ordered_map_starts_at_most_one_thread_per_cpu():
