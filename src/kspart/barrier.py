@@ -510,8 +510,8 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
 
     Starting from t * 1 with t = sqrt(eps) + eps, apply (1 - d_k) and step
     delta = 1 + sqrt(eps) along e_k for k = 1..m, recording every barrier
-    value and exact above-roots evidence.  epsilon defaults to the largest
-    trace.
+    value and exact above-roots evidence.  epsilon, positive and finite,
+    defaults to the largest trace.
     Instances with a matrix of rank two or more are refused: the exact
     multiaffine evaluation underpinning the certificate does not apply.
     So is a request whose ``certificate_work`` exceeds the work cap, before
@@ -534,8 +534,8 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
         )
     traces = [float(np.trace(a).real) for a in mats]
     eps = max(traces) if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not (eps > 0 and np.isfinite(eps)):
+        raise ValidationError("epsilon must be positive and finite")
     t = float(np.sqrt(eps) + eps)
     delta = float(1.0 + np.sqrt(eps))
     phi = float(eps / (eps + np.sqrt(eps)))

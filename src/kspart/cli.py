@@ -215,6 +215,8 @@ def cmd_chernoff(args) -> int:
 def cmd_laguerre(args) -> int:
     if args.n < 1 or not 0 < args.delta <= args.n:
         raise ValidationError("need n >= 1 and 0 < delta <= n")
+    if not np.isfinite(args.margin):
+        raise ValidationError("margin must be finite")
     applications = args.n / (2.0 * args.delta)
     if applications == float("inf"):
         raise ValidationError("delta is too small: n/(2 delta) overflows")

@@ -249,60 +249,78 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _ExpansionTables:
-    """Index tables of the subset expansion; they depend only on (m, kmax).
+class _SubsetLattice:
+    """Subsets S of range(m) with |S| <= size, sorted by smallest element
+    (the empty set last; by size, then in ``combinations`` order, within),
+    so the subsets of range(k, m) are the rows from ``starts[k]`` on, and
+    the rows of one size, in ascending order, are in ``combinations`` order.
 
-    rows[k]: the ``combinations(range(m), k)`` rows; offsets: where each size
-    block starts in the stack; binom: C(n, b) for n < m, b <= kmax, plus a
-    zero column; col[k], sign[k], base[k]: per subset T of a k-subset S, in
-    the loop's order, the binomial column of each position of S (the zero
-    column when outside T), the sign (-1)^{k-|T|} and the last stack row of
-    the size block of T.  Arrays are read-only because they are shared.
+    members: each subset's elements, ascending, padded with m; starts[k]
+    for k <= m; by_size[j]: the rows of size j, ascending; binom[n, j]:
+    C(n, j) for n < m.  Arrays are read-only because they are shared.
     """
 
-    sizes: tuple[int, ...]
-    offsets: np.ndarray
-    rows: tuple[np.ndarray, ...]
+    members: np.ndarray
+    starts: np.ndarray
+    by_size: tuple[np.ndarray, ...]
     binom: np.ndarray
-    col: tuple[np.ndarray | None, ...]
-    sign: tuple[np.ndarray | None, ...]
-    base: tuple[np.ndarray | None, ...]
+
+    def rank(self, members: np.ndarray) -> np.ndarray:
+        """Rows of the subsets, all of one size j, whose ascending elements
+        are the rows of members."""
+        j = members.shape[1]
+        return self.sub_rows(members, _positions(j, j))[0][:, 0]
+
+    def sub_rows(self, rows: np.ndarray, *positions: np.ndarray) -> list:
+        """For each (count, j) array of ascending positions, the row of
+        {S[q] : q in p} for each row S of rows (its elements, ascending)
+        and each row p of the array, shape (len(rows), count).
+
+        The j-subset e_0 < .. < e_{j-1} is by_size[j] at its lexicographic
+        rank C(m, j) - 1 - sum_t C(m - 1 - e_t, j - t)."""
+        m = len(self.binom)
+        table = self.binom[m - 1 - rows]  # C(m - 1 - S[q], b) at [S, q, b]
+        found = []
+        for pos in positions:
+            count, j = pos.shape
+            lex = np.full((len(rows), count), math.comb(m, j) - 1)
+            for t in range(j):
+                lex -= table[:, pos[:, t], j - t]
+            found.append(self.by_size[j][lex])
+        return found
 
 
-@lru_cache(maxsize=16)
-def _expansion_tables(m: int, kmax: int) -> _ExpansionTables:
-    sizes = tuple(math.comb(m, k) for k in range(kmax + 1))
-    offsets = np.cumsum((0,) + sizes)
-    rows = tuple(_readonly(np.array(list(combinations(range(m), k)),
-                                    dtype=np.intp).reshape(n, k))
-                 for k, n in enumerate(sizes))
-    # Lexicographic rank of T = (t_0 < .. < t_{r-1}) among r-subsets of
-    # range(m) is C(m, r) - 1 - sum_j C(m-1-t_j, r-j); the last column of the
-    # binomial table is zero and stands for positions of S outside T.
-    binom = np.zeros((m, kmax + 2), dtype=np.intp)
-    for n in range(m):
-        binom[n, :kmax + 1] = [math.comb(n, b) for b in range(kmax + 1)]
-    last_row = offsets[1:] - 1  # of each size block of the stack
-    cols, signs, bases = [None], [None], [None]
-    for k in range(1, kmax + 1):
-        # the 2^k subsets T of S by size, then in combinations order; the
-        # j-th element of T, at position q of S, enters with b = r - j
-        size_of, qs, bs, ts = [], [], [], []
-        for r in range(k + 1):
-            for p in combinations(range(k), r):
-                for j, q in enumerate(p):
-                    qs.append(q)
-                    bs.append(r - j)
-                    ts.append(len(size_of))
-                size_of.append(r)
-        col = np.full((k, len(size_of)), kmax + 1, dtype=np.intp)
-        col[qs, ts] = bs
-        size_of = np.array(size_of)
-        cols.append(_readonly(col))
-        signs.append(_readonly(np.where((k - size_of) % 2, -1.0, 1.0)))
-        bases.append(_readonly(last_row[size_of]))
-    return _ExpansionTables(sizes, _readonly(offsets), rows, _readonly(binom),
-                            tuple(cols), tuple(signs), tuple(bases))
+@lru_cache(maxsize=64)
+def _positions(k: int, r: int) -> np.ndarray:
+    """``combinations(range(k), r)`` as a read-only (C(k, r), r) array."""
+    return _readonly(np.array(list(combinations(range(k), r)),
+                              dtype=np.intp).reshape(math.comb(k, r), r))
+
+
+@lru_cache(maxsize=4)
+def _subset_lattice(m: int, size: int) -> _SubsetLattice:
+    total = sum(math.comb(m, j) for j in range(size + 1))
+    members = np.full((total, size), m, dtype=np.intp)
+    sizes = np.zeros(total, dtype=np.intp)  # the empty set, last, is size 0
+    starts, at = [], 0
+    for s in range(m):
+        starts.append(at)
+        # smallest element s, then at most size - 1 of the m - 1 - s above it
+        for j in range(1, size + 1):
+            rest = list(combinations(range(s + 1, m), j - 1))
+            members[at:at + len(rest), 0] = s
+            members[at:at + len(rest), 1:j] = np.array(
+                rest, dtype=np.intp).reshape(len(rest), j - 1)
+            sizes[at:at + len(rest)] = j
+            at += len(rest)
+    starts.append(at)
+    binom = np.array([[math.comb(n, j) for j in range(size + 1)]
+                      for n in range(m)], dtype=np.intp).reshape(m, size + 1)
+    return _SubsetLattice(
+        members=_readonly(members), starts=_readonly(np.array(starts)),
+        by_size=tuple(_readonly(np.flatnonzero(sizes == j))
+                      for j in range(size + 1)),
+        binom=_readonly(binom))
 
 
 def _subset_mixed(mats: list[np.ndarray], d: int,
@@ -310,50 +328,60 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
     """Subset-expansion engine; mats are validated Hermitian PSD.
 
     Refused before any work when ``expansion_work(m, d)`` exceeds the work
-    cap.  Subsets S of size k <= min(m, d) are laid out by size, then in
-    ``combinations`` order; row T of the stack holds -sum_{i in T} A_i,
-    subtracted in index order from zero, and only CHUNK rows of the stack
-    exist at a time.  The summation order is part of the contract: c_S
-    adds sign * h_T[d-k] over T subset S by size, then in
+    cap.  Subsets S of size k <= min(m, d) are the rows of
+    ``_subset_lattice(m, min(m, d))``; row T of the stack holds
+    -sum_{i in T} A_i, subtracted in index order from zero, and only CHUNK
+    rows of the stack exist at a time.  The summation order is part of the
+    contract: c_S adds sign * h_T[d-k] over T subset S by size, then in
     ``combinations(S, r)`` order, one term at a time, and mu[d-k] adds the
-    signed c_S in subset order.  Sequential ``cumsum`` keeps that order
-    (``np.sum`` would sum pairwise), so every coefficient is bit-identical
-    to the plain loop.  The order matters because the descent compares the
-    chosen child's largest root with its parent's within descent_slack
-    (1e-8 by default), and a multiple root that rounding splits apart moves
-    by about the square root of a last-bit change: on diag(3,1/3) with
-    r=3, another rounding of the node polynomials makes the descent raise
-    DescentError.
+    signed c_S in ``combinations`` order.  Sequential ``cumsum`` keeps that
+    order (``np.sum`` would sum pairwise), so every coefficient is
+    bit-identical to the plain loop.
+
+    ``partition`` does not run this engine; the order protects the lifted
+    descent (``descend`` on ``weaver.lift``), the test oracle of
+    ``partition``.  The descent compares the chosen child's largest root
+    with its parent's within descent_slack (1e-8 by default), and a
+    multiple root that rounding splits apart moves by about the square
+    root of a last-bit change.  The regrouped expansion mu[d-k] = (-1)^k
+    sum_j (-1)^(k-j) C(m-j, k-j) H_j[d-k], H_j summing h_T over |T| = j,
+    is much cheaper but was measured 9-14 times less accurate against
+    exact rationals on the r=3 lift of diag(3,1/3) (largest coefficient
+    error over largest coefficient 2.9e-14 against 2.1e-15 at prefix (0,),
+    1.5e-14 against 1.6e-15 at (0, 1), 9.4e-15 against 1.1e-15 at
+    (0, 1, 2)), and with it the lifted descent of that instance raises
+    DescentError at level 1.
     """
     m = len(mats)
     policy.admit(expansion_work(m, d), f"subset expansion of {m} matrices")
     kmax = min(m, d)
-    tab = _expansion_tables(m, kmax)
-    sizes, offsets, rows = tab.sizes, tab.offsets, tab.rows
+    lat = _subset_lattice(m, kmax)
     a = np.asarray(mats, dtype=np.complex128)
     # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector
-    h = np.empty((offsets[-1], d + 1))
+    h = np.empty((lat.members.shape[0], d + 1))
     for k in range(kmax + 1):
-        for lo in range(0, sizes[k], CHUNK):
-            idx = rows[k][lo:lo + CHUNK]
-            block = np.zeros((idx.shape[0], d, d), dtype=np.complex128)
+        for lo in range(0, len(lat.by_size[k]), CHUNK):
+            rows = lat.by_size[k][lo:lo + CHUNK]
+            block = np.zeros((len(rows), d, d), dtype=np.complex128)
             for j in range(k):
-                block -= a[idx[:, j]]
-            h[offsets[k] + lo:offsets[k] + lo + idx.shape[0]] = \
-                linalg.char_poly_stack(block)
+                block -= a[lat.members[rows, j]]
+            h[rows] = linalg.char_poly_stack(block)
     mu = np.zeros(d + 1)
     mu[d] = 1.0
     for k in range(1, kmax + 1):
-        col, sign, base = tab.col[k], tab.sign[k], tab.base[k]
+        # the 2^k subsets T of S, as positions in S: by size, then in
+        # combinations order
+        pos = [_positions(k, r) for r in range(k + 1)]
+        sign = np.concatenate([np.full(len(p), -1.0 if (k - r) % 2 else 1.0)
+                               for r, p in enumerate(pos)])
         h_k = h[:, d - k]
-        c = np.empty(sizes[k])
+        rows = lat.by_size[k]
+        c = np.empty(len(rows))
         # no per-step index table larger than a CHUNK of the stack
-        step = max(1, 2 * CHUNK * d * d // max(col.shape[1], k * (kmax + 2)))
-        for lo in range(0, sizes[k], step):
-            table = tab.binom[(m - 1) - rows[k][lo:lo + step]]
-            t_rows = base - table[:, 0, col[0]]
-            for q in range(1, k):
-                t_rows -= table[:, q, col[q]]
+        step = max(1, 2 * CHUNK * d * d // 2 ** k)
+        for lo in range(0, len(rows), step):
+            t_rows = np.concatenate(
+                lat.sub_rows(lat.members[rows[lo:lo + step], :k], *pos), axis=1)
             c[lo:lo + step] = np.cumsum(sign * h_k[t_rows], axis=1)[:, -1]
         if k % 2:
             c = -c

@@ -17,6 +17,8 @@ module documents its weights beside the routine.  The default, 1e11, is
 about 100 s there.  A partition's prediction is ``weaver.block_work``;
 the default admits a three-part partition of gauss(4, 1/4) (m=16:
 predicted 5.9e9, 3.7 s) and refuses one of gauss(4, 1/8) (m=32: 5.5e12).
+It admits the mixed polynomial of 24 rank-one 8x8 matrices (3.3e10:
+21-24 s in 246 MB peak).
 Working memory grows with the same counts, so the cap bounds it too.
 """
 from __future__ import annotations

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -42,7 +41,8 @@ from . import linalg, realpoly
 from ._parallel import chunked, ordered_map
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
-                        RandomVectorEnsemble, _expansion_tables, _readonly)
+                        RandomVectorEnsemble, _positions, _readonly,
+                        _subset_lattice, _SubsetLattice)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
 
@@ -330,59 +330,6 @@ def lift(inst: WeaverInstance, r: int,
     return RandomVectorEnsemble(r * d, tuple(vectors))
 
 
-@dataclass(frozen=True)
-class _SubsetLattice:
-    """Subsets S of range(m) with |S| <= size, sorted by smallest element
-    (the empty set last; by size, then in ``combinations`` order, within),
-    so the subsets of range(k, m) are the rows from ``starts[k]`` on.
-
-    members: each subset's elements, ascending, padded with m; by_size[j]:
-    the rows of size j, ascending; last[s, j]: the last row of size at
-    most j among those whose smallest element is s; binom[n, j]: C(n, j).
-    Arrays are read-only because they are shared.
-    """
-
-    members: np.ndarray
-    starts: np.ndarray
-    by_size: tuple[np.ndarray, ...]
-    last: np.ndarray
-    binom: np.ndarray
-
-    def rank(self, members: np.ndarray) -> np.ndarray:
-        """Rows of the subsets, all of one size j, whose ascending elements
-        e_0 < .. < e_{j-1} are the rows of members: last[e_0, j] minus
-        sum_{t >= 1} C(m - 1 - e_t, j - t), which counts the lexicographic
-        rank of e_1..e_{j-1} back from the end."""
-        count, j = members.shape
-        if j == 0:
-            return np.full(count, self.members.shape[0] - 1)
-        row = self.last[members[:, 0], j]
-        for t in range(1, j):
-            row = row - self.binom[len(self.last) - 1 - members[:, t], j - t]
-        return row
-
-
-@lru_cache(maxsize=4)
-def _subset_lattice(m: int, size: int) -> _SubsetLattice:
-    # the subset expansion's layout: by size, then in combinations order
-    tab = _expansion_tables(m, size)
-    members = np.full((int(tab.offsets[-1]), size), m, dtype=np.intp)
-    for j, block in enumerate(tab.rows):
-        members[tab.offsets[j]:tab.offsets[j + 1], :j] = block
-    low = members[:, 0] if size else np.full(len(members), m)
-    order = np.argsort(low, kind="stable")
-    sizes = np.repeat(np.arange(size + 1), tab.sizes)[order]
-    starts = np.searchsorted(low[order], np.arange(m + 1))
-    # smallest element s, then at most size - 1 of the m - 1 - s above it
-    last = np.zeros((m, size + 1), dtype=np.intp)
-    last[:, 1:] = starts[:m, None] - 1 + np.cumsum(tab.binom[::-1, :size], 1)
-    return _SubsetLattice(
-        members=_readonly(members[order]), starts=_readonly(starts),
-        by_size=tuple(_readonly(np.flatnonzero(sizes == j))
-                      for j in range(size + 1)),
-        last=_readonly(last), binom=tab.binom)
-
-
 # Work model of the block engine, in the units of NumericPolicy.work_cap
 # (see mixedchar), fitted to 28 partitions of gen_gaussian(d, d/m) with
 # (d, r, m) from (1, 2, 60), (4, 2, 40), (2, 3, 40), (3, 3, 20), (2, 4, 16)
@@ -475,7 +422,7 @@ def _minor_table(m: int, size: int, d: int) -> tuple[np.ndarray, ...]:
     whose determinant is +-det W[J, S]: S, then m + j for j not in J."""
     lat, found = _subset_lattice(m, size), []
     for s in range(1, min(d, size) + 1):
-        subsets = _expansion_tables(d, d).rows[s]
+        subsets = _positions(d, s)
         keep = np.ones((len(subsets), d), dtype=bool)
         keep[np.arange(len(subsets))[:, None], subsets] = False
         units = m + np.nonzero(keep)[1].reshape(len(subsets), d - s)
@@ -504,7 +451,7 @@ def _minor_polys(wt: np.ndarray, lam: np.ndarray, lat: _SubsetLattice,
         comp = np.concatenate((times - value * comp, comp))
     f = np.zeros((lat.members.shape[0] - start, d + 1))
     f[-1] = comp[0]  # the empty set, last in every suffix
-    table = _minor_table(len(lat.last), lat.members.shape[1], d)
+    table = _minor_table(len(lat.binom), lat.members.shape[1], d)
     lo = np.searchsorted(table[0], start)
     rows, heads, sign, masks, cols = (x[lo:] for x in table)
     if rows.size:
@@ -532,21 +479,17 @@ def _grow(g: np.ndarray, f: np.ndarray, b: int, lat: _SubsetLattice,
         if not unions.size:  # nor any larger unions
             break
         for s in range(max(0, w - b * d), min(w, d) + 1):
-            pos = list(combinations(range(w), s))
-            rest = np.array([[q for q in range(w) if q not in p] for p in pos],
-                            dtype=np.intp)
-            pos = np.array(pos, dtype=np.intp)
+            # complements run through combinations order backwards
+            pos, rest = _positions(w, s), _positions(w, w - s)[::-1]
             step = max(1, CHUNK // len(pos))
             for lo in range(0, len(unions), step):
-                members = lat.members[unions[lo:lo + step], :w]
-                count = len(members) * len(pos)
-                a = g[lat.rank(members[:, rest].reshape(count, w - s)) - start]
-                part = f[lat.rank(members[:, pos].reshape(count, s)) - start]
-                terms = np.zeros((count, out.shape[1]))
+                part, a = lat.sub_rows(lat.members[unions[lo:lo + step], :w],
+                                       pos, rest)
+                part, a = f[part - start], g[a - start]
+                terms = np.zeros(part.shape[:2] + out.shape[1:])
                 for c in range(d + 1):
-                    terms[:, c:c + g.shape[1]] += a * part[:, c:c + 1]
-                out[unions[lo:lo + step] - start] += terms.reshape(
-                    len(members), len(pos), -1).sum(axis=1)
+                    terms[..., c:c + g.shape[1]] += a * part[..., c:c + 1]
+                out[unions[lo:lo + step] - start] += terms.sum(axis=1)
     return out
 
 
@@ -776,6 +719,8 @@ def random_partition_experiment(inst: WeaverInstance, r: int = 2,
         raise ValidationError("r must be at least 1")
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
+    if not math.isfinite(threshold):
+        raise ValidationError("threshold must be finite")
     r = int(r)
     m, d = inst.count, inst.dim
     dirs = _diagonal_directions(inst)

@@ -190,6 +190,18 @@ def test_certify_instance_and_ensemble(tmp_path):
     assert payload["bound"] == pytest.approx(2.25)
 
 
+def test_certify_non_finite_epsilon_exits_2(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    rep = tmp_path / "cert.json"
+    assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
+                 "--out", inst]) == 0
+    for eps in ("nan", "inf", "0"):
+        assert main(["certify", "--in", inst, "--epsilon", eps,
+                     "--out", str(rep)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_certify_rank_two_exits_4(tmp_path):
     from kspart import FiniteSupportVector, RandomVectorEnsemble
     v = FiniteSupportVector([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
@@ -248,6 +260,19 @@ def test_chernoff_refused_before_any_trial_exits_4(tmp_path, monkeypatch,
     assert "predicted work" in capsys.readouterr().err
 
 
+def test_chernoff_non_finite_threshold_exits_2(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    rep = tmp_path / "rep.json"
+    assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
+                 "--out", inst]) == 0
+    for threshold in ("nan", "inf", "-inf"):
+        assert main(["experiment", "chernoff", "--in", inst, "--trials", "5",
+                     f"--threshold={threshold}", "--csv",
+                     str(tmp_path / "t.csv"), "--out", str(rep)]) == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_memory_error_exits_4(monkeypatch, capsys):
     from kspart import cli
 
@@ -302,6 +327,15 @@ def test_laguerre_row(tmp_path):
     pol.write_text("{}\n")
     assert main(["experiment", "laguerre", "--n", "50", "--delta", "0.1",
                  "--csv", out_csv, "--numeric-policy", str(pol)]) == 2
+
+
+def test_laguerre_non_finite_margin_exits_2(tmp_path, capsys):
+    out_csv = tmp_path / "l.csv"
+    for margin in ("nan", "inf", "-inf"):
+        assert main(["experiment", "laguerre", "--n", "50", "--delta", "0.1",
+                     f"--margin={margin}", "--csv", str(out_csv)]) == 2
+        assert "margin must be finite" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_laguerre_tiny_delta_finishes(tmp_path):

@@ -290,6 +290,38 @@ def test_policy_reaches_instance_and_vector_checks():
     assert abs(float(np.sum(v.probabilities)) - 1.0) < 1e-15
 
 
+# -- the subset lattice of both expansion engines ---------------------------
+
+@pytest.mark.parametrize("m", range(10))
+def test_subset_lattice_layout_and_rank(m):
+    for size in range(m + 1):
+        lat = mixedchar._subset_lattice(m, size)
+        members = lat.members
+        subsets = [tuple(int(e) for e in row if e < m) for row in members]
+        assert sorted(subsets) == sorted(
+            c for j in range(size + 1) for c in combinations(range(m), j))
+        assert all(row[len(s):].tolist() == [m] * (size - len(s))
+                   for row, s in zip(members, subsets))
+        for j in range(size + 1):
+            rows = lat.by_size[j]
+            assert [subsets[i] for i in rows] == \
+                list(combinations(range(m), j))
+            assert np.array_equal(lat.rank(members[rows, :j]), rows)
+            # every position tuple of every length, the empty one included
+            pos = [list(combinations(range(j), t)) for t in range(j + 1)]
+            got = lat.sub_rows(members[rows, :j], *(
+                np.array(p, dtype=np.intp).reshape(len(p), t)
+                for t, p in enumerate(pos)))
+            for p, found in zip(pos, got):
+                assert found.shape == (len(rows), len(p))
+                for c, q in enumerate(p):
+                    assert np.array_equal(found[:, c],
+                                          lat.rank(members[rows][:, list(q)]))
+        for k in range(m + 1):
+            above = [i for i, s in enumerate(subsets) if min(s, default=m) >= k]
+            assert above == list(range(lat.starts[k], len(members)))
+
+
 # -- bit-for-bit reference for the subset expansion ------------------------
 
 def reference_subset_mixed(mats, d):
