@@ -52,18 +52,22 @@ def _open_csv(path: str):
     return open(path, "w", newline=""), True
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer, as numpy's generators take."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _integer(least: int, kind: str):
+    """An option type: a decimal integer no smaller than least.  --seed
+    takes 0 and up, as numpy's generators do, and --threads 1 and up."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 # options that several subcommands share
 SHARED = {
-    "seed": dict(type=_seed, default=0, help="RNG seed, at least 0"),
-    "threads": dict(type=int, default=1,
+    "seed": dict(type=_integer(0, "non-negative"), default=0,
+                 help="RNG seed, at least 0"),
+    "threads": dict(type=_integer(1, "positive"), default=1,
                     help="worker threads, at most one per usable CPU; "
                          "output bytes do not depend on them"),
     "numeric-policy": dict(metavar="FILE",

@@ -10,7 +10,6 @@ most that of the expected characteristic polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -43,8 +42,8 @@ def roots_work(dim: int) -> float:
 def descent_work(support_sizes: tuple[int, ...], dim: int) -> float:
     """Predicted work of ``descend`` on an ensemble with these support sizes
     in dimension dim: the root and every child along the walk cost one
-    subset expansion and one root finding each (the prefix-sum cache is not
-    counted on)."""
+    subset expansion and one root finding each, and the walk asks for no
+    node twice."""
     nodes = 1 + sum(support_sizes)
     return nodes * (expansion_work(len(support_sizes), dim) + roots_work(dim))
 
@@ -105,11 +104,12 @@ def _profile_beats(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 @dataclass(frozen=True)
 class NodeFamily:
     """The tree ``descend`` walks: the number of children at each level and
-    ``node(prefix, cache)``, which returns the roots of the node polynomial
-    at a prefix and may memoize in ``cache``."""
+    ``node(prefix)``, which returns the roots of the node polynomial at a
+    prefix.  ``descend`` asks for the root and for the children of each node
+    it chooses, each prefix once, so ``node`` keeps no memo."""
 
     support_sizes: tuple[int, ...]
-    node: Callable[[tuple[int, ...], dict], realpoly.RootList]
+    node: Callable[[tuple[int, ...]], realpoly.RootList]
 
 
 def descend(e: RandomVectorEnsemble | NodeFamily,
@@ -136,10 +136,9 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
                      f"descent over {len(e.vectors)} vectors")
         family = NodeFamily(
             e.support_sizes,
-            lambda prefix, cache: realpoly.roots(
-                conditional_expected_poly(e, prefix, policy, cache), policy))
-    cache: dict = {}
-    top = family.node((), cache)
+            lambda prefix: realpoly.roots(
+                conditional_expected_poly(e, prefix, policy), policy))
+    top = family.node(())
     if top.values.size == 0:
         raise ValidationError("constant polynomial has no largest root")
     parent_root = float(top.values[-1])
@@ -148,7 +147,7 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
     steps = []
     for level, size in enumerate(family.support_sizes):
         # the root node's roots show that every node has degree >= 1
-        child_sets = ordered_map(lambda t: family.node(prefix + (t,), cache),
+        child_sets = ordered_map(lambda t: family.node(prefix + (t,)),
                                  range(size), threads=threads)
         child_roots = [float(r.values[-1]) for r in child_sets]
         best = min(child_roots)
@@ -209,18 +208,17 @@ def verify_interlacing_family(e: RandomVectorEnsemble,
     so it is refused up front when ``family_work`` exceeds the work cap.
     """
     policy.admit(family_work(e, policy), "interlacing family verification")
-    cache: dict = {}
     violations = []
     nodes = 0
-    for k in range(len(e.vectors)):
-        sizes = e.support_sizes[:k]
-        for prefix in product(*(range(s) for s in sizes)):
+    # one level of the tree at a time, in prefix order: the children of a
+    # level are the parents of the next, so each node is computed once
+    level = [((), conditional_expected_poly(e, (), policy))]
+    for size in e.support_sizes:
+        below = []
+        for prefix, parent in level:
             nodes += 1
-            parent = conditional_expected_poly(e, prefix, policy, cache)
-            children = [
-                conditional_expected_poly(e, prefix + (t,), policy, cache)
-                for t in range(e.vectors[k].support_size)
-            ]
+            children = [conditional_expected_poly(e, prefix + (t,), policy)
+                        for t in range(size)]
             total = np.zeros_like(parent)
             for c in children:
                 total += c
@@ -237,6 +235,8 @@ def verify_interlacing_family(e: RandomVectorEnsemble,
                         prefix, "common-interlacing",
                         "sampled convex combination not real-rooted",
                     ))
+            below.extend((prefix + (t,), c) for t, c in enumerate(children))
+        level = below
     return FamilyReport(nodes_checked=nodes, violations=tuple(violations))
 
 

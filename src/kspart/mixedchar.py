@@ -292,12 +292,12 @@ class _SubsetLattice:
 
 @lru_cache(maxsize=64)
 def _positions(k: int, r: int) -> np.ndarray:
-    """``combinations(range(k), r)`` as a read-only (C(k, r), r) array."""
+    """``combinations(range(k), r)`` as a read-only (C(k, r), r) array;
+    cached, since k is at most a lattice size, never m."""
     return _readonly(np.array(list(combinations(range(k), r)),
                               dtype=np.intp).reshape(math.comb(k, r), r))
 
 
-@lru_cache(maxsize=4)
 def _subset_lattice(m: int, size: int) -> _SubsetLattice:
     total = sum(math.comb(m, j) for j in range(size + 1))
     members = np.full((total, size), m, dtype=np.intp)
@@ -396,8 +396,7 @@ def mixed_char_poly(inst: MixedInstance,
 
 
 def conditional_expected_poly(e: RandomVectorEnsemble, prefix,
-                              policy: NumericPolicy = DEFAULT_POLICY,
-                              cache: dict | None = None) -> np.ndarray:
+                              policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Tree-node polynomial of the interlacing family.
 
     With the first k vectors pinned to the atoms named by ``prefix``, this is
@@ -405,41 +404,25 @@ def conditional_expected_poly(e: RandomVectorEnsemble, prefix,
     polynomial of the pinned outer products together with the covariances of
     the remaining vectors.  prefix = () recovers the expected characteristic
     polynomial of the whole ensemble; a full-length prefix gives the scaled
-    characteristic polynomial of one outcome.
-
-    A deterministic prefix enters the expectation only through the sum of its
-    outer products, so when ``cache`` is supplied the unscaled polynomial is
-    memoized under (prefix-sum matrix, remaining covariances) and shared
-    between prefixes with equal sums.
+    characteristic polynomial of one outcome.  Every call runs its own
+    subset expansion: a walk of the tree asks for each node once.
     """
     prefix = tuple(int(t) for t in prefix)
     if len(prefix) > len(e.vectors):
         raise ValidationError("prefix is longer than the ensemble")
-    k = len(prefix)
-    prefix_sum = np.zeros((e.dim, e.dim), dtype=np.complex128)
     weight = 1.0
-    for i in range(k):
-        v = e.vectors[i]
+    mats = []
+    for i, v in enumerate(e.vectors):
+        if i >= len(prefix):
+            mats.append(covariance(v))
+            continue
         t = prefix[i]
         if not (0 <= t < v.support_size):
             raise ValidationError(f"prefix index {t} out of range for vector {i}")
         w = v.values[t]
-        prefix_sum += np.outer(w, w.conj())
+        mats.append(np.outer(w, w.conj()))
         weight *= float(v.probabilities[t])
-    key = (prefix_sum.tobytes(), k) if cache is not None else None
-    if key is not None and key in cache:
-        return weight * cache[key]
-    mats = []
-    for i, v in enumerate(e.vectors):
-        if i < k:
-            w = v.values[prefix[i]]
-            mats.append(np.outer(w, w.conj()))
-        else:
-            mats.append(covariance(v))
-    unscaled = _subset_mixed(mats, e.dim, policy)
-    if key is not None:
-        cache[key] = unscaled
-    return weight * unscaled
+    return weight * _subset_mixed(mats, e.dim, policy)
 
 
 @dataclass(frozen=True)

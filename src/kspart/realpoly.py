@@ -74,16 +74,20 @@ def one_minus_c_derivative(p, c: float) -> np.ndarray:
 
 
 def laguerre_expected(n: int, applications: int, delta: float) -> np.ndarray:
-    """(1 - delta d/dx)^applications applied to x^n."""
+    """(1 - delta d/dx)^applications applied to x^n, in closed form: the
+    coefficient of x^(n-j) is c_{n-j} delta^j, c being
+    ``_shrunk_power_coeffs(n, applications)``, taken exactly and rounded
+    once, so the cost does not grow with the number of applications."""
     if n < 0 or applications < 0:
         raise ValidationError("degree and application count must be nonnegative")
-    if delta < 0:
-        raise ValidationError("shrinkage constant must be nonnegative")
-    p = np.zeros(n + 1)
-    p[n] = 1.0
-    for _ in range(applications):
-        p = one_minus_c_derivative(p, delta)
-    return p
+    if not (0 <= delta < float("inf")):
+        raise ValidationError("shrinkage constant must be nonnegative and finite")
+    exact = Fraction(delta)
+    try:
+        return np.array([float(c * exact ** (n - k)) for k, c in
+                         enumerate(_shrunk_power_coeffs(n, applications))])
+    except OverflowError:
+        raise ValidationError("a coefficient exceeds the float range") from None
 
 
 def gaussian_expected_poly(dim: int, delta: float) -> np.ndarray:
@@ -480,21 +484,27 @@ def separate_check(fs, s: float, t: float,
     multiplicity) inside [s, t], and all values at s share a sign, as do all
     values at t.  The sum then has exactly one root in the window, located
     between the smallest and largest of the individual window roots.
+    Every root test, the sum's and the bracket's included, is widened by
+    interlace_rtol relative to the tested polynomial's largest root.
     """
     polys = [as_poly(f) for f in fs]
     if not polys:
         raise ValidationError("need at least one polynomial")
     if not (s < t):
         raise ValidationError("window must satisfy s < t")
+
+    def in_window(p):
+        found = roots(p, policy).expand()
+        slack = policy.interlace_rtol * (
+            1.0 + float(np.max(np.abs(found), initial=0.0)))
+        return found[(found >= s - slack) & (found <= t + slack)], slack
+
     window_roots = []
     sign_s: list[int] = []
     sign_t: list[int] = []
     problems = []
     for i, p in enumerate(polys):
-        rl = roots(p, policy)
-        expanded = rl.expand()
-        slack = policy.interlace_rtol * (1.0 + float(np.max(np.abs(expanded))) if expanded.size else 1.0)
-        inside = expanded[(expanded >= s - slack) & (expanded <= t + slack)]
+        inside, _ = in_window(p)
         if inside.size != 1:
             problems.append(f"polynomial {i}: {inside.size} roots in window, expected 1")
             continue
@@ -513,10 +523,9 @@ def separate_check(fs, s: float, t: float,
     total = polys[0]
     for p in polys[1:]:
         total = npp.polyadd(total, p)
-    sum_inside = roots(total, policy).expand()
-    sum_inside = sum_inside[(sum_inside >= s) & (sum_inside <= t)]
+    sum_inside, slack = in_window(total)
     lo, hi = float(min(window_roots)), float(max(window_roots))
-    ok = sum_inside.size == 1 and lo - 1e-9 <= sum_inside[0] <= hi + 1e-9
+    ok = sum_inside.size == 1 and lo - slack <= sum_inside[0] <= hi + slack
     return SeparationReport(
         window=(float(s), float(t)),
         individual_roots=tuple(window_roots),

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -377,12 +376,17 @@ def block_work(m: int, d: int, r: int) -> float:
                      10 ** 300))
 
 
-def _outer_products(inst: WeaverInstance) -> np.ndarray:
-    """u_i u_i* for i < m, then one zero matrix, the padding that
-    ``_SubsetLattice.members`` indexes."""
-    u, d = inst.vectors, inst.dim
-    return np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
-                           np.zeros((1, d, d), dtype=np.complex128)))
+def _node_tables(inst: WeaverInstance, r: int) -> tuple:
+    """What every node of the r-part descent reads: u_i u_i* for i < m and
+    a zero matrix, the padding of ``_SubsetLattice.members``; the lattice
+    of the unions of the first r - 1 blocks; and its ``_minor_table`` if
+    it holds more than the empty set.  Built once per partition."""
+    u, m, d = inst.vectors, inst.count, inst.dim
+    outers = np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
+                             np.zeros((1, d, d), dtype=np.complex128)))
+    size = min(m, (r - 1) * d)
+    lat = _subset_lattice(m, size)
+    return outers, lat, _minor_table(lat, d) if size else None
 
 
 def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
@@ -395,13 +399,11 @@ def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
 
 
 def block_node_poly(inst: WeaverInstance, prefix, r: int,
-                    policy: NumericPolicy = DEFAULT_POLICY,
-                    cache: dict | None = None) -> np.ndarray:
+                    policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Node polynomial of the r-part descent at a prefix of length k, by
     the block formula of the module docstring; it equals r^k
     ``conditional_expected_poly(lift(inst, r), prefix)`` and is monic of
-    degree r d.  Blocks are taken in label order, and ``cache`` keys on
-    the ordered bases and the unpinned vectors."""
+    degree r d.  Blocks are taken in label order."""
     prefix = tuple(int(t) for t in prefix)
     r = int(r)
     m, d, k = inst.count, inst.dim, len(prefix)
@@ -409,18 +411,18 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
         raise ValidationError(f"prefix {prefix} is not a prefix of labels "
                               f"below {r} of {m} vectors")
     policy.admit(_node_work(m - k, d, r), f"block node over {m - k} vectors")
-    outers = _outer_products(inst)
-    return _node_poly(inst, outers, _part_sums(outers, prefix, r), k, cache)
+    tables = _node_tables(inst, r)
+    return _node_poly(inst, tables, _part_sums(tables[0], prefix, r), k)
 
 
-@lru_cache(maxsize=4)
-def _minor_table(m: int, size: int, d: int) -> tuple[np.ndarray, ...]:
-    """The minors behind F: for each row S of ``_subset_lattice(m, size)``
-    with 1 <= |S| <= d and each |S|-subset J of range(d), in row order,
-    then J in ``combinations`` order, the row, whether it is the row's
-    first minor, (-1)^|S|, the bitmask of J and the columns of [W; I]
-    whose determinant is +-det W[J, S]: S, then m + j for j not in J."""
-    lat, found = _subset_lattice(m, size), []
+def _minor_table(lat: _SubsetLattice, d: int) -> tuple[np.ndarray, ...]:
+    """The minors behind F: for each row S of lat with 1 <= |S| <= d and
+    each |S|-subset J of range(d), in row order, then J in
+    ``combinations`` order, the row, whether it is the row's first minor,
+    (-1)^|S|, the bitmask of J and the columns of [W; I] whose determinant
+    is +-det W[J, S]: S, then m + j for j not in J."""
+    m, size = len(lat.binom), lat.members.shape[1]
+    found = []
     for s in range(1, min(d, size) + 1):
         subsets = _positions(d, s)
         keep = np.ones((len(subsets), d), dtype=bool)
@@ -439,9 +441,10 @@ def _minor_table(m: int, size: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 def _minor_polys(wt: np.ndarray, lam: np.ndarray, lat: _SubsetLattice,
-                 start: int) -> np.ndarray:
-    """F(S) for the lattice rows S from start, with W = wt^T and the
-    eigenvalues lam; zero on the rows with |S| > d."""
+                 table: tuple[np.ndarray, ...], start: int) -> np.ndarray:
+    """F(S) for the lattice rows S from start, with W = wt^T, the
+    eigenvalues lam and ``_minor_table(lat, d)``; zero on the rows with
+    |S| > d."""
     d = lam.shape[0]
     # prod_{j not in J} (x - lam_j) for every J in range(d), at J's bitmask
     comp = np.eye(1, d + 1)
@@ -451,7 +454,6 @@ def _minor_polys(wt: np.ndarray, lam: np.ndarray, lat: _SubsetLattice,
         comp = np.concatenate((times - value * comp, comp))
     f = np.zeros((lat.members.shape[0] - start, d + 1))
     f[-1] = comp[0]  # the empty set, last in every suffix
-    table = _minor_table(len(lat.binom), lat.members.shape[1], d)
     lo = np.searchsorted(table[0], start)
     rows, heads, sign, masks, cols = (x[lo:] for x in table)
     if rows.size:
@@ -493,25 +495,22 @@ def _grow(g: np.ndarray, f: np.ndarray, b: int, lat: _SubsetLattice,
     return out
 
 
-def _node_poly(inst: WeaverInstance, outers: np.ndarray, bases: np.ndarray,
-               k: int, cache: dict | None) -> np.ndarray:
+def _node_poly(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
+               k: int) -> np.ndarray:
     """``block_node_poly`` at a prefix of length k with part sums bases,
-    given ``_outer_products(inst)``."""
+    given ``_node_tables(inst, r)``."""
     m, d, r = inst.count, inst.dim, bases.shape[0]
-    key = (bases.shape, bases.tobytes(), inst.vectors[k:].tobytes())
-    if cache is not None and key in cache:
-        return cache[key]
-    lat = _subset_lattice(m, min(m, (r - 1) * d))
+    outers, lat, minors = tables
     start = lat.starts[k]
     rows = lat.members.shape[0] - start
     g = np.ones((rows, 1))  # r = 1: the empty union only
     if r > 1:
         lam, basis = np.linalg.eigh(bases[:-1])
         wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
-        g = _minor_polys(wt[0], lam[0], lat, start)
+        g = _minor_polys(wt[0], lam[0], lat, minors, start)
         for b in range(1, r - 1):
-            g = _grow(g, _minor_polys(wt[b], lam[b], lat, start), b, lat,
-                      start)
+            g = _grow(g, _minor_polys(wt[b], lam[b], lat, minors, start), b,
+                      lat, start)
     # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
     top = bases[-1].copy()
     for i in range(k, m):
@@ -527,8 +526,6 @@ def _node_poly(inst: WeaverInstance, outers: np.ndarray, bases: np.ndarray,
     mu = np.zeros(r * d + 1)
     for j in range(g.shape[1]):
         mu[j:j + d + 1] += products[j]
-    if cache is not None:
-        cache[key] = mu
     return mu
 
 
@@ -537,10 +534,12 @@ def _block_family(inst: WeaverInstance, r: int,
     """The r-part descent tree on ``block_node_poly``.  A leaf's roots are
     the eigenvalues of the r part sums, exact where the coefficients of
     prod_b chi(P_b) scatter a multiple root (by about 1e-4 for a double
-    eigenvalue shared by two parts).  The outer products are built once,
-    and a child's part sums are its parent's plus r u_k u_k*."""
+    eigenvalue shared by two parts).  ``_node_tables`` are built once for
+    the tree and freed with it.  Part sums are kept by prefix: a child's
+    are its parent's plus r u_k u_k*."""
     m = inst.count
-    outers = _outer_products(inst)
+    tables = _node_tables(inst, r)
+    outers = tables[0]
     sums = {(): _part_sums(outers, (), r)}
 
     def part_sums(prefix):
@@ -550,11 +549,11 @@ def _block_family(inst: WeaverInstance, r: int,
             sums[prefix] = bases
         return sums[prefix]
 
-    def node(prefix, cache):
+    def node(prefix):
         bases = part_sums(prefix)
         if len(prefix) < m:
-            return realpoly.roots(_node_poly(inst, outers, bases, len(prefix),
-                                             cache), policy)
+            return realpoly.roots(_node_poly(inst, tables, bases, len(prefix)),
+                                  policy)
         values, counts = np.unique(np.linalg.eigvalsh(bases),
                                    return_counts=True)
         return realpoly.RootList(values, counts)

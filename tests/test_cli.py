@@ -365,6 +365,18 @@ def test_seed_must_be_non_negative_integer(argv, seed, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["partition", "--in", "inst.json"],
+    ["mixed", "--in", "ens.json"],
+    ["experiment", "chernoff", "--in", "inst.json"],
+], ids=["partition", "mixed", "chernoff"])
+@pytest.mark.parametrize("threads", ["0", "-3", "1.5", "x"])
+def test_threads_must_be_positive_integer(argv, threads, capsys):
+    assert main(argv + ["--threads", threads]) == 2
+    assert "--threads: expected a positive integer" in \
+        capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["partition", "--in", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -2,6 +2,8 @@
 sandwich between the exhaustive optimum and the root polynomial, and the
 family verifier."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from kspart import (
     lift,
     verify_interlacing_family,
 )
-from kspart import realpoly
+from kspart import interlace, realpoly
 
 from test_mixedchar import bernoulli_diagonal, no_kernels, random_ensemble
 
@@ -115,6 +117,22 @@ def test_verify_family_singleton_and_random():
         d = int(rng.integers(1, 4))
         e = random_ensemble(rng, d, int(rng.integers(1, 4)), 3)
         assert verify_interlacing_family(e).ok
+
+
+def test_verify_family_computes_each_tree_node_once(monkeypatch):
+    asked = []
+    real = interlace.conditional_expected_poly
+
+    def counting(e, prefix, policy):
+        asked.append(tuple(prefix))
+        return real(e, prefix, policy)
+
+    monkeypatch.setattr(interlace, "conditional_expected_poly", counting)
+    e = random_ensemble(np.random.default_rng(5), 2, 3, 3)
+    assert verify_interlacing_family(e).ok
+    sizes = e.support_sizes
+    assert asked == [prefix for k in range(len(sizes) + 1)
+                     for prefix in product(*map(range, sizes[:k]))]
 
 
 def test_verify_family_draws_policy_combo_samples(monkeypatch):

@@ -177,13 +177,12 @@ def test_conditional_tree_sum_and_leaves():
     for _ in range(10):
         d = int(rng.integers(1, 4))
         e = random_ensemble(rng, d, int(rng.integers(1, 5)), 3)
-        cache = {}
         for k in range(len(e.vectors)):
             prefix = tuple(int(rng.integers(0, e.support_sizes[j]))
                            for j in range(k))
-            parent = conditional_expected_poly(e, prefix, cache=cache)
+            parent = conditional_expected_poly(e, prefix)
             total = sum(
-                conditional_expected_poly(e, prefix + (t,), cache=cache)
+                conditional_expected_poly(e, prefix + (t,))
                 for t in range(e.support_sizes[k]))
             scale = max(1.0, float(np.max(np.abs(parent))))
             assert np.max(np.abs(total - parent)) <= 1e-9 * scale
@@ -194,7 +193,7 @@ def test_conditional_tree_sum_and_leaves():
         for v, t in zip(e.vectors, full):
             weight *= v.probabilities[t]
             outcome += np.outer(v.values[t], v.values[t].conj())
-        got = conditional_expected_poly(e, full, cache=cache)
+        got = conditional_expected_poly(e, full)
         want = weight * char_poly(outcome)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, weight)
 

@@ -84,6 +84,26 @@ def test_laguerre_expected_examples():
     assert np.allclose(laguerre_expected(3, 0, 0.5), [0.0, 0.0, 0.0, 1.0])
 
 
+def test_laguerre_expected_closed_form():
+    # small cases agree with applying the operator one step at a time
+    for n in range(7):
+        for a in range(9):
+            for delta in (0.0, 0.1, 0.3, 1.0, 2.5):
+                want = np.zeros(n + 1)
+                want[n] = 1.0
+                for _ in range(a):
+                    want = one_minus_c_derivative(want, delta)
+                np.testing.assert_allclose(laguerre_expected(n, a, delta),
+                                           want, rtol=1e-12, atol=1e-12)
+    # 2e9 applications cost no more than two: (x - 1/2)^4, nearly
+    p = gaussian_expected_poly(4, 1e-9)
+    np.testing.assert_allclose(p, from_roots([0.5] * 4), rtol=1e-8)
+    with pytest.raises(ValidationError):
+        laguerre_expected(4, 10 ** 200, 1.0)
+    with pytest.raises(ValidationError):
+        laguerre_expected(2, 1, float("nan"))
+
+
 def test_roots_multiplicities():
     rl = roots([0.25, -1.0, 1.0])  # (x - 1/2)^2
     assert rl.total == 2
@@ -183,6 +203,16 @@ def test_separate_check_trivial_cases():
     assert rep.ok and abs(rep.sum_root - 3.0) < 1e-9
     rep = separate_check([from_roots([1.5]), from_roots([1.5])], 0.5, 2.5)
     assert rep.ok and abs(rep.sum_root - 1.5) < 1e-9
+
+
+def test_separate_check_root_on_window_edge():
+    # the sum shares the root a with both terms, at the window's edge
+    for a in np.linspace(0.1, 3.0, 60):
+        for b in (5.0, 6.0, 7.5):
+            rep = separate_check([from_roots([a, b]), from_roots([a, b + 1.3])],
+                                 0.0, a)
+            assert rep.ok, (a, b)
+            assert abs(rep.sum_root - a) <= 1e-12 * b, (a, b)
 
 
 def test_separate_check_rejects_bad_premises():

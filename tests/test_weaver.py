@@ -2,6 +2,7 @@
 its norm guarantee, graph spectral comparisons, and the random-partition
 Monte-Carlo baseline."""
 
+import gc
 import math
 import os
 import threading
@@ -398,30 +399,6 @@ def descent_prefixes(inst, r):
 
 def test_block_node_poly_cache_and_chunks(monkeypatch):
     inst = gen_gaussian(3, 0.25, seed=1)
-    cache = {}
-    left = block_node_poly(inst, (0,), 2, cache=cache)
-    # blocks are taken in label order: the block swap is a second entry
-    right = block_node_poly(inst, (1,), 2, cache=cache)
-    assert right is not left and len(cache) == 2
-    assert block_node_poly(inst, (0,), 2, cache=cache) is left
-    assert np.allclose(right, left, rtol=1e-12, atol=1e-12)
-    # equal pinned sums (none at the root) of another instance do not collide
-    other = gen_gaussian(3, 0.25, seed=2)
-    block_node_poly(inst, (), 2, cache=cache)
-    assert np.array_equal(block_node_poly(other, (), 2, cache=cache),
-                          block_node_poly(other, (), 2))
-    # one cache shared by two instances, in either order, returns the
-    # uncached bytes at every node of both walks
-    insts = {"gauss": gen_gaussian(3, 0.25, seed=0),
-             "k5": block_instances()["k5"]}
-    walks = {name: descent_prefixes(inst, 2) for name, inst in insts.items()}
-    for order in (list(insts), list(insts)[::-1]):
-        shared = {}
-        for name in order:
-            for prefix in walks[name]:
-                got = block_node_poly(insts[name], prefix, 2, cache=shared)
-                assert got.tobytes() == block_node_poly(
-                    insts[name], prefix, 2).tobytes(), (name, prefix)
     for r, prefix in ((2, ()), (2, (0, 1, 1)), (2, (1, 0, 0, 1, 0)),
                       (3, (2, 0)), (4, (3, 1, 0))):
         want = block_node_poly(inst, prefix, r)
@@ -532,6 +509,44 @@ def test_descent_nodes_are_block_node_polys(monkeypatch):
                                       leaf, r)
             values = np.unique(np.linalg.eigvalsh(bases))
             assert rep.trace.final_root == values[-1]
+
+
+def test_descent_asks_for_each_node_once(monkeypatch):
+    # the root, then the r children of each chosen node: 1 + r m prefixes
+    asked = []
+
+    def counting(node, at=0):
+        def wrapped(*args):
+            asked.append(args[at])
+            return node(*args)
+        return wrapped
+
+    for name, r in (("gauss", 2), ("gauss", 3), ("haar-diag", 3)):
+        inst = block_instances()[name]
+        family = weaver._block_family(inst, r, DEFAULT_POLICY)
+        asked.clear()
+        descend(interlace.NodeFamily(family.support_sizes,
+                                     counting(family.node)))
+        assert len(asked) == len(set(asked)) == 1 + r * inst.count, (name, r)
+    # on an ensemble each node is one conditional_expected_poly call
+    monkeypatch.setattr(interlace, "conditional_expected_poly",
+                        counting(interlace.conditional_expected_poly, 1))
+    for name, r in (("diag", 2), ("haar-diag", 3)):
+        inst = block_instances()[name]
+        asked.clear()
+        descend(lift(inst, r))
+        assert len(asked) == len(set(asked)) == 1 + r * inst.count, (name, r)
+
+
+def test_no_subset_lattice_outlives_its_call():
+    inst = block_instances()["gauss"]
+    mixedchar.mixed_char_poly(mixedchar.MixedInstance(3, tuple(
+        np.outer(u, u.conj()) for u in inst.vectors)))
+    for r in (2, 3):
+        partition(inst, r)
+    gc.collect()
+    assert not [x for x in gc.get_objects()
+                if isinstance(x, mixedchar._SubsetLattice)]
 
 
 def test_partition_never_reaches_the_lift(monkeypatch):
