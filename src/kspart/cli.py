@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .barrier import build_certificate
-from .mixedchar import (ensemble_instance, expected_char_poly_bruteforce,
-                        mixed_char_poly)
+from .mixedchar import (MixedInstance, ensemble_instance,
+                        expected_char_poly_bruteforce, mixed_char_poly)
 from .policy import (DEFAULT_POLICY, CapabilityError, CapacityError,
                      DescentError, KsError, NumericPolicy, RootednessError,
                      ValidationError)
@@ -185,7 +185,6 @@ def cmd_certify(args) -> int:
 
 def ensemble_instance_from_vectors(inst: WeaverInstance,
                                    policy: NumericPolicy = DEFAULT_POLICY):
-    from .mixedchar import MixedInstance
     outers = np.einsum("mi,mj->mij", inst.vectors, inst.vectors.conj())
     return MixedInstance(inst.dim, tuple(outers), policy)
 

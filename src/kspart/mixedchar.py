@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import linalg
+from . import linalg, realpoly
 from ._parallel import ordered_map
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
@@ -438,8 +438,6 @@ class CohenReport:
 def cohen_inequality_check(inst: MixedInstance,
                            policy: NumericPolicy = DEFAULT_POLICY) -> CohenReport:
     """Numerically confirm lambda_max(sum A_i) <= lambda_max(mu)."""
-    from . import realpoly
-
     total = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
     for m in inst.matrices:
         total += m

@@ -4,12 +4,13 @@ Every tolerance used by the library lives in one NumericPolicy record so a
 single override propagates consistently.  Tolerances are relative to a natural
 scale of the data wherever one exists.
 
-One cap, ``work_cap``, bounds the size of a request.  Each exponential entry
+One cap, ``work_cap``, bounds the size of a request.  Each costly entry
 point (the subset expansion behind ``mixed_char_poly`` and
 ``conditional_expected_poly``, the brute-force oracle, ``partition`` and
 ``descend``, ``exhaustive_minimum``, ``verify_interlacing_family``,
-``build_certificate`` and the random-partition experiment) predicts its
-work in closed form from the input sizes alone, and ``NumericPolicy.admit``
+``build_certificate``, the random-partition experiment and the
+shrunk-power root of ``experiment laguerre``) predicts its work in closed
+form from the input sizes alone, and ``NumericPolicy.admit``
 raises CapacityError before any kernel runs when the prediction exceeds the
 cap.  A work unit is about one nanosecond on the 2-core machine the
 per-routine weights were measured on (Python 3.11, numpy 2.4), and each

@@ -9,8 +9,9 @@ floats (on plain arrays for the polish), by ``npp.polyval``'s operations,
 so it gives numpy's bits without numpy's per-call overhead.
 
 No function takes a per-call tolerance, sample count or seed: those come
-from the NumericPolicy argument or the module constants COMBO_SEED (the
-sampled tests) and NEWTON_RTOL (shrunk_power_largest_root).
+from the NumericPolicy argument or the module constant COMBO_SEED (the
+sampled tests).  shrunk_power_largest_root needs none: its bisection runs
+until the bracket cannot narrow.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .policy import (
 )
 
 COMBO_SEED = 0
-NEWTON_RTOL = 1e-13
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -117,18 +117,26 @@ def _shrunk_power_coeffs(n: int, a: int) -> list[int]:
     return coeffs
 
 
-def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
-    """Largest root of (1 - delta d/dx)^applications x^n, computed exactly.
+# Work model of shrunk_power_largest_root, in the units of
+# NumericPolicy.work_cap (see policy), timed at k = 5 .. 100000 (0.7 ms at
+# k = 50, 0.33 s at k = 20000, 1.9 s at k = 100000), each predicted within
+# a factor of 1.3:
+PIVOT_WORK = 300
+"""One pivot of a Sturm count."""
 
-    Beyond degree ~20 the float64 monomial coefficients of this polynomial no
-    longer determine its clustered roots, so companion-matrix root finding
-    falls apart.  Substituting x = delta*y turns the operator into (1 - d/dy)
-    and the coefficients into exact integers, taken in closed form, so the
-    cost does not grow with the number of applications.  Newton from above
-    the Cauchy bound then descends monotonically to the top root in rational
-    arithmetic (iterates are rounded up, preserving the from-above
-    invariant, to keep denominators near 2^80) until a step moves x by at
-    most NEWTON_RTOL relative.
+
+def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
+    """Largest root of (1 - delta d/dx)^applications x^n.
+
+    Substituting x = delta*y turns the operator into (1 - d/dy), and up to
+    sign and a power of y, (1 - d/dy)^a y^n is a Laguerre polynomial
+    L_k^(alpha) with k = min(n, a) and alpha = |n - a|.  Its zeros are the
+    eigenvalues of the k x k Jacobi matrix with diagonal 2i + alpha + 1 and
+    off-diagonal sqrt((i + 1)(i + 1 + alpha)), all in (0, Gershgorin
+    bound].  Bisection on the Sturm count of that matrix (its negative
+    pivots below x) halves the bracket until the midpoint equals an end,
+    one O(k) count per halving, and returns the upper end.  The predicted
+    work, PIVOT_WORK per pivot, is admitted against DEFAULT_POLICY first.
     """
     n = int(n)
     applications = int(applications)
@@ -137,41 +145,28 @@ def shrunk_power_largest_root(n: int, applications: int, delta: float) -> float:
     if not (0.0 < delta < float("inf")):
         raise ValidationError("delta must be positive and finite")
     if 2 * n * applications > sys.float_info.max:
-        # the root bound below is up to 2 n applications, a float
+        # the pivots' products i (i + alpha) reach n applications, a float
         raise ValidationError("2 n applications exceeds the float range")
     if applications == 0:
         return 0.0
-    coeffs = _shrunk_power_coeffs(n, applications)
-    deriv = [k * coeffs[k] for k in range(1, n + 1)]
-
-    def ev(poly: list, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-        return acc
-
-    # Lagrange-style bound: 2 * max |c_{n-k}|^(1/k); computed loosely in logs
-    bound = 2.0
-    for k in range(1, n + 1):
-        c = coeffs[n - k]
-        if c:
-            bound = max(bound, 2.0 * math.exp(math.log(abs(c)) / k))
-    x = Fraction(math.ceil(bound))
-    cap = 1 << 80
-    thresh = Fraction(NEWTON_RTOL).limit_denominator(10 ** 18)
-    for _ in range(10000):
-        slope = ev(deriv, x)
-        if slope <= 0:
-            break
-        step = ev(coeffs, x) / slope
-        if step <= 0:
-            break
-        xn = Fraction(math.ceil((x - step) * cap), cap)
-        done = x - xn <= abs(x) * thresh
-        x = xn
-        if done:
-            break
-    return float(x) * float(delta)
+    k, alpha = min(n, applications), float(abs(n - applications))
+    # the top zero is at least the mean zero k + alpha, a quarter of the
+    # bound, so the bracket narrows to one ulp of it in mant_dig + 3 halvings
+    DEFAULT_POLICY.admit(k * (sys.float_info.mant_dig + 3) * PIVOT_WORK,
+                         f"largest root of a degree-{k} Laguerre polynomial")
+    lo, hi = 0.0, 2 * k + alpha + 2.0 * math.sqrt(k * (k + alpha))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        q, below = 1.0, 0
+        for i in range(k):
+            # a zero pivot counts as -0, so the next one is +inf
+            q = 2 * i + alpha + 1 - mid - (i * (i + alpha) / q if q
+                                           else -math.inf)
+            below += q <= 0
+        if below == k:
+            hi = mid
+        else:
+            lo = mid
+    return hi * float(delta)
 
 
 @dataclass(frozen=True)

@@ -379,14 +379,14 @@ def block_work(m: int, d: int, r: int) -> float:
 def _node_tables(inst: WeaverInstance, r: int) -> tuple:
     """What every node of the r-part descent reads: u_i u_i* for i < m and
     a zero matrix, the padding of ``_SubsetLattice.members``; the lattice
-    of the unions of the first r - 1 blocks; and its ``_minor_table`` if
-    it holds more than the empty set.  Built once per partition."""
+    of the unions of the first r - 1 blocks; and its ``_minor_table``.
+    Built once per partition."""
     u, m, d = inst.vectors, inst.count, inst.dim
     outers = np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
                              np.zeros((1, d, d), dtype=np.complex128)))
     size = min(m, (r - 1) * d)
     lat = _subset_lattice(m, size)
-    return outers, lat, _minor_table(lat, d) if size else None
+    return outers, lat, _minor_table(lat, d)
 
 
 def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
@@ -435,6 +435,8 @@ def _minor_table(lat: _SubsetLattice, d: int) -> tuple[np.ndarray, ...]:
                       np.tile(np.sum(1 << subsets, axis=1), count),
                       np.concatenate((lat.members[at, :s],
                                       np.tile(units, (count, 1))), axis=1)))
+    if not found:  # the lattice holds only the empty set, which has none
+        return (np.empty(0, dtype=np.intp),) * 5
     order = np.argsort(np.concatenate([x[0] for x in found]), kind="stable")
     return tuple(_readonly(np.concatenate([x[i] for x in found])[order])
                  for i in range(5))

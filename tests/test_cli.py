@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kspart import (DEFAULT_POLICY, NumericPolicy, ValidationError, cli,
-                    serialize)
+                    realpoly, serialize)
 from kspart.cli import main
 
 from test_mixedchar import bernoulli_diagonal, no_kernels
@@ -327,6 +327,21 @@ def test_laguerre_row(tmp_path):
     pol.write_text("{}\n")
     assert main(["experiment", "laguerre", "--n", "50", "--delta", "0.1",
                  "--csv", out_csv, "--numeric-policy", str(pol)]) == 2
+
+
+def test_laguerre_refused_before_any_count_exits_4(tmp_path, monkeypatch,
+                                                   capsys):
+    # k = n = 10^7 pivots over 56 halvings predict 1.7e11 work units; a
+    # Sturm count loops over range(k), so none may start before the refusal
+    def loop(*args):
+        raise AssertionError("a Sturm count ran before the capacity refusal")
+
+    monkeypatch.setattr(realpoly, "range", loop, raising=False)
+    out_csv = tmp_path / "l.csv"
+    assert main(["experiment", "laguerre", "--n", str(10 ** 7), "--delta",
+                 "0.1", "--csv", str(out_csv)]) == 4
+    assert "predicted work" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_laguerre_non_finite_margin_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ extraction with multiplicities, interlacing tests, and the one-root-window
 separation argument."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -257,13 +258,48 @@ def test_roots_round_trip():
 
 
 def test_shrunk_power_matches_companion_route_at_small_degree():
-    # exact rational Newton against companion eigenvalues where floats suffice
+    # Sturm bisection on the Laguerre Jacobi matrix against companion
+    # eigenvalues where floats suffice
     for n, a, d in [(1, 1, 0.25), (2, 2, 0.1), (3, 2, 0.5), (6, 4, 0.2),
                     (10, 5, 0.1)]:
         exact = shrunk_power_largest_root(n, a, d)
         dense = largest_root(laguerre_expected(n, a, d))
         assert abs(exact - dense) <= 1e-9 * max(1.0, abs(dense))
     assert shrunk_power_largest_root(5, 0, 0.3) == 0.0
+
+
+def roots_above(coeffs, x: Fraction) -> int:
+    """Roots above the rational x of the polynomial with ascending integer
+    coefficients coeffs, counted by Descartes' rule as the sign changes of
+    p^(j)(x), j = 0..deg: exact when p is real-rooted."""
+    n = len(coeffs) - 1
+    # Q^n p(y / Q), Q the denominator of x, has integer coefficients and
+    # the roots of p times Q; shift it to the numerator of x in place
+    b = [c * x.denominator ** (n - i) for i, c in enumerate(coeffs)]
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            b[i] += x.numerator * b[i + 1]
+    signs = [c > 0 for c in b if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def test_roots_above_counts_exactly():
+    cubic_123 = [-6, 11, -6, 1]  # (x - 1)(x - 2)(x - 3)
+    for x, above in [(0, 3), (1, 2), (Fraction(5, 2), 1), (3, 0), (7, 0)]:
+        assert roots_above(cubic_123, Fraction(x)) == above
+
+
+def test_shrunk_power_bracketed_exactly():
+    # the top root of (1 - d/dy)^a y^n is bracketed within 1e-14 relative
+    # by exact root counts on its integer coefficients
+    rel = Fraction(1, 10 ** 14)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34):
+        for a in (1, 2, 3, 5, 8, 13, 21, 34, 55, 100, 10 ** 3, 10 ** 6,
+                  10 ** 12, 10 ** 100):
+            coeffs = _shrunk_power_coeffs(n, a)
+            top = Fraction(shrunk_power_largest_root(n, a, 1.0))
+            assert roots_above(coeffs, top * (1 - rel)) >= 1, (n, a)
+            assert roots_above(coeffs, top * (1 + rel)) == 0, (n, a)
 
 
 def test_shrunk_power_closed_form_equals_repeated_operator():

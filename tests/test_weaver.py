@@ -389,6 +389,15 @@ def test_block_node_poly_matches_exact_oracle():
                 assert dev <= 1e-13, (skew, r, prefix, dev)
 
 
+def test_block_node_poly_of_no_vectors_is_a_power_of_x():
+    # the lattice holds only the empty set: every block is chi(0) = x^d
+    empty = WeaverInstance(2, np.zeros((0, 2)), 1.0)
+    for r in range(1, 5):
+        want = np.zeros(2 * r + 1)
+        want[-1] = 1.0
+        np.testing.assert_array_equal(block_node_poly(empty, (), r), want)
+
+
 def descent_prefixes(inst, r):
     """The root, then every child of every inner node of the r-part
     descent, in the walk's order; the last level's children are leaves."""
