@@ -103,13 +103,34 @@ def _profile_beats(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class NodeFamily:
-    """The tree ``descend`` walks: the number of children at each level and
-    ``node(prefix)``, which returns the roots of the node polynomial at a
-    prefix.  ``descend`` asks for the root and for the children of each node
-    it chooses, each prefix once, so ``node`` keeps no memo."""
+    """The tree ``descend`` walks, one level at a time: the number of
+    children at each level, ``root()``, which returns the roots of the root
+    node's polynomial and the root's state, and ``children(state)``, which
+    returns (roots, state) for each child of the node with that state, in
+    child order.  ``descend`` passes the chosen child's state on and drops
+    the others, so a state may carry whatever its children reuse; no node
+    is asked for twice, so nothing is memoised."""
 
     support_sizes: tuple[int, ...]
-    node: Callable[[tuple[int, ...]], realpoly.RootList]
+    root: Callable[[], tuple[realpoly.RootList, object]]
+    children: Callable[[object], list[tuple[realpoly.RootList, object]]]
+
+
+def _ensemble_family(e: RandomVectorEnsemble, policy: NumericPolicy,
+                     threads: int) -> NodeFamily:
+    """The atom tree of an ensemble: a node's state is its prefix, and its
+    children's ``conditional_expected_poly`` calls are mapped over
+    ``threads``."""
+    def node(prefix):
+        return (realpoly.roots(conditional_expected_poly(e, prefix, policy),
+                               policy), prefix)
+
+    def children(prefix):
+        return ordered_map(lambda t: node(prefix + (t,)),
+                           range(e.support_sizes[len(prefix)]),
+                           threads=threads)
+
+    return NodeFamily(e.support_sizes, lambda: node(()), children)
 
 
 def descend(e: RandomVectorEnsemble | NodeFamily,
@@ -126,29 +147,27 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
     At every level the chosen child's largest root must not exceed the
     parent's beyond the descent slack; if no child qualifies the walk aborts
     with a diagnostic rather than continue from a spurious node.  A walk
-    over an ensemble is refused up front when ``descent_work`` exceeds the
-    work cap; a ``NodeFamily``'s maker admits its own work.
+    over an ensemble maps each level's children over ``threads`` and is
+    refused up front when ``descent_work`` exceeds the work cap; a
+    ``NodeFamily``'s maker admits its own work and sets its own threads.
     """
     if isinstance(e, NodeFamily):
         family = e
     else:
         policy.admit(descent_work(e.support_sizes, e.dim),
                      f"descent over {len(e.vectors)} vectors")
-        family = NodeFamily(
-            e.support_sizes,
-            lambda prefix: realpoly.roots(
-                conditional_expected_poly(e, prefix, policy), policy))
-    top = family.node(())
+        family = _ensemble_family(e, policy, threads)
+    top, state = family.root()
     if top.values.size == 0:
         raise ValidationError("constant polynomial has no largest root")
     parent_root = float(top.values[-1])
     root_of_empty = parent_root
     prefix: tuple[int, ...] = ()
     steps = []
-    for level, size in enumerate(family.support_sizes):
+    for level in range(len(family.support_sizes)):
         # the root node's roots show that every node has degree >= 1
-        child_sets = ordered_map(lambda t: family.node(prefix + (t,)),
-                                 range(size), threads=threads)
+        kids = family.children(state)
+        child_sets = [roots for roots, _ in kids]
         child_roots = [float(r.values[-1]) for r in child_sets]
         best = min(child_roots)
         if best > parent_root + policy.descent_slack:
@@ -171,6 +190,9 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
             chosen_index=chosen,
             chosen_root=child_roots[chosen],
         ))
+        # the siblings' states go before the next level is computed
+        state = kids[chosen][1]
+        del kids
         prefix = prefix + (chosen,)
         parent_root = child_roots[chosen]
     return DescentTrace(

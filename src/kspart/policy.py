@@ -17,7 +17,7 @@ per-routine weights were measured on (Python 3.11, numpy 2.4), and each
 module documents its weights beside the routine.  The default, 1e11, is
 about 100 s there.  A partition's prediction is ``weaver.block_work``;
 the default admits a three-part partition of gauss(4, 1/4) (m=16:
-predicted 5.9e9, 3.7 s) and refuses one of gauss(4, 1/8) (m=32: 5.5e12).
+predicted 4.3e9, 2.7 s) and refuses one of gauss(4, 1/8) (m=32: 3.9e12).
 It admits the mixed polynomial of 24 rank-one 8x8 matrices (3.3e10:
 21-24 s in 246 MB peak).
 Working memory grows with the same counts, so the cap bounds it too.

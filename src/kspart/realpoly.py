@@ -2,11 +2,13 @@
 
 Polynomials are 1-D float arrays of ascending coefficients.  Root finding
 follows the companion-matrix route with one Newton polish per root, then
-clusters nearby roots into multiplicities; a polynomial that fails the
-real-rootedness check raises RootednessError carrying the offending
-imaginary magnitude.  Inside it every evaluation is Horner's rule on Python
-floats (on plain arrays for the polish), by ``npp.polyval``'s operations,
-so it gives numpy's bits without numpy's per-call overhead.
+clusters nearby roots into multiplicities; ``root_lists`` takes several
+polynomials through one eigenvalue call, and ``roots`` is its case of
+one.  A polynomial that fails the real-rootedness check raises
+RootednessError carrying the offending imaginary magnitude.  Inside it
+every evaluation is Horner's rule on Python floats (on plain arrays for
+the polish), by ``npp.polyval``'s operations, so it gives numpy's bits
+without numpy's per-call overhead.
 
 No function takes a per-call tolerance, sample count or seed: those come
 from the NumericPolicy argument or the module constant COMBO_SEED (the
@@ -335,12 +337,9 @@ def _polish_multiple(derivs: list[list], x: float, k: int,
     return x
 
 
-def _root_clustering(q, policy, raw=None):
-    """Real clustering of the roots of a trimmed q of degree >= 1 (raw: its
-    companion-matrix roots, if already found); ((values, mults) or None,
-    max_imag)."""
-    if raw is None:
-        raw = npp.polyroots(q)
+def _root_clustering(q, policy, raw):
+    """Real clustering of the roots of a trimmed q of degree >= 1, given
+    its companion-matrix roots raw; ((values, mults) or None, max_imag)."""
     derivs = _derivatives(q.tolist())
     croots = _polished_roots(derivs, raw)
     scale = 1.0 + float(np.max(np.abs(croots)))
@@ -364,7 +363,7 @@ def is_real_rooted(p, policy: NumericPolicy = DEFAULT_POLICY) -> RealRootedness:
     q = _nonzero_poly(p)
     if q.size == 1:
         return RealRootedness(True, 0.0)
-    got, max_imag = _root_clustering(q, policy)
+    got, max_imag = _root_clustering(q, policy, _companion_roots([q])[0])
     return RealRootedness(got is not None, max_imag)
 
 
@@ -372,19 +371,31 @@ def roots(p, policy: NumericPolicy = DEFAULT_POLICY) -> RootList:
     """Real roots with multiplicities; raises RootednessError if no
     noise-consistent real clustering of the computed roots exists, with
     cluster means real within policy.real_root_imag_rtol."""
-    q = _nonzero_poly(p)
-    if q.size == 1:
-        return RootList(np.array([]), np.array([], dtype=int))
-    got, max_imag = _root_clustering(q, policy)
-    if got is None:
-        raise RootednessError(
-            f"polynomial is not real-rooted: max imaginary part {max_imag:.3e}",
-            max_imag,
-        )
-    values, mults = got
-    order = np.argsort(values)
-    return RootList(np.asarray(values)[order],
-                    np.asarray(mults, dtype=int)[order])
+    return root_lists([p], policy)[0]
+
+
+def root_lists(ps, policy: NumericPolicy = DEFAULT_POLICY) -> list[RootList]:
+    """``roots`` of each polynomial of ps, in order; the companion matrices
+    of the non-constant ones share one ``_companion_roots`` call, which
+    gives each the bits of its own."""
+    qs = [_nonzero_poly(p) for p in ps]
+    live = [q for q in qs if q.size > 1]
+    raws = iter(_companion_roots(live) if live else [])
+    out = []
+    for q in qs:
+        if q.size == 1:
+            out.append(RootList(np.array([]), np.array([], dtype=int)))
+            continue
+        got, max_imag = _root_clustering(q, policy, next(raws))
+        if got is None:
+            raise RootednessError(
+                f"polynomial is not real-rooted: max imaginary part "
+                f"{max_imag:.3e}", max_imag)
+        values, mults = got
+        order = np.argsort(values)
+        out.append(RootList(np.asarray(values)[order],
+                            np.asarray(mults, dtype=int)[order]))
+    return out
 
 
 def largest_root(p, policy: NumericPolicy = DEFAULT_POLICY) -> float:

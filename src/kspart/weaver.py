@@ -25,9 +25,17 @@ With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
 a signed nonnegative combination of minors, so nothing nearly equal is
 subtracted.  ``block_node_poly`` grows the products of the F blocks one
 block at a time over the splits of each union and closes them with d x d
-characteristic polynomials of subset sums; ``descend`` walks those nodes,
-and a leaf takes the eigenvalues of the r part sums.  ``lift`` with
-``descend`` on the ensemble stays as library API and as the oracle.
+characteristic polynomials of subset sums.  ``descend`` walks those nodes
+one level per pass: child t pins u_k to block t, so its unions are a
+suffix of its parent's lattice rows and it keeps every F_b but F_t.  One
+pass takes the r - 1 new blocks in one ``eigh`` and one ``det`` per
+chunk, grows the products of children 0 .. r - 2 together, lets child
+r - 1 keep its parent's product, closes on two bases in one
+characteristic-polynomial stack per chunk and finds the r children's
+roots in one eigenvalue call; every row is computed as for a fresh node,
+so each node polynomial equals ``block_node_poly`` bit for bit.  A leaf
+takes the eigenvalues of the r part sums.  ``lift`` with ``descend`` on
+the ensemble stays as library API and as the oracle.
 """
 from __future__ import annotations
 
@@ -332,7 +340,9 @@ def lift(inst: WeaverInstance, r: int,
 # Work model of the block engine, in the units of NumericPolicy.work_cap
 # (see mixedchar), fitted to 28 partitions of gen_gaussian(d, d/m) with
 # (d, r, m) from (1, 2, 60), (4, 2, 40), (2, 3, 40), (3, 3, 20), (2, 4, 16)
-# to (1, 20, 5), each predicted within a factor of 2:
+# to (1, 20, 5), each predicted within a factor of 2; with one pass per
+# level, 18 partitions from (1, 2, 60) to (1, 20, 8) and (2, 4, 31) are
+# predicted at 0.57 to 1.62 times their measured time:
 BLOCK_WORK = 330_000
 """A node's fixed cost per block."""
 ROW_WORK = 5
@@ -344,7 +354,12 @@ SPLIT_WORK = 17
 (b d + 1)(d + 1) coefficient products and its |W| rank steps."""
 
 
-def _node_work(n: int, d: int, r: int) -> int:
+def _node_work(n: int, d: int, r: int, chains: int = 1,
+               tops: int = 1) -> int:
+    """Work of one pass over the lattice rows of n unpinned vectors that
+    takes r - 1 F blocks, grows chains products of them and closes on
+    tops bases: a fresh node has one chain and one top, a level of
+    siblings r - 1 chains and min(r, 2) tops."""
     rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
     minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
     splits = 0
@@ -361,19 +376,21 @@ def _node_work(n: int, d: int, r: int) -> int:
         splits += (count * (d + 1) * later * ((b + r - 2) * d + 2) // 2
                    + later * ranks)
         break
-    return (r * BLOCK_WORK + rows * ROW_WORK * r * d ** 3
-            + (r - 1) * minors * MINOR_WORK + splits * SPLIT_WORK)
+    return (r * BLOCK_WORK + tops * rows * ROW_WORK * r * d ** 3
+            + (r - 1) * minors * MINOR_WORK + chains * splits * SPLIT_WORK)
 
 
 def block_work(m: int, d: int, r: int) -> float:
     """Predicted work of an r-part ``partition`` of m vectors in dimension
-    d: the root node and r children at each level, each node costing its
-    closing-lattice rows, its (r - 1) sum_j C(n, j) C(d, j) minors, its
-    growth splits and one root finding of degree r d, n being its unpinned
-    vectors (the leaves, which take eigenvalues instead, count as nodes)."""
-    node = lambda n: _node_work(n, d, r) + roots_work(r * d)
-    return float(min(node(m) + r * sum(node(n) for n in range(m)),
-                     10 ** 300))
+    d: the root node in full, with one root finding of degree r d, then
+    one pass per level, each taking the r - 1 new F blocks, the r - 1
+    grown products and the two closing bases of the r children and r
+    root findings, n being the children's unpinned vectors (the leaves,
+    which take eigenvalues instead, count as a level)."""
+    level = lambda n: (_node_work(n, d, r, r - 1, min(r, 2))
+                       + r * roots_work(r * d))
+    return float(min(_node_work(m, d, r) + roots_work(r * d)
+                     + sum(level(n) for n in range(m)), 10 ** 300))
 
 
 def _node_tables(inst: WeaverInstance, r: int) -> tuple:
@@ -412,7 +429,7 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
                               f"below {r} of {m} vectors")
     policy.admit(_node_work(m - k, d, r), f"block node over {m - k} vectors")
     tables = _node_tables(inst, r)
-    return _node_poly(inst, tables, _part_sums(tables[0], prefix, r), k)
+    return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
 
 
 def _minor_table(lat: _SubsetLattice, d: int) -> tuple[np.ndarray, ...]:
@@ -442,42 +459,55 @@ def _minor_table(lat: _SubsetLattice, d: int) -> tuple[np.ndarray, ...]:
                  for i in range(5))
 
 
-def _minor_polys(wt: np.ndarray, lam: np.ndarray, lat: _SubsetLattice,
-                 table: tuple[np.ndarray, ...], start: int) -> np.ndarray:
-    """F(S) for the lattice rows S from start, with W = wt^T, the
-    eigenvalues lam and ``_minor_table(lat, d)``; zero on the rows with
-    |S| > d."""
-    d = lam.shape[0]
+def _minor_polys(inst: WeaverInstance, blocks: np.ndarray,
+                 lat: _SubsetLattice, table: tuple[np.ndarray, ...],
+                 start: int) -> list[np.ndarray]:
+    """F(S) of each base P of a stack blocks, for the lattice rows S from
+    start, given ``_minor_table(lat, d)``; zero on the rows with |S| > d.
+    One ``eigh`` diagonalises the stack, and one ``det`` per chunk takes
+    the minors of every block."""
+    count, d = blocks.shape[:2]
+    lam, basis = np.linalg.eigh(blocks)
+    wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
     # prod_{j not in J} (x - lam_j) for every J in range(d), at J's bitmask
-    comp = np.eye(1, d + 1)
-    for value in lam:
+    comp = np.zeros((count, 1, d + 1))
+    comp[:, 0, 0] = 1.0
+    for j in range(d):
         times = np.zeros_like(comp)
-        times[:, 1:] = comp[:, :-1]
-        comp = np.concatenate((times - value * comp, comp))
-    f = np.zeros((lat.members.shape[0] - start, d + 1))
-    f[-1] = comp[0]  # the empty set, last in every suffix
+        times[..., 1:] = comp[..., :-1]
+        comp = np.concatenate((times - lam[:, j, None, None] * comp, comp),
+                              axis=1)
+    f = [np.zeros((lat.members.shape[0] - start, d + 1)) for _ in blocks]
+    for b in range(count):
+        f[b][-1] = comp[b, 0]  # the empty set, last in every suffix
     lo = np.searchsorted(table[0], start)
     rows, heads, sign, masks, cols = (x[lo:] for x in table)
     if rows.size:
-        weights = np.empty(len(rows))
-        ext = np.concatenate((wt, np.eye(d)))
-        for c in range(0, len(rows), CHUNK):
-            weights[c:c + CHUNK] = np.abs(
-                np.linalg.det(ext[cols[c:c + CHUNK]])) ** 2
+        weights = np.empty((count, len(rows)))
+        ext = np.concatenate(
+            (wt, np.broadcast_to(np.eye(d), (count, d, d))), axis=1)
+        step = max(1, CHUNK // count)
+        for c in range(0, len(rows), step):
+            weights[:, c:c + step] = np.abs(
+                np.linalg.det(ext[:, cols[c:c + step]])) ** 2
         heads = np.flatnonzero(heads)
-        f[rows[heads] - start] = np.add.reduceat(
-            (sign * weights)[:, None] * comp[masks], heads)
+        for b in range(count):
+            f[b][rows[heads] - start] = np.add.reduceat(
+                (sign * weights[b])[:, None] * comp[b][masks], heads)
     return f
 
 
-def _grow(g: np.ndarray, f: np.ndarray, b: int, lat: _SubsetLattice,
-          start: int) -> np.ndarray:
+def _grow(g: list[np.ndarray], f: list[np.ndarray], b: int,
+          lat: _SubsetLattice, start: int) -> list[np.ndarray]:
     """G'(W) = sum of G(A) F(S) over the splits W = A + S with |S| <= d and
-    |A| <= b d, for the lattice rows W from start, g and f being indexed
-    by row - start; the splits of a union add by the size of S, each size
-    summed over S's positions in ``combinations`` order."""
-    d = f.shape[1] - 1
-    out = np.zeros((g.shape[0], g.shape[1] + d))
+    |A| <= b d, for the lattice rows W from start, for each sibling of a
+    batch, g[c] and f[c] being sibling c's, indexed by row - start; the
+    splits of a union add by the size of S, each size summed over S's
+    positions in ``combinations`` order.  The siblings share the splits'
+    rows, and no terms array holds more than CHUNK splits across them."""
+    d = f[0].shape[1] - 1
+    width = g[0].shape[1]
+    out = [np.zeros((x.shape[0], width + d)) for x in g]
     for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
         unions = lat.by_size[w][np.searchsorted(lat.by_size[w], start):]
         if not unions.size:  # nor any larger unions
@@ -485,45 +515,58 @@ def _grow(g: np.ndarray, f: np.ndarray, b: int, lat: _SubsetLattice,
         for s in range(max(0, w - b * d), min(w, d) + 1):
             # complements run through combinations order backwards
             pos, rest = _positions(w, s), _positions(w, w - s)[::-1]
-            step = max(1, CHUNK // len(pos))
+            step = max(1, CHUNK // (len(g) * len(pos)))
             for lo in range(0, len(unions), step):
-                part, a = lat.sub_rows(lat.members[unions[lo:lo + step], :w],
-                                       pos, rest)
-                part, a = f[part - start], g[a - start]
-                terms = np.zeros(part.shape[:2] + out.shape[1:])
+                at = unions[lo:lo + step]
+                part, a = lat.sub_rows(lat.members[at, :w], pos, rest)
+                part, a = part - start, a - start
+                part = np.stack([x[part] for x in f])
+                a = np.stack([x[a] for x in g])
+                terms = np.zeros(part.shape[:3] + (width + d,))
                 for c in range(d + 1):
-                    terms[..., c:c + g.shape[1]] += a * part[..., c:c + 1]
-                out[unions[lo:lo + step] - start] += terms.sum(axis=1)
+                    terms[..., c:c + width] += a * part[..., c:c + 1]
+                for x, y in zip(out, terms.sum(axis=2)):
+                    x[at - start] += y
     return out
 
 
-def _node_poly(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
-               k: int) -> np.ndarray:
-    """``block_node_poly`` at a prefix of length k with part sums bases,
-    given ``_node_tables(inst, r)``."""
-    m, d, r = inst.count, inst.dim, bases.shape[0]
-    outers, lat, minors = tables
-    start = lat.starts[k]
+def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
+           start: int) -> list[np.ndarray]:
+    """prod_b F_b, grown one block at a time, of each sibling of a batch,
+    fs[c] being sibling c's blocks F_0 .. F_{r-2} (r >= 2)."""
+    g = [x[0] for x in fs]
+    for b in range(1, len(fs[0])):
+        g = _grow(g, [x[b] for x in fs], b, lat, start)
+    return g
+
+
+def _closing(tables: tuple, tops: np.ndarray, start: int,
+             threads: int = 1) -> list[np.ndarray]:
+    """chi(C - sum_{i in W} u_i u_i*) for each C of a stack tops and each
+    lattice row W from start: one ``char_poly_stack`` per chunk of rows
+    over every top, the chunks mapped over threads."""
+    outers, lat, _ = tables
+    d = outers.shape[1]
     rows = lat.members.shape[0] - start
-    g = np.ones((rows, 1))  # r = 1: the empty union only
-    if r > 1:
-        lam, basis = np.linalg.eigh(bases[:-1])
-        wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
-        g = _minor_polys(wt[0], lam[0], lat, minors, start)
-        for b in range(1, r - 1):
-            g = _grow(g, _minor_polys(wt[b], lam[b], lat, minors, start), b,
-                      lat, start)
-    # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
-    top = bases[-1].copy()
-    for i in range(k, m):
-        top += outers[i]
-    h = np.empty((rows, d + 1))
-    for lo in range(0, rows, CHUNK):
-        members = lat.members[start + lo:start + lo + CHUNK]
+    h = [np.empty((rows, d + 1)) for _ in tops]
+    step = max(1, CHUNK // len(tops))
+
+    def chunk(lo):
+        members = lat.members[start + lo:start + lo + step]
         q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
             q += outers[members[:, t]]
-        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
+        for x, y in zip(h, linalg.char_poly_stack(tops[:, None] - q)):
+            x[lo:lo + len(q)] = y
+
+    ordered_map(chunk, range(0, rows, step), threads=threads)
+    return h
+
+
+def _close(g: np.ndarray, h: np.ndarray, r: int) -> np.ndarray:
+    """The node polynomial sum_W G(W) chi_W from its grown products g and
+    closing polynomials h."""
+    d = h.shape[1] - 1
     products = np.einsum("sa,sb->ab", g, h)
     mu = np.zeros(r * d + 1)
     for j in range(g.shape[1]):
@@ -531,36 +574,88 @@ def _node_poly(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
     return mu
 
 
-def _block_family(inst: WeaverInstance, r: int,
-                  policy: NumericPolicy) -> NodeFamily:
-    """The r-part descent tree on ``block_node_poly``.  A leaf's roots are
-    the eigenvalues of the r part sums, exact where the coefficients of
+def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray, k: int,
+          threads: int = 1) -> tuple:
+    """``block_node_poly`` at a prefix of length k with part sums bases,
+    given ``_node_tables(inst, r)``, with the F blocks and the grown
+    product its children reuse."""
+    m, r = inst.count, bases.shape[0]
+    outers, lat, minors = tables
+    start = lat.starts[k]
+    fs: list[np.ndarray] = []
+    g = np.ones((lat.members.shape[0] - start, 1))  # r = 1: the empty union
+    if r > 1:
+        fs = _minor_polys(inst, bases[:-1], lat, minors, start)
+        g = _chain([fs], lat, start)[0]
+    # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
+    tops = bases[-1:].copy()
+    for i in range(k, m):
+        tops += outers[i]
+    return _close(g, _closing(tables, tops, start, threads)[0], r), fs, g
+
+
+def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
+               r: int) -> np.ndarray:
+    """P_0 .. P_{r-1}: r times the outer products pinned to each block."""
+    bases = np.zeros((r,) + outers.shape[1:], dtype=np.complex128)
+    for i, t in enumerate(prefix):
+        bases[t] += r * outers[i]
+    return bases
+
+
+def _block_family(inst: WeaverInstance, r: int, policy: NumericPolicy,
+                  threads: int = 1) -> NodeFamily:
+    """The r-part descent tree on ``block_node_poly``, one level per pass
+    (see the module docstring).  A node's state is its prefix length k,
+    its part sums, and its F blocks and grown product over the lattice
+    rows from ``starts[k]``, which its children slice at ``starts[k + 1]``;
+    the closing chunks are mapped over threads.  A leaf's roots are the
+    eigenvalues of the r part sums, exact where the coefficients of
     prod_b chi(P_b) scatter a multiple root (by about 1e-4 for a double
     eigenvalue shared by two parts).  ``_node_tables`` are built once for
-    the tree and freed with it.  Part sums are kept by prefix: a child's
-    are its parent's plus r u_k u_k*."""
+    the tree and freed with it."""
     m = inst.count
     tables = _node_tables(inst, r)
-    outers = tables[0]
-    sums = {(): _part_sums(outers, (), r)}
+    outers, lat, minors = tables
 
-    def part_sums(prefix):
-        if prefix not in sums:
-            bases = part_sums(prefix[:-1]).copy()
-            bases[prefix[-1]] += r * outers[len(prefix) - 1]
-            sums[prefix] = bases
-        return sums[prefix]
+    def root():
+        bases = _part_sums(outers, (), r)
+        mu, fs, g = _node(inst, tables, bases, 0, threads)
+        return realpoly.root_lists([mu], policy)[0], (0, bases, fs, g)
 
-    def node(prefix):
-        bases = part_sums(prefix)
-        if len(prefix) < m:
-            return realpoly.roots(_node_poly(inst, tables, bases, len(prefix)),
-                                  policy)
-        values, counts = np.unique(np.linalg.eigvalsh(bases),
-                                   return_counts=True)
-        return realpoly.RootList(values, counts)
+    def children(state):
+        k, bases, fs, g = state
+        kids = np.repeat(bases[None], r, axis=0)
+        for t in range(r):
+            kids[t, t] += r * outers[k]
+        if k + 1 == m:
+            return [(realpoly.RootList(*np.unique(np.linalg.eigvalsh(kid),
+                                                  return_counts=True)), None)
+                    for kid in kids]
+        start = lat.starts[k + 1]
+        off = start - lat.starts[k]
+        fs, g = [f[off:] for f in fs], g[off:]
+        tops = np.array(([bases[-1]] if r > 1 else []) + [kids[-1, -1]])
+        for i in range(k + 1, m):
+            tops += outers[i]
+        h = _closing(tables, tops, start, threads)
+        # child r - 1 keeps its parent's product: it closes first, so its
+        # closing polynomials are gone before the others' products grow
+        last = _close(g, h.pop(), r)
+        blocks, grown = [], []
+        if r > 1:
+            new = _minor_polys(inst, kids[range(r - 1), range(r - 1)], lat,
+                               minors, start)
+            blocks = [fs[:t] + [f] + fs[t + 1:] for t, f in enumerate(new)]
+            grown = _chain(blocks, lat, start)
+        found = realpoly.root_lists(
+            [_close(x, h[0], r) for x in grown] + [last], policy)
+        blocks.append(fs)
+        grown.append(g)
+        return [(roots, (k + 1, kids[t], blocks[t], grown[t]))
+                for t, roots in enumerate(found)]
 
-    return NodeFamily((r,) * m, node)
+    return NodeFamily((r,) * m, root, children)
 
 
 def improved_bound_r2(delta: float) -> float:
@@ -609,7 +704,7 @@ def partition(inst: WeaverInstance, r: int,
             f"vs declared delta {rep.delta_declared:.6g}"
         )
     delta = rep.max_norm_sq
-    trace = descend(_block_family(inst, r, policy), policy, threads=threads)
+    trace = descend(_block_family(inst, r, policy, threads), policy)
     parts = tuple(
         tuple(i for i, c in enumerate(trace.final_assignment) if c == k)
         for k in range(r)

@@ -438,17 +438,17 @@ def reference_common_interlacing_test(fs, policy=DEFAULT_POLICY):
 
 
 def descent_node_polys(monkeypatch):
-    """Every polynomial whose roots three descents take: two-part
-    gauss(3, 1/4), the lifted Haar-rotated diag(3, 1/3) with r = 3 and the
-    two-part K5."""
+    """Every polynomial whose roots three descents take, through their
+    batched seam ``realpoly.root_lists``: two-part gauss(3, 1/4), the
+    Haar-rotated diag(3, 1/3) with r = 3 and the two-part K5."""
     seen = []
-    real = realpoly.roots
+    real = realpoly.root_lists
 
-    def record(p, policy=DEFAULT_POLICY):
-        seen.append(np.array(p, dtype=np.float64))
-        return real(p, policy)
+    def record(ps, policy=DEFAULT_POLICY):
+        seen.extend(np.array(p, dtype=np.float64) for p in ps)
+        return real(ps, policy)
 
-    monkeypatch.setattr(realpoly, "roots", record)
+    monkeypatch.setattr(realpoly, "root_lists", record)
     diag = gen_diagonal(3, 1.0 / 3.0)
     haar = WeaverInstance(
         3, diag.vectors @ haar_unitary(3, np.random.default_rng(5)).T,

@@ -3,8 +3,10 @@ its norm guarantee, graph spectral comparisons, and the random-partition
 Monte-Carlo baseline."""
 
 import gc
+import json
 import math
 import os
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -37,6 +39,7 @@ from kspart import (
 )
 from kspart import interlace, mixedchar, realpoly, weaver
 from kspart._parallel import chunked, ordered_map, usable_cpus
+from kspart.serialize import partition_report_to_dict
 from kspart.weaver import laplacian
 
 from test_mixedchar import haar_unitary, no_kernels
@@ -488,6 +491,22 @@ def test_experiment_refused_before_any_trial(monkeypatch):
         random_partition_experiment(inst, trials=10 ** 12)
 
 
+def walked_node_polys(monkeypatch, inst, r):
+    """The polynomials whose roots the r-part descent takes, through their
+    batched seam ``realpoly.root_lists``, and the report."""
+    seen = []
+    real = realpoly.root_lists
+
+    def record(ps, policy=DEFAULT_POLICY):
+        seen.extend(ps)
+        return real(ps, policy)
+
+    monkeypatch.setattr(realpoly, "root_lists", record)
+    rep = partition(inst, r)
+    monkeypatch.setattr(realpoly, "root_lists", real)
+    return seen, rep
+
+
 def test_descent_nodes_are_block_node_polys(monkeypatch):
     for r in (2, 3):
         for name, inst in block_instances().items():
@@ -495,16 +514,7 @@ def test_descent_nodes_are_block_node_polys(monkeypatch):
                 continue
             prefixes = descent_prefixes(inst, r)
             m = inst.count
-            seen = []
-            real = realpoly.roots
-
-            def record(p, policy=DEFAULT_POLICY):
-                seen.append(p)
-                return real(p, policy)
-
-            monkeypatch.setattr(realpoly, "roots", record)
-            rep = partition(inst, r)
-            monkeypatch.undo()
+            seen, rep = walked_node_polys(monkeypatch, inst, r)
             inner = [p for p in prefixes if len(p) < m]
             assert len(seen) == len(inner)
             for p, prefix in zip(seen, inner):
@@ -520,26 +530,81 @@ def test_descent_nodes_are_block_node_polys(monkeypatch):
             assert rep.trace.final_root == values[-1]
 
 
+def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch):
+    # each child reuses its parent's F blocks and grown product, sliced,
+    # and siblings share one pass; every inner node still has the bits of
+    # a fresh block_node_poly at its prefix
+    for r in (2, 3, 4):
+        for name, inst in block_instances().items():
+            m = inst.count
+            polys, rep = walked_node_polys(monkeypatch, inst, r)
+            path = rep.trace.final_assignment
+            inner = [()] + [path[:k] + (t,) for k in range(m - 1)
+                            for t in range(r)]
+            want = [block_node_poly(inst, prefix, r).tobytes()
+                    for prefix in inner]
+            assert [p.tobytes() for p in polys] == want, (r, name)
+            for chunk in (1, 3):
+                monkeypatch.setattr(weaver, "CHUNK", chunk)
+                got, again = walked_node_polys(monkeypatch, inst, r)
+                monkeypatch.setattr(weaver, "CHUNK", mixedchar.CHUNK)
+                assert [p.tobytes() for p in got] == want, (r, name, chunk)
+                assert again == rep
+
+
+def test_partition_chunks_over_threads_give_the_same_report(monkeypatch):
+    # several closing chunks per level, mapped over one and two threads
+    inst = block_instances()["gauss"]
+
+    def report(r, threads=1):
+        return json.dumps(partition_report_to_dict(
+            partition(inst, r, threads=threads), with_trace=True))
+
+    want = {r: report(r) for r in (2, 3)}
+    monkeypatch.setattr(weaver, "CHUNK", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the workers' chunks interleave finely
+    try:
+        for r in (2, 3):
+            for threads in (1, 2):
+                assert report(r, threads) == want[r], (r, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_descent_asks_for_each_node_once(monkeypatch):
-    # the root, then the r children of each chosen node: 1 + r m prefixes
-    asked = []
-
-    def counting(node, at=0):
-        def wrapped(*args):
-            asked.append(args[at])
-            return node(*args)
-        return wrapped
-
+    # one root() call, then one children() call per level, on the chosen
+    # child's state: the root and the r children of each chosen node are
+    # 1 + r m distinct prefixes
     for name, r in (("gauss", 2), ("gauss", 3), ("haar-diag", 3)):
         inst = block_instances()[name]
         family = weaver._block_family(inst, r, DEFAULT_POLICY)
-        asked.clear()
-        descend(interlace.NodeFamily(family.support_sizes,
-                                     counting(family.node)))
+        roots, parents = [], []
+
+        def root():
+            roots.append(())
+            found, state = family.root()
+            return found, ((), state)
+
+        def children(state):
+            prefix, inner = state
+            parents.append(prefix)
+            return [(found, (prefix + (t,), below)) for t, (found, below)
+                    in enumerate(family.children(inner))]
+
+        descend(interlace.NodeFamily(family.support_sizes, root, children))
+        asked = roots + [p + (t,) for p in parents for t in range(r)]
+        assert len(roots) == 1 and len(parents) == inst.count, (name, r)
         assert len(asked) == len(set(asked)) == 1 + r * inst.count, (name, r)
     # on an ensemble each node is one conditional_expected_poly call
-    monkeypatch.setattr(interlace, "conditional_expected_poly",
-                        counting(interlace.conditional_expected_poly, 1))
+    asked = []
+    real = interlace.conditional_expected_poly
+
+    def counting(e, prefix, policy):
+        asked.append(prefix)
+        return real(e, prefix, policy)
+
+    monkeypatch.setattr(interlace, "conditional_expected_poly", counting)
     for name, r in (("diag", 2), ("haar-diag", 3)):
         inst = block_instances()[name]
         asked.clear()
