@@ -1,7 +1,11 @@
 """Deterministic work distribution.
 
 Results are always combined in submission order, so the output is identical
-for any thread count; threads only change wall time.
+for any thread count; threads only change wall time.  Only the brute-force
+mixed oracle maps its work over threads, whose outcome chunks are large
+numpy stacks that release the GIL; the descent's closing chunks and the
+random partition experiment's trials ran no faster on two threads, so they
+run on one.
 """
 from __future__ import annotations
 
@@ -26,10 +30,3 @@ def ordered_map(fn, items, threads: int = 1) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
-
-
-def chunked(seq, size: int):
-    """Consecutive slices of a sequence, taken as they are consumed, so a
-    range yields ranges and nothing is copied up front."""
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]

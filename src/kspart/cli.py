@@ -104,7 +104,7 @@ def cmd_partition(args) -> int:
     inst, graph = instance_from_dict(read_json(args.infile))
     if args.repair_isotropy:
         inst = normalize_isotropy(inst, policy)
-    rep = run_partition(inst, args.r, policy, threads=args.threads)
+    rep = run_partition(inst, args.r, policy)
     payload = partition_report_to_dict(rep, with_trace=args.trace)
     if graph is not None:
         payload["spectral_check"] = _spectral_payload(graph, rep, policy)
@@ -195,7 +195,7 @@ def cmd_chernoff(args) -> int:
     inst, _ = instance_from_dict(read_json(args.infile))
     stats = random_partition_experiment(
         inst, r=args.r, trials=args.trials, seed=args.seed,
-        threshold=args.threshold, policy=policy, threads=args.threads)
+        threshold=args.threshold, policy=policy)
     fh, close = _open_csv(args.csv)
     try:
         w = csv.writer(fh)
@@ -280,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full descent trace in the report")
     p.add_argument("--repair-isotropy", action="store_true",
                    help="renormalize a slightly non-isotropic instance first")
-    _options(p, "threads", "numeric-policy")
+    # the descent runs on one thread; --threads 1 stays accepted only until
+    # the benchmark's partition workloads stop passing it
+    p.add_argument("--threads", type=_integer(1, "positive"), default=1,
+                   choices=[1], help="accepted for compatibility; only 1")
+    _options(p, "numeric-policy")
 
     m = sub.add_parser("mixed", help="expected characteristic polynomial")
     m.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     ec.add_argument("--threshold", type=float, default=1.0)
     ec.add_argument("--csv", default="-", metavar="FILE",
                     help="per-trial rows, - for stdout")
-    _options(ec, "seed", "threads", "numeric-policy", out_default=None)
+    _options(ec, "seed", "numeric-policy", out_default=None)
     el = es.add_parser("laguerre",
                        help="largest root of the shrunk expected polynomial")
     el.add_argument("--n", type=int, required=True)

@@ -149,7 +149,7 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
     with a diagnostic rather than continue from a spurious node.  A walk
     over an ensemble maps each level's children over ``threads`` and is
     refused up front when ``descent_work`` exceeds the work cap; a
-    ``NodeFamily``'s maker admits its own work and sets its own threads.
+    ``NodeFamily``'s maker admits its own work.
     """
     if isinstance(e, NodeFamily):
         family = e

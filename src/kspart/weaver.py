@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realpoly
-from ._parallel import chunked, ordered_map
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
                         RandomVectorEnsemble, _positions, _readonly,
@@ -540,26 +539,22 @@ def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
     return g
 
 
-def _closing(tables: tuple, tops: np.ndarray, start: int,
-             threads: int = 1) -> list[np.ndarray]:
+def _closing(tables: tuple, tops: np.ndarray, start: int) -> list[np.ndarray]:
     """chi(C - sum_{i in W} u_i u_i*) for each C of a stack tops and each
     lattice row W from start: one ``char_poly_stack`` per chunk of rows
-    over every top, the chunks mapped over threads."""
+    over every top."""
     outers, lat, _ = tables
     d = outers.shape[1]
     rows = lat.members.shape[0] - start
     h = [np.empty((rows, d + 1)) for _ in tops]
     step = max(1, CHUNK // len(tops))
-
-    def chunk(lo):
+    for lo in range(0, rows, step):
         members = lat.members[start + lo:start + lo + step]
         q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
             q += outers[members[:, t]]
         for x, y in zip(h, linalg.char_poly_stack(tops[:, None] - q)):
             x[lo:lo + len(q)] = y
-
-    ordered_map(chunk, range(0, rows, step), threads=threads)
     return h
 
 
@@ -574,8 +569,8 @@ def _close(g: np.ndarray, h: np.ndarray, r: int) -> np.ndarray:
     return mu
 
 
-def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray, k: int,
-          threads: int = 1) -> tuple:
+def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
+          k: int) -> tuple:
     """``block_node_poly`` at a prefix of length k with part sums bases,
     given ``_node_tables(inst, r)``, with the F blocks and the grown
     product its children reuse."""
@@ -591,36 +586,26 @@ def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray, k: int,
     tops = bases[-1:].copy()
     for i in range(k, m):
         tops += outers[i]
-    return _close(g, _closing(tables, tops, start, threads)[0], r), fs, g
+    return _close(g, _closing(tables, tops, start)[0], r), fs, g
 
 
-def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
-               r: int) -> np.ndarray:
-    """P_0 .. P_{r-1}: r times the outer products pinned to each block."""
-    bases = np.zeros((r,) + outers.shape[1:], dtype=np.complex128)
-    for i, t in enumerate(prefix):
-        bases[t] += r * outers[i]
-    return bases
-
-
-def _block_family(inst: WeaverInstance, r: int, policy: NumericPolicy,
-                  threads: int = 1) -> NodeFamily:
+def _block_family(inst: WeaverInstance, r: int,
+                  policy: NumericPolicy) -> NodeFamily:
     """The r-part descent tree on ``block_node_poly``, one level per pass
     (see the module docstring).  A node's state is its prefix length k,
     its part sums, and its F blocks and grown product over the lattice
-    rows from ``starts[k]``, which its children slice at ``starts[k + 1]``;
-    the closing chunks are mapped over threads.  A leaf's roots are the
-    eigenvalues of the r part sums, exact where the coefficients of
-    prod_b chi(P_b) scatter a multiple root (by about 1e-4 for a double
-    eigenvalue shared by two parts).  ``_node_tables`` are built once for
-    the tree and freed with it."""
+    rows from ``starts[k]``, which its children slice at ``starts[k + 1]``.
+    A leaf's roots are the eigenvalues of the r part sums, exact where the
+    coefficients of prod_b chi(P_b) scatter a multiple root (by about 1e-4
+    for a double eigenvalue shared by two parts).  ``_node_tables`` are
+    built once for the tree and freed with it."""
     m = inst.count
     tables = _node_tables(inst, r)
     outers, lat, minors = tables
 
     def root():
         bases = _part_sums(outers, (), r)
-        mu, fs, g = _node(inst, tables, bases, 0, threads)
+        mu, fs, g = _node(inst, tables, bases, 0)
         return realpoly.root_lists([mu], policy)[0], (0, bases, fs, g)
 
     def children(state):
@@ -638,7 +623,7 @@ def _block_family(inst: WeaverInstance, r: int, policy: NumericPolicy,
         tops = np.array(([bases[-1]] if r > 1 else []) + [kids[-1, -1]])
         for i in range(k + 1, m):
             tops += outers[i]
-        h = _closing(tables, tops, start, threads)
+        h = _closing(tables, tops, start)
         # child r - 1 keeps its parent's product: it closes first, so its
         # closing polynomials are gone before the others' products grow
         last = _close(g, h.pop(), r)
@@ -679,8 +664,7 @@ class PartitionReport:
 
 
 def partition(inst: WeaverInstance, r: int,
-              policy: NumericPolicy = DEFAULT_POLICY,
-              threads: int = 1) -> PartitionReport:
+              policy: NumericPolicy = DEFAULT_POLICY) -> PartitionReport:
     """Partition the vectors into r parts by interlacing-family descent.
 
     The descent walks ``block_node_poly`` and, at the leaves, the
@@ -704,7 +688,7 @@ def partition(inst: WeaverInstance, r: int,
             f"vs declared delta {rep.delta_declared:.6g}"
         )
     delta = rep.max_norm_sq
-    trace = descend(_block_family(inst, r, policy, threads), policy)
+    trace = descend(_block_family(inst, r, policy), policy)
     parts = tuple(
         tuple(i for i, c in enumerate(trace.final_assignment) if c == k)
         for k in range(r)
@@ -795,11 +779,10 @@ DIRECTION_WORK = 10_000
 """A basis direction's check on a diagonal instance."""
 
 
-def random_partition_experiment(inst: WeaverInstance, r: int = 2,
-                                trials: int = 1000, seed: int = 0,
-                                threshold: float = 1.0,
-                                policy: NumericPolicy = DEFAULT_POLICY,
-                                threads: int = 1) -> ExperimentStats:
+def random_partition_experiment(
+        inst: WeaverInstance, r: int = 2, trials: int = 1000, seed: int = 0,
+        threshold: float = 1.0,
+        policy: NumericPolicy = DEFAULT_POLICY) -> ExperimentStats:
     """Assign each vector to a uniform part, per trial, and tally outcomes.
 
     success means max part norm strictly below the threshold (default 1, the
@@ -807,7 +790,7 @@ def random_partition_experiment(inst: WeaverInstance, r: int = 2,
     no basis direction landed entirely in part 0 is reported next to the
     analytic value (1 - r^(-copies))^directions; with r = 2 and 1/delta
     copies per direction that is (1 - 2^(-1/delta))^n.  Per-trial seeds
-    derive from (seed, trial index), so results do not depend on threading.
+    derive from (seed, trial index), so any trial can be rerun alone.
     The request is refused before any trial when its predicted work exceeds
     the work cap.
     """
@@ -831,52 +814,37 @@ def random_partition_experiment(inst: WeaverInstance, r: int = 2,
         counts = counts[counts > 0]
         if counts.size and np.all(counts == counts[0]):
             analytic = float((1.0 - r ** (-float(counts[0]))) ** counts.size)
-    if trials == 0:
-        empty = np.array([])
-        return ExperimentStats(
-            trials=0, r=r, threshold=float(threshold), max_norms=empty,
-            successes=np.array([], dtype=bool), success_frequency=None,
-            mono_free=(np.array([], dtype=bool) if dirs is not None else None),
-            mono_free_frequency=None, analytic_mono_free=analytic,
-        )
     outers = np.einsum("mj,mk->mjk", inst.vectors, inst.vectors.conj())
-
-    def run_chunk(trial_ids):
-        norms = np.empty(len(trial_ids))
-        mono = np.empty(len(trial_ids), dtype=bool)
-        for row, trial in enumerate(trial_ids):
-            rng = np.random.default_rng((int(seed), int(trial)))
-            labels = rng.integers(0, r, size=m)
-            top = 0.0
-            for k in range(r):
-                sel = labels == k
-                if not np.any(sel):
-                    continue
-                s = np.tensordot(sel.astype(float), outers, axes=(0, 0))
-                ev = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-                top = max(top, float(ev[-1]))
-            norms[row] = top
-            if dirs is not None:
-                in_part0 = labels == 0
-                mono[row] = True
-                for direction in np.unique(dirs):
-                    members = dirs == direction
-                    if np.all(in_part0[members]):
-                        mono[row] = False
-                        break
-        return norms, mono
-
-    results = ordered_map(run_chunk, chunked(range(trials), 256), threads=threads)
-    max_norms = np.concatenate([x[0] for x in results])
+    max_norms = np.empty(trials)
+    mono_free = None if dirs is None else np.empty(trials, dtype=bool)
+    for trial in range(trials):
+        rng = np.random.default_rng((int(seed), trial))
+        labels = rng.integers(0, r, size=m)
+        top = 0.0
+        for k in range(r):
+            sel = labels == k
+            if not np.any(sel):
+                continue
+            s = np.tensordot(sel.astype(float), outers, axes=(0, 0))
+            ev = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
+            top = max(top, float(ev[-1]))
+        max_norms[trial] = top
+        if dirs is not None:
+            in_part0 = labels == 0
+            mono_free[trial] = True
+            for direction in np.unique(dirs):
+                members = dirs == direction
+                if np.all(in_part0[members]):
+                    mono_free[trial] = False
+                    break
     successes = max_norms < float(threshold)
-    mono_free = None
     mono_freq = None
-    if dirs is not None:
-        mono_free = np.concatenate([x[1] for x in results])
+    if dirs is not None and trials:
         mono_freq = float(np.mean(mono_free))
     return ExperimentStats(
         trials=trials, r=r, threshold=float(threshold), max_norms=max_norms,
-        successes=successes, success_frequency=float(np.mean(successes)),
+        successes=successes,
+        success_frequency=float(np.mean(successes)) if trials else None,
         mono_free=mono_free, mono_free_frequency=mono_freq,
         analytic_mono_free=analytic,
     )

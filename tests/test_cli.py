@@ -383,8 +383,7 @@ def test_seed_must_be_non_negative_integer(argv, seed, capsys):
 @pytest.mark.parametrize("argv", [
     ["partition", "--in", "inst.json"],
     ["mixed", "--in", "ens.json"],
-    ["experiment", "chernoff", "--in", "inst.json"],
-], ids=["partition", "mixed", "chernoff"])
+], ids=["partition", "mixed"])
 @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "x"])
 def test_threads_must_be_positive_integer(argv, threads, capsys):
     assert main(argv + ["--threads", threads]) == 2
@@ -469,6 +468,7 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content):
     ["mixed", "--in", "ens.json", "--seed", "7"],
     ["certify", "--in", "inst.json", "--threads", "8"],
     ["experiment", "chernoff", "--in", "inst.json", "--diagonal"],
+    ["experiment", "chernoff", "--in", "inst.json", "--threads", "2"],
 ], ids="_".join)
 def test_unread_options_are_refused(argv, capsys):
     # every other argument is valid, so only the named option is refused
@@ -500,14 +500,18 @@ def test_stdout_streaming(tmp_path, monkeypatch, capsys):
     assert read_report(rep)["payload"]["within_bound"] is True
 
 
-def test_report_determinism_across_threads(tmp_path):
+def test_report_determinism_across_threads(tmp_path, capsys):
+    # partition runs on one thread: --threads 1 is the default, 2 is refused
     inst = str(tmp_path / "inst.json")
     assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
                  "--out", inst]) == 0
     blobs = []
-    for threads in ("1", "2", "8"):
-        rep = str(tmp_path / f"rep{threads}.json")
-        assert main(["partition", "--in", inst, "--threads", threads,
+    for flag in ([], ["--threads", "1"]):
+        rep = str(tmp_path / f"rep{len(flag)}.json")
+        assert main(["partition", "--in", inst, *flag,
                      "--trace", "--out", rep]) == 0
         blobs.append(canonical_bytes(rep))
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
+    assert main(["partition", "--in", inst, "--threads", "2",
+                 "--out", str(tmp_path / "rep2.json")]) == 2
+    assert "--threads: invalid choice" in capsys.readouterr().err

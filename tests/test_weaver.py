@@ -6,7 +6,6 @@ import gc
 import json
 import math
 import os
-import sys
 import threading
 import time
 from fractions import Fraction
@@ -38,7 +37,7 @@ from kspart import (
     validate,
 )
 from kspart import interlace, mixedchar, realpoly, weaver
-from kspart._parallel import chunked, ordered_map, usable_cpus
+from kspart._parallel import ordered_map, usable_cpus
 from kspart.serialize import partition_report_to_dict
 from kspart.weaver import laplacian
 
@@ -259,8 +258,8 @@ def test_experiment_zero_trials_and_determinism():
     inst = gen_diagonal(2, 0.5)
     empty = random_partition_experiment(inst, trials=0)
     assert empty.trials == 0 and empty.success_frequency is None
-    a = random_partition_experiment(inst, trials=64, seed=9, threads=1)
-    b = random_partition_experiment(inst, trials=64, seed=9, threads=3)
+    a = random_partition_experiment(inst, trials=64, seed=9)
+    b = random_partition_experiment(inst, trials=64, seed=9)
     assert np.array_equal(a.max_norms, b.max_norms)
     assert np.array_equal(a.mono_free, b.mono_free)
 
@@ -478,12 +477,6 @@ def test_two_part_refused_before_any_kernel(monkeypatch):
             partition(inst, r)
 
 
-def test_chunked_slices_lazily():
-    first = next(chunked(range(10 ** 15), 256))
-    assert first == range(0, 256)
-    assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-
-
 def test_experiment_refused_before_any_trial(monkeypatch):
     inst = gen_diagonal(2, 0.5)
     no_kernels(monkeypatch)
@@ -552,24 +545,18 @@ def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch):
                 assert again == rep
 
 
-def test_partition_chunks_over_threads_give_the_same_report(monkeypatch):
-    # several closing chunks per level, mapped over one and two threads
+def test_partition_chunks_give_the_same_report(monkeypatch):
+    # several closing chunks per level
     inst = block_instances()["gauss"]
 
-    def report(r, threads=1):
+    def report(r):
         return json.dumps(partition_report_to_dict(
-            partition(inst, r, threads=threads), with_trace=True))
+            partition(inst, r), with_trace=True))
 
     want = {r: report(r) for r in (2, 3)}
     monkeypatch.setattr(weaver, "CHUNK", 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the workers' chunks interleave finely
-    try:
-        for r in (2, 3):
-            for threads in (1, 2):
-                assert report(r, threads) == want[r], (r, threads)
-    finally:
-        sys.setswitchinterval(interval)
+    for r in (2, 3):
+        assert report(r) == want[r], r
 
 
 def test_descent_asks_for_each_node_once(monkeypatch):
