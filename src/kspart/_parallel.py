@@ -5,7 +5,7 @@ for any thread count; threads only change wall time.  Only the brute-force
 mixed oracle maps its work over threads, whose outcome chunks are large
 numpy stacks that release the GIL; the descent's closing chunks and the
 random partition experiment's trials ran no faster on two threads, so they
-run on one.
+run on one, as do the children of ``descend`` on an ensemble.
 """
 from __future__ import annotations
 

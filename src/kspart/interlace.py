@@ -116,26 +116,24 @@ class NodeFamily:
     children: Callable[[object], list[tuple[realpoly.RootList, object]]]
 
 
-def _ensemble_family(e: RandomVectorEnsemble, policy: NumericPolicy,
-                     threads: int) -> NodeFamily:
+def _ensemble_family(e: RandomVectorEnsemble,
+                     policy: NumericPolicy) -> NodeFamily:
     """The atom tree of an ensemble: a node's state is its prefix, and its
-    children's ``conditional_expected_poly`` calls are mapped over
-    ``threads``."""
+    children are one ``conditional_expected_poly`` call each."""
     def node(prefix):
         return (realpoly.roots(conditional_expected_poly(e, prefix, policy),
                                policy), prefix)
 
     def children(prefix):
+        # one thread; ordered_map stays the seam the benchmark's tracer wraps
         return ordered_map(lambda t: node(prefix + (t,)),
-                           range(e.support_sizes[len(prefix)]),
-                           threads=threads)
+                           range(e.support_sizes[len(prefix)]))
 
     return NodeFamily(e.support_sizes, lambda: node(()), children)
 
 
 def descend(e: RandomVectorEnsemble | NodeFamily,
-            policy: NumericPolicy = DEFAULT_POLICY,
-            threads: int = 1) -> DescentTrace:
+            policy: NumericPolicy = DEFAULT_POLICY) -> DescentTrace:
     """Walk the atom tree of an ensemble (or any ``NodeFamily``) by
     smallest largest-root.
 
@@ -147,16 +145,16 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
     At every level the chosen child's largest root must not exceed the
     parent's beyond the descent slack; if no child qualifies the walk aborts
     with a diagnostic rather than continue from a spurious node.  A walk
-    over an ensemble maps each level's children over ``threads`` and is
-    refused up front when ``descent_work`` exceeds the work cap; a
-    ``NodeFamily``'s maker admits its own work.
+    over an ensemble runs on one thread and is refused up front when
+    ``descent_work`` exceeds the work cap; a ``NodeFamily``'s maker admits
+    its own work.
     """
     if isinstance(e, NodeFamily):
         family = e
     else:
         policy.admit(descent_work(e.support_sizes, e.dim),
                      f"descent over {len(e.vectors)} vectors")
-        family = _ensemble_family(e, policy, threads)
+        family = _ensemble_family(e, policy)
     top, state = family.root()
     if top.values.size == 0:
         raise ValidationError("constant polynomial has no largest root")

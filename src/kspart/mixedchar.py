@@ -256,8 +256,9 @@ class _SubsetLattice:
     the rows of one size, in ascending order, are in ``combinations`` order.
 
     members: each subset's elements, ascending, padded with m; starts[k]
-    for k <= m; by_size[j]: the rows of size j, ascending; binom[n, j]:
-    C(n, j) for n < m.  Arrays are read-only because they are shared.
+    for k <= m; by_size[j]: the rows of size j, ascending, so by_size[j] at
+    a j-subset's lexicographic rank is its row; binom[n, j]: C(n, j) for
+    n < m.  Arrays are read-only because they are shared.
     """
 
     members: np.ndarray
@@ -265,19 +266,15 @@ class _SubsetLattice:
     by_size: tuple[np.ndarray, ...]
     binom: np.ndarray
 
-    def rank(self, members: np.ndarray) -> np.ndarray:
-        """Rows of the subsets, all of one size j, whose ascending elements
-        are the rows of members."""
-        j = members.shape[1]
-        return self.sub_rows(members, _positions(j, j))[0][:, 0]
-
-    def sub_rows(self, rows: np.ndarray, *positions: np.ndarray) -> list:
-        """For each (count, j) array of ascending positions, the row of
+    def sub_ranks(self, rows: np.ndarray, *positions: np.ndarray) -> list:
+        """For each (count, j) array of ascending positions, the
+        lexicographic rank among the j-subsets of range(m) of
         {S[q] : q in p} for each row S of rows (its elements, ascending)
         and each row p of the array, shape (len(rows), count).
 
-        The j-subset e_0 < .. < e_{j-1} is by_size[j] at its lexicographic
-        rank C(m, j) - 1 - sum_t C(m - 1 - e_t, j - t)."""
+        The j-subset e_0 < .. < e_{j-1} has rank
+        C(m, j) - 1 - sum_t C(m - 1 - e_t, j - t), so the j-subsets of
+        range(k, m) are the last C(m - k, j) ranks."""
         m = len(self.binom)
         table = self.binom[m - 1 - rows]  # C(m - 1 - S[q], b) at [S, q, b]
         found = []
@@ -286,7 +283,7 @@ class _SubsetLattice:
             lex = np.full((len(rows), count), math.comb(m, j) - 1)
             for t in range(j):
                 lex -= table[:, pos[:, t], j - t]
-            found.append(self.by_size[j][lex])
+            found.append(lex)
         return found
 
 
@@ -357,15 +354,17 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
     kmax = min(m, d)
     lat = _subset_lattice(m, kmax)
     a = np.asarray(mats, dtype=np.complex128)
-    # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector
-    h = np.empty((lat.members.shape[0], d + 1))
+    # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector,
+    # h[k] holding the k-subsets T in combinations order
+    h = []
     for k in range(kmax + 1):
-        for lo in range(0, len(lat.by_size[k]), CHUNK):
+        h.append(np.empty((len(lat.by_size[k]), d + 1)))
+        for lo in range(0, len(h[k]), CHUNK):
             rows = lat.by_size[k][lo:lo + CHUNK]
             block = np.zeros((len(rows), d, d), dtype=np.complex128)
             for j in range(k):
                 block -= a[lat.members[rows, j]]
-            h[rows] = linalg.char_poly_stack(block)
+            h[k][lo:lo + CHUNK] = linalg.char_poly_stack(block)
     mu = np.zeros(d + 1)
     mu[d] = 1.0
     for k in range(1, kmax + 1):
@@ -374,15 +373,15 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
         pos = [_positions(k, r) for r in range(k + 1)]
         sign = np.concatenate([np.full(len(p), -1.0 if (k - r) % 2 else 1.0)
                                for r, p in enumerate(pos)])
-        h_k = h[:, d - k]
         rows = lat.by_size[k]
         c = np.empty(len(rows))
         # no per-step index table larger than a CHUNK of the stack
         step = max(1, 2 * CHUNK * d * d // 2 ** k)
         for lo in range(0, len(rows), step):
-            t_rows = np.concatenate(
-                lat.sub_rows(lat.members[rows[lo:lo + step], :k], *pos), axis=1)
-            c[lo:lo + step] = np.cumsum(sign * h_k[t_rows], axis=1)[:, -1]
+            ranks = lat.sub_ranks(lat.members[rows[lo:lo + step], :k], *pos)
+            terms = np.concatenate([h[j][t, d - k] for j, t in enumerate(ranks)],
+                                   axis=1)
+            c[lo:lo + step] = np.cumsum(sign * terms, axis=1)[:, -1]
         if k % 2:
             c = -c
         mu[d - k] = np.cumsum(np.concatenate(([mu[d - k]], c)))[-1]

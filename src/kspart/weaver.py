@@ -23,19 +23,21 @@ With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
              prod_{j not in J} (x - lam_{b,j}),
 
 a signed nonnegative combination of minors, so nothing nearly equal is
-subtracted.  ``block_node_poly`` grows the products of the F blocks one
-block at a time over the splits of each union and closes them with d x d
-characteristic polynomials of subset sums.  ``descend`` walks those nodes
-one level per pass: child t pins u_k to block t, so its unions are a
-suffix of its parent's lattice rows and it keeps every F_b but F_t.  One
-pass takes the r - 1 new blocks in one ``eigh`` and one ``det`` per
-chunk, grows the products of children 0 .. r - 2 together, lets child
-r - 1 keep its parent's product, closes on two bases in one
-characteristic-polynomial stack per chunk and finds the r children's
-roots in one eigenvalue call; every row is computed as for a fresh node,
-so each node polynomial equals ``block_node_poly`` bit for bit.  A leaf
-takes the eigenvalues of the r part sums.  ``lift`` with ``descend`` on
-the ensemble stays as library API and as the oracle.
+subtracted, and F_b(S) = 0 for |S| > d, so F_b is kept by subset size.
+``block_node_poly`` grows the products of the F blocks one block at a
+time over the splits of each union, on subset lattice rows, and closes
+them with d x d characteristic polynomials of subset sums.  ``descend``
+walks those nodes one level per pass: child t pins u_k to block t, so
+its unions are a suffix of its parent's lattice rows, its s-subsets the
+last of its parent's, and it keeps every F_b but F_t.  One pass takes
+the r - 1 new blocks in one ``eigh`` and one ``det`` per chunk, grows
+the products of children 0 .. r - 2 together, lets child r - 1 keep its
+parent's product, closes on two bases in one characteristic-polynomial
+stack per chunk and finds the r children's roots in one eigenvalue call;
+every row is computed as for a fresh node, so each node polynomial
+equals ``block_node_poly`` bit for bit.  A leaf takes the eigenvalues of
+the r part sums.  ``lift`` with ``descend`` on the ensemble stays as
+library API and as the oracle.
 """
 from __future__ import annotations
 
@@ -395,8 +397,8 @@ def block_work(m: int, d: int, r: int) -> float:
 def _node_tables(inst: WeaverInstance, r: int) -> tuple:
     """What every node of the r-part descent reads: u_i u_i* for i < m and
     a zero matrix, the padding of ``_SubsetLattice.members``; the lattice
-    of the unions of the first r - 1 blocks; and its ``_minor_table``.
-    Built once per partition."""
+    of the unions of the first r - 1 blocks, on whose rows products and
+    closings live; and the ``_minor_table`` of F.  Built once."""
     u, m, d = inst.vectors, inst.count, inst.dim
     outers = np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
                              np.zeros((1, d, d), dtype=np.complex128)))
@@ -431,40 +433,32 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
     return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
 
 
-def _minor_table(lat: _SubsetLattice, d: int) -> tuple[np.ndarray, ...]:
-    """The minors behind F: for each row S of lat with 1 <= |S| <= d and
-    each |S|-subset J of range(d), in row order, then J in
-    ``combinations`` order, the row, whether it is the row's first minor,
-    (-1)^|S|, the bitmask of J and the columns of [W; I] whose determinant
-    is +-det W[J, S]: S, then m + j for j not in J."""
-    m, size = len(lat.binom), lat.members.shape[1]
-    found = []
-    for s in range(1, min(d, size) + 1):
+def _minor_table(lat: _SubsetLattice, d: int) -> list:
+    """The minors behind F, by subset size s = 1 .. min(d, size): for each
+    s-subset S of range(m) and each s-subset J of range(d), both in
+    ``combinations`` order, the columns of [W; I] whose determinant is
+    +-det W[J, S] (S, then m + j for j not in J) as a (C(m, s), C(d, s), d)
+    array, and the bitmasks of the J."""
+    m = len(lat.binom)
+    table = [None]  # the empty set has no minors
+    for s in range(1, min(d, lat.members.shape[1]) + 1):
         subsets = _positions(d, s)
         keep = np.ones((len(subsets), d), dtype=bool)
         keep[np.arange(len(subsets))[:, None], subsets] = False
-        units = m + np.nonzero(keep)[1].reshape(len(subsets), d - s)
-        count = len(lat.by_size[s])
-        at = np.repeat(lat.by_size[s], len(subsets))
-        found.append((at, np.arange(len(at)) % len(subsets) == 0,
-                      np.full(len(at), (-1.0) ** s),
-                      np.tile(np.sum(1 << subsets, axis=1), count),
-                      np.concatenate((lat.members[at, :s],
-                                      np.tile(units, (count, 1))), axis=1)))
-    if not found:  # the lattice holds only the empty set, which has none
-        return (np.empty(0, dtype=np.intp),) * 5
-    order = np.argsort(np.concatenate([x[0] for x in found]), kind="stable")
-    return tuple(_readonly(np.concatenate([x[i] for x in found])[order])
-                 for i in range(5))
+        cols = np.empty((len(lat.by_size[s]), len(subsets), d), dtype=np.intp)
+        cols[..., :s] = lat.members[lat.by_size[s], None, :s]
+        cols[..., s:] = m + np.nonzero(keep)[1].reshape(len(subsets), d - s)
+        table.append((_readonly(cols), np.sum(1 << subsets, axis=1)))
+    return table
 
 
-def _minor_polys(inst: WeaverInstance, blocks: np.ndarray,
-                 lat: _SubsetLattice, table: tuple[np.ndarray, ...],
-                 start: int) -> list[np.ndarray]:
-    """F(S) of each base P of a stack blocks, for the lattice rows S from
-    start, given ``_minor_table(lat, d)``; zero on the rows with |S| > d.
-    One ``eigh`` diagonalises the stack, and one ``det`` per chunk takes
-    the minors of every block."""
+def _minor_polys(inst: WeaverInstance, blocks: np.ndarray, n: int,
+                 table: list) -> list[list[np.ndarray]]:
+    """F of each base P of a stack blocks by subset size, given
+    ``_minor_table``: for s <= min(d, n), F(S) of the s-subsets S of the
+    last n vectors in ``combinations`` order, the last C(n, s) of range(m)'s,
+    so S's lexicographic rank minus C(m, s) reads it.  One ``eigh``
+    diagonalises the stack, and one ``det`` per chunk takes every minor."""
     count, d = blocks.shape[:2]
     lam, basis = np.linalg.eigh(blocks)
     wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
@@ -476,37 +470,38 @@ def _minor_polys(inst: WeaverInstance, blocks: np.ndarray,
         times[..., 1:] = comp[..., :-1]
         comp = np.concatenate((times - lam[:, j, None, None] * comp, comp),
                               axis=1)
-    f = [np.zeros((lat.members.shape[0] - start, d + 1)) for _ in blocks]
-    for b in range(count):
-        f[b][-1] = comp[b, 0]  # the empty set, last in every suffix
-    lo = np.searchsorted(table[0], start)
-    rows, heads, sign, masks, cols = (x[lo:] for x in table)
-    if rows.size:
-        weights = np.empty((count, len(rows)))
-        ext = np.concatenate(
-            (wt, np.broadcast_to(np.eye(d), (count, d, d))), axis=1)
-        step = max(1, CHUNK // count)
-        for c in range(0, len(rows), step):
+    f = [[comp[b, :1]] for b in range(count)]  # the empty set
+    ext = np.concatenate((wt, np.broadcast_to(np.eye(d), (count, d, d))),
+                         axis=1)
+    step = max(1, CHUNK // count)
+    for s in range(1, min(d, n) + 1):
+        cols, masks = table[s]
+        cols = cols[len(cols) - math.comb(n, s):].reshape(-1, d)
+        weights = np.empty((count, len(cols)))
+        for c in range(0, len(cols), step):
             weights[:, c:c + step] = np.abs(
                 np.linalg.det(ext[:, cols[c:c + step]])) ** 2
-        heads = np.flatnonzero(heads)
+        # reduceat's x_0 + (x_1 + ...) per S keeps the bits; a J loop does not
+        heads = np.arange(0, len(cols), len(masks))
         for b in range(count):
-            f[b][rows[heads] - start] = np.add.reduceat(
-                (sign * weights[b])[:, None] * comp[b][masks], heads)
+            terms = (-1.0) ** s * weights[b]
+            terms = terms.reshape(-1, len(masks), 1) * comp[b][masks]
+            f[b].append(np.add.reduceat(terms.reshape(-1, d + 1), heads))
     return f
 
 
-def _grow(g: list[np.ndarray], f: list[np.ndarray], b: int,
-          lat: _SubsetLattice, start: int) -> list[np.ndarray]:
+def _grow(g: list, f: list[list[np.ndarray]], b: int, lat: _SubsetLattice,
+          start: int) -> list[np.ndarray]:
     """G'(W) = sum of G(A) F(S) over the splits W = A + S with |S| <= d and
     |A| <= b d, for the lattice rows W from start, for each sibling of a
-    batch, g[c] and f[c] being sibling c's, indexed by row - start; the
-    splits of a union add by the size of S, each size summed over S's
-    positions in ``combinations`` order.  The siblings share the splits'
-    rows, and no terms array holds more than CHUNK splits across them."""
-    d = f[0].shape[1] - 1
-    width = g[0].shape[1]
-    out = [np.zeros((x.shape[0], width + d)) for x in g]
+    batch, g[c] and f[c] being sibling c's: F by subset size, and G
+    indexed by row - start, or at b = 1 G = F_0 by subset size; the splits
+    of a union add by the size of S, each size summed over S's positions
+    in ``combinations`` order.  The siblings share the splits' ranks, and
+    no terms array holds more than CHUNK splits across them."""
+    d = f[0][0].shape[1] - 1
+    width = b * d + 1
+    out = [np.zeros((lat.members.shape[0] - start, width + d)) for _ in g]
     for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
         unions = lat.by_size[w][np.searchsorted(lat.by_size[w], start):]
         if not unions.size:  # nor any larger unions
@@ -517,10 +512,11 @@ def _grow(g: list[np.ndarray], f: list[np.ndarray], b: int,
             step = max(1, CHUNK // (len(g) * len(pos)))
             for lo in range(0, len(unions), step):
                 at = unions[lo:lo + step]
-                part, a = lat.sub_rows(lat.members[at, :w], pos, rest)
-                part, a = part - start, a - start
-                part = np.stack([x[part] for x in f])
-                a = np.stack([x[a] for x in g])
+                part, a = lat.sub_ranks(lat.members[at, :w], pos, rest)
+                part = np.stack([x[s][part - len(lat.by_size[s])] for x in f])
+                a = (a - len(lat.by_size[w - s]) if b == 1
+                     else lat.by_size[w - s][a] - start)
+                a = np.stack([(x[w - s] if b == 1 else x)[a] for x in g])
                 terms = np.zeros(part.shape[:3] + (width + d,))
                 for c in range(d + 1):
                     terms[..., c:c + width] += a * part[..., c:c + 1]
@@ -529,11 +525,17 @@ def _grow(g: list[np.ndarray], f: list[np.ndarray], b: int,
     return out
 
 
-def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
+def _chain(fs: list[list[list[np.ndarray]]], lat: _SubsetLattice,
            start: int) -> list[np.ndarray]:
-    """prod_b F_b, grown one block at a time, of each sibling of a batch,
-    fs[c] being sibling c's blocks F_0 .. F_{r-2} (r >= 2)."""
+    """prod_b F_b on the lattice rows from start, grown one block at a
+    time, of each sibling of a batch, fs[c] being sibling c's blocks
+    F_0 .. F_{r-2} (r >= 2) by subset size."""
     g = [x[0] for x in fs]
+    if len(fs[0]) == 1:  # r = 2: F_0 itself, moved onto the lattice rows
+        g = [np.zeros((lat.members.shape[0] - start, x[0].shape[1])) for x in g]
+        for y, x in zip(g, fs):
+            for f, rows in zip(x[0], lat.by_size):
+                y[rows[len(rows) - len(f):] - start] = f
     for b in range(1, len(fs[0])):
         g = _grow(g, [x[b] for x in fs], b, lat, start)
     return g
@@ -577,10 +579,10 @@ def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
     m, r = inst.count, bases.shape[0]
     outers, lat, minors = tables
     start = lat.starts[k]
-    fs: list[np.ndarray] = []
+    fs: list[list[np.ndarray]] = []
     g = np.ones((lat.members.shape[0] - start, 1))  # r = 1: the empty union
     if r > 1:
-        fs = _minor_polys(inst, bases[:-1], lat, minors, start)
+        fs = _minor_polys(inst, bases[:-1], m - k, minors)
         g = _chain([fs], lat, start)[0]
     # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
     tops = bases[-1:].copy()
@@ -593,8 +595,8 @@ def _block_family(inst: WeaverInstance, r: int,
                   policy: NumericPolicy) -> NodeFamily:
     """The r-part descent tree on ``block_node_poly``, one level per pass
     (see the module docstring).  A node's state is its prefix length k,
-    its part sums, and its F blocks and grown product over the lattice
-    rows from ``starts[k]``, which its children slice at ``starts[k + 1]``.
+    its part sums, its F blocks by subset size, and its grown product over
+    the lattice rows from ``starts[k]``, which its children slice.
     A leaf's roots are the eigenvalues of the r part sums, exact where the
     coefficients of prod_b chi(P_b) scatter a multiple root (by about 1e-4
     for a double eigenvalue shared by two parts).  ``_node_tables`` are
@@ -618,8 +620,9 @@ def _block_family(inst: WeaverInstance, r: int,
                                                   return_counts=True)), None)
                     for kid in kids]
         start = lat.starts[k + 1]
-        off = start - lat.starts[k]
-        fs, g = [f[off:] for f in fs], g[off:]
+        n, g = m - k - 1, g[start - lat.starts[k]:]
+        fs = [[x[len(x) - math.comb(n, s):] for s, x in enumerate(f[:n + 1])]
+              for f in fs]  # each size's suffix
         tops = np.array(([bases[-1]] if r > 1 else []) + [kids[-1, -1]])
         for i in range(k + 1, m):
             tops += outers[i]
@@ -629,8 +632,8 @@ def _block_family(inst: WeaverInstance, r: int,
         last = _close(g, h.pop(), r)
         blocks, grown = [], []
         if r > 1:
-            new = _minor_polys(inst, kids[range(r - 1), range(r - 1)], lat,
-                               minors, start)
+            new = _minor_polys(inst, kids[range(r - 1), range(r - 1)], n,
+                               minors)
             blocks = [fs[:t] + [f] + fs[t + 1:] for t, f in enumerate(new)]
             grown = _chain(blocks, lat, start)
         found = realpoly.root_lists(
@@ -698,7 +701,7 @@ def partition(inst: WeaverInstance, r: int,
         s = np.zeros((d, d), dtype=np.complex128)
         for i in part:
             s += np.outer(inst.vectors[i], inst.vectors[i].conj())
-        norms.append(linalg.operator_norm(s, policy) if d else 0.0)
+        norms.append(linalg.operator_norm(s, policy))
     bound = (1.0 / math.sqrt(r) + math.sqrt(delta)) ** 2
     improved = None
     if r == 2 and delta <= 0.5 + policy.norm_bound_slack:

@@ -2,6 +2,7 @@
 the subset-expansion derivative formula, plus conditional tree polynomials
 and the deterministic-vs-expected top root comparison."""
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -293,6 +294,8 @@ def test_policy_reaches_instance_and_vector_checks():
 
 @pytest.mark.parametrize("m", range(10))
 def test_subset_lattice_layout_and_rank(m):
+    lex = {c: i for j in range(m + 1)
+           for i, c in enumerate(combinations(range(m), j))}
     for size in range(m + 1):
         lat = mixedchar._subset_lattice(m, size)
         members = lat.members
@@ -305,20 +308,26 @@ def test_subset_lattice_layout_and_rank(m):
             rows = lat.by_size[j]
             assert [subsets[i] for i in rows] == \
                 list(combinations(range(m), j))
-            assert np.array_equal(lat.rank(members[rows, :j]), rows)
             # every position tuple of every length, the empty one included
             pos = [list(combinations(range(j), t)) for t in range(j + 1)]
-            got = lat.sub_rows(members[rows, :j], *(
+            got = lat.sub_ranks(members[rows, :j], *(
                 np.array(p, dtype=np.intp).reshape(len(p), t)
                 for t, p in enumerate(pos)))
+            assert np.array_equal(got[-1][:, 0], np.arange(len(rows)))
             for p, found in zip(pos, got):
                 assert found.shape == (len(rows), len(p))
                 for c, q in enumerate(p):
-                    assert np.array_equal(found[:, c],
-                                          lat.rank(members[rows][:, list(q)]))
+                    assert found[:, c].tolist() == [
+                        lex[tuple(subsets[i][t] for t in q)] for i in rows]
         for k in range(m + 1):
             above = [i for i, s in enumerate(subsets) if min(s, default=m) >= k]
             assert above == list(range(lat.starts[k], len(members)))
+            # the j-subsets of range(k, m) are the last C(m - k, j) ranks
+            for j in range(size + 1):
+                ranks = sorted(lex[subsets[i]] for i in above
+                               if len(subsets[i]) == j)
+                assert ranks == list(range(math.comb(m, j) - math.comb(m - k, j),
+                                           math.comb(m, j)))
 
 
 # -- bit-for-bit reference for the subset expansion ------------------------

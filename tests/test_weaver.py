@@ -2,6 +2,7 @@
 its norm guarantee, graph spectral comparisons, and the random-partition
 Monte-Carlo baseline."""
 
+import functools
 import gc
 import json
 import math
@@ -9,7 +10,7 @@ import os
 import threading
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -389,6 +390,46 @@ def test_block_node_poly_matches_exact_oracle():
                 dev = relative_deviation(block_node_poly(inst, prefix, r),
                                          want)
                 assert dev <= 1e-13, (skew, r, prefix, dev)
+
+
+def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
+    # F_b(S) = 0 for |S| > d: one array per size s <= min(d, n), of the
+    # s-subsets of the unpinned vectors in combinations order, each row the
+    # alternating sum over T in S of chi(P_b + sum_{i in T} u_i u_i*)
+    r = 3
+    for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]]):
+        outers, inst = rational_diagonal(skew)
+        m, d = inst.count, inst.dim
+        tables = weaver._node_tables(inst, r)
+        for prefix in ((0,), (0, 1)):
+            k, n = len(prefix), m - len(prefix)
+            bases = weaver._part_sums(tables[0], prefix, r)
+            fs = weaver._minor_polys(inst, bases[:-1], n, tables[2])
+            assert len(fs) == r - 1
+            for b, f in enumerate(fs):
+                assert [x.shape for x in f] == [
+                    (math.comb(n, s), d + 1) for s in range(min(d, n) + 1)]
+                pinned = [i for i in range(k) if prefix[i] == b]
+
+                @functools.cache
+                def chi(members):
+                    return exact_char_poly(
+                        [[sum((r * outers[i][p][q] for i in pinned),
+                              Fraction(0))
+                          + sum((outers[i][p][q] for i in members),
+                                Fraction(0)) for q in range(d)]
+                         for p in range(d)])
+
+                for s, x in enumerate(f):
+                    for row, subset in zip(
+                            x, combinations(range(k, m), s), strict=True):
+                        want = [Fraction(0)] * (d + 1)
+                        for t in range(s + 1):
+                            for part in combinations(subset, t):
+                                want = [w + (-1) ** (s - t) * c
+                                        for w, c in zip(want, chi(part))]
+                        dev = np.max(np.abs(row - np.array(want, float)))
+                        assert dev <= 1e-13, (skew, prefix, b, subset, dev)
 
 
 def test_block_node_poly_of_no_vectors_is_a_power_of_x():
