@@ -29,15 +29,15 @@ time over the splits of each union, on subset lattice rows, and closes
 them with d x d characteristic polynomials of subset sums.  ``descend``
 walks those nodes one level per pass: child t pins u_k to block t, so
 its unions are a suffix of its parent's lattice rows, its s-subsets the
-last of its parent's, and it keeps every F_b but F_t.  One pass takes
-the r - 1 new blocks in one ``eigh`` and one ``det`` per chunk, grows
-the products of children 0 .. r - 2 together, lets child r - 1 keep its
-parent's product, closes on two bases in one characteristic-polynomial
-stack per chunk and finds the r children's roots in one eigenvalue call;
-every row is computed as for a fresh node, so each node polynomial
-equals ``block_node_poly`` bit for bit.  A leaf takes the eigenvalues of
-the r part sums.  ``lift`` with ``descend`` on the ensemble stays as
-library API and as the oracle.
+last of its parent's, and it keeps every F_b but F_t.  One pass closes
+on two bases in one characteristic-polynomial stack per chunk, lets child
+r - 1 keep its parent's product, builds children 0 .. r - 2 one after
+another, each taking its new block in one ``eigh`` and one ``det`` per
+chunk and growing its own product, and finds the r children's roots in
+one eigenvalue call; every row is computed as for a fresh node, so each
+node polynomial equals ``block_node_poly`` bit for bit.  A leaf takes the
+eigenvalues of the r part sums.  ``lift`` with ``descend`` on the
+ensemble stays as library API and as the oracle.
 """
 from __future__ import annotations
 
@@ -360,7 +360,7 @@ def _node_work(n: int, d: int, r: int, chains: int = 1,
     """Work of one pass over the lattice rows of n unpinned vectors that
     takes r - 1 F blocks, grows chains products of them and closes on
     tops bases: a fresh node has one chain and one top, a level of
-    siblings r - 1 chains and min(r, 2) tops."""
+    siblings r - 1 chains and two tops."""
     rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
     minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
     splits = 0
@@ -388,7 +388,7 @@ def block_work(m: int, d: int, r: int) -> float:
     grown products and the two closing bases of the r children and r
     root findings, n being the children's unpinned vectors (the leaves,
     which take eigenvalues instead, count as a level)."""
-    level = lambda n: (_node_work(n, d, r, r - 1, min(r, 2))
+    level = lambda n: (_node_work(n, d, r, r - 1, 2)
                        + r * roots_work(r * d))
     return float(min(_node_work(m, d, r) + roots_work(r * d)
                      + sum(level(n) for n in range(m)), 10 ** 300))
@@ -452,56 +452,50 @@ def _minor_table(lat: _SubsetLattice, d: int) -> list:
     return table
 
 
-def _minor_polys(inst: WeaverInstance, blocks: np.ndarray, n: int,
-                 table: list) -> list[list[np.ndarray]]:
-    """F of each base P of a stack blocks by subset size, given
-    ``_minor_table``: for s <= min(d, n), F(S) of the s-subsets S of the
-    last n vectors in ``combinations`` order, the last C(n, s) of range(m)'s,
-    so S's lexicographic rank minus C(m, s) reads it.  One ``eigh``
-    diagonalises the stack, and one ``det`` per chunk takes every minor."""
-    count, d = blocks.shape[:2]
-    lam, basis = np.linalg.eigh(blocks)
-    wt = inst.vectors @ basis.conj()  # W_b transposed, block by block
+def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
+                 table: list) -> list[np.ndarray]:
+    """F of a base P by subset size, given ``_minor_table``: for s <=
+    min(d, n), F(S) of the s-subsets S of the last n vectors in
+    ``combinations`` order, the last C(n, s) of range(m)'s, so S's
+    lexicographic rank minus C(m, s) reads it.  One ``eigh`` diagonalises
+    P, and one ``det`` per chunk takes every minor."""
+    d = base.shape[0]
+    lam, basis = np.linalg.eigh(base)
+    wt = inst.vectors @ basis.conj()  # W transposed
     # prod_{j not in J} (x - lam_j) for every J in range(d), at J's bitmask
-    comp = np.zeros((count, 1, d + 1))
-    comp[:, 0, 0] = 1.0
+    comp = np.zeros((1, d + 1))
+    comp[0, 0] = 1.0
     for j in range(d):
         times = np.zeros_like(comp)
-        times[..., 1:] = comp[..., :-1]
-        comp = np.concatenate((times - lam[:, j, None, None] * comp, comp),
-                              axis=1)
-    f = [[comp[b, :1]] for b in range(count)]  # the empty set
-    ext = np.concatenate((wt, np.broadcast_to(np.eye(d), (count, d, d))),
-                         axis=1)
-    step = max(1, CHUNK // count)
+        times[:, 1:] = comp[:, :-1]
+        comp = np.concatenate((times - lam[j] * comp, comp))
+    f = [comp[:1]]  # the empty set
+    ext = np.concatenate((wt, np.eye(d)))
     for s in range(1, min(d, n) + 1):
         cols, masks = table[s]
         cols = cols[len(cols) - math.comb(n, s):].reshape(-1, d)
-        weights = np.empty((count, len(cols)))
-        for c in range(0, len(cols), step):
-            weights[:, c:c + step] = np.abs(
-                np.linalg.det(ext[:, cols[c:c + step]])) ** 2
+        weights = np.empty(len(cols))
+        for c in range(0, len(cols), CHUNK):
+            weights[c:c + CHUNK] = np.abs(
+                np.linalg.det(ext[cols[c:c + CHUNK]])) ** 2
+        terms = (-1.0) ** s * weights.reshape(-1, len(masks), 1) * comp[masks]
         # reduceat's x_0 + (x_1 + ...) per S keeps the bits; a J loop does not
-        heads = np.arange(0, len(cols), len(masks))
-        for b in range(count):
-            terms = (-1.0) ** s * weights[b]
-            terms = terms.reshape(-1, len(masks), 1) * comp[b][masks]
-            f[b].append(np.add.reduceat(terms.reshape(-1, d + 1), heads))
+        f.append(np.add.reduceat(terms.reshape(-1, d + 1),
+                                 np.arange(0, len(cols), len(masks))))
     return f
 
 
-def _grow(g: list, f: list[list[np.ndarray]], b: int, lat: _SubsetLattice,
-          start: int) -> list[np.ndarray]:
+def _grow(g: np.ndarray | list, f: list[np.ndarray], b: int,
+          lat: _SubsetLattice, start: int) -> np.ndarray:
     """G'(W) = sum of G(A) F(S) over the splits W = A + S with |S| <= d and
-    |A| <= b d, for the lattice rows W from start, for each sibling of a
-    batch, g[c] and f[c] being sibling c's: F by subset size, and G
+    |A| <= b d, for the lattice rows W from start: F by subset size, and G
     indexed by row - start, or at b = 1 G = F_0 by subset size; the splits
     of a union add by the size of S, each size summed over S's positions
-    in ``combinations`` order.  The siblings share the splits' ranks, and
-    no terms array holds more than CHUNK splits across them."""
-    d = f[0][0].shape[1] - 1
+    in ``combinations`` order, and no terms array holds more than CHUNK
+    splits."""
+    d = f[0].shape[1] - 1
     width = b * d + 1
-    out = [np.zeros((lat.members.shape[0] - start, width + d)) for _ in g]
+    out = np.zeros((lat.members.shape[0] - start, width + d))
     for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
         unions = lat.by_size[w][np.searchsorted(lat.by_size[w], start):]
         if not unions.size:  # nor any larger unions
@@ -509,35 +503,35 @@ def _grow(g: list, f: list[list[np.ndarray]], b: int, lat: _SubsetLattice,
         for s in range(max(0, w - b * d), min(w, d) + 1):
             # complements run through combinations order backwards
             pos, rest = _positions(w, s), _positions(w, w - s)[::-1]
-            step = max(1, CHUNK // (len(g) * len(pos)))
+            step = max(1, CHUNK // len(pos))
             for lo in range(0, len(unions), step):
                 at = unions[lo:lo + step]
                 part, a = lat.sub_ranks(lat.members[at, :w], pos, rest)
-                part = np.stack([x[s][part - len(lat.by_size[s])] for x in f])
-                a = (a - len(lat.by_size[w - s]) if b == 1
-                     else lat.by_size[w - s][a] - start)
-                a = np.stack([(x[w - s] if b == 1 else x)[a] for x in g])
-                terms = np.zeros(part.shape[:3] + (width + d,))
+                part = f[s][part - len(lat.by_size[s])]
+                a = (g[w - s][a - len(lat.by_size[w - s])] if b == 1
+                     else g[lat.by_size[w - s][a] - start])
+                terms = np.zeros(part.shape[:2] + (width + d,))
                 for c in range(d + 1):
                     terms[..., c:c + width] += a * part[..., c:c + 1]
-                for x, y in zip(out, terms.sum(axis=2)):
-                    x[at - start] += y
+                out[at - start] += terms.sum(axis=1)
     return out
 
 
-def _chain(fs: list[list[list[np.ndarray]]], lat: _SubsetLattice,
-           start: int) -> list[np.ndarray]:
+def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
+           start: int) -> np.ndarray:
     """prod_b F_b on the lattice rows from start, grown one block at a
-    time, of each sibling of a batch, fs[c] being sibling c's blocks
-    F_0 .. F_{r-2} (r >= 2) by subset size."""
-    g = [x[0] for x in fs]
-    if len(fs[0]) == 1:  # r = 2: F_0 itself, moved onto the lattice rows
-        g = [np.zeros((lat.members.shape[0] - start, x[0].shape[1])) for x in g]
-        for y, x in zip(g, fs):
-            for f, rows in zip(x[0], lat.by_size):
-                y[rows[len(rows) - len(f):] - start] = f
-    for b in range(1, len(fs[0])):
-        g = _grow(g, [x[b] for x in fs], b, lat, start)
+    time from one node's blocks fs = F_0 .. F_{r-2} by subset size; with
+    no block (r = 1) it is 1, the product over the empty union."""
+    rows = lat.members.shape[0] - start
+    if not fs:
+        return np.ones((rows, 1))
+    g = fs[0]
+    if len(fs) == 1:  # r = 2: F_0 itself, moved onto the lattice rows
+        g = np.zeros((rows, fs[0][0].shape[1]))
+        for f, at in zip(fs[0], lat.by_size):
+            g[at[len(at) - len(f):] - start] = f
+    for b in range(1, len(fs)):
+        g = _grow(g, fs[b], b, lat, start)
     return g
 
 
@@ -579,11 +573,8 @@ def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
     m, r = inst.count, bases.shape[0]
     outers, lat, minors = tables
     start = lat.starts[k]
-    fs: list[list[np.ndarray]] = []
-    g = np.ones((lat.members.shape[0] - start, 1))  # r = 1: the empty union
-    if r > 1:
-        fs = _minor_polys(inst, bases[:-1], m - k, minors)
-        g = _chain([fs], lat, start)[0]
+    fs = [_minor_polys(inst, base, m - k, minors) for base in bases[:-1]]
+    g = _chain(fs, lat, start)
     # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
     tops = bases[-1:].copy()
     for i in range(k, m):
@@ -595,8 +586,10 @@ def _block_family(inst: WeaverInstance, r: int,
                   policy: NumericPolicy) -> NodeFamily:
     """The r-part descent tree on ``block_node_poly``, one level per pass
     (see the module docstring).  A node's state is its prefix length k,
-    its part sums, its F blocks by subset size, and its grown product over
-    the lattice rows from ``starts[k]``, which its children slice.
+    its part sums, the F blocks its children read by subset size, and its
+    grown product over the lattice rows from ``starts[k]``, which its
+    children slice.  At r = 2 a child replaces F_0 or keeps the grown
+    product, so no state keeps an F block.
     A leaf's roots are the eigenvalues of the r part sums, exact where the
     coefficients of prod_b chi(P_b) scatter a multiple root (by about 1e-4
     for a double eigenvalue shared by two parts).  ``_node_tables`` are
@@ -604,11 +597,12 @@ def _block_family(inst: WeaverInstance, r: int,
     m = inst.count
     tables = _node_tables(inst, r)
     outers, lat, minors = tables
+    kept = r - 1 if r > 2 else 0  # the F blocks a state keeps
 
     def root():
         bases = _part_sums(outers, (), r)
         mu, fs, g = _node(inst, tables, bases, 0)
-        return realpoly.root_lists([mu], policy)[0], (0, bases, fs, g)
+        return realpoly.root_lists([mu], policy)[0], (0, bases, fs[:kept], g)
 
     def children(state):
         k, bases, fs, g = state
@@ -623,25 +617,25 @@ def _block_family(inst: WeaverInstance, r: int,
         n, g = m - k - 1, g[start - lat.starts[k]:]
         fs = [[x[len(x) - math.comb(n, s):] for s, x in enumerate(f[:n + 1])]
               for f in fs]  # each size's suffix
-        tops = np.array(([bases[-1]] if r > 1 else []) + [kids[-1, -1]])
+        # children 0 .. r - 2 close on P_{r-1}, child r - 1 on that plus
+        # r u_k u_k* (at r = 1 the first goes unused)
+        tops = np.array([bases[-1], kids[-1, -1]])
         for i in range(k + 1, m):
             tops += outers[i]
         h = _closing(tables, tops, start)
         # child r - 1 keeps its parent's product: it closes first, so its
         # closing polynomials are gone before the others' products grow
         last = _close(g, h.pop(), r)
-        blocks, grown = [], []
-        if r > 1:
-            new = _minor_polys(inst, kids[range(r - 1), range(r - 1)], n,
-                               minors)
-            blocks = [fs[:t] + [f] + fs[t + 1:] for t, f in enumerate(new)]
+        polys, states = [], []
+        for t in range(r - 1):  # one child's intermediate products at a time
+            blocks = (fs[:t] + [_minor_polys(inst, kids[t, t], n, minors)]
+                      + fs[t + 1:])
             grown = _chain(blocks, lat, start)
-        found = realpoly.root_lists(
-            [_close(x, h[0], r) for x in grown] + [last], policy)
-        blocks.append(fs)
-        grown.append(g)
-        return [(roots, (k + 1, kids[t], blocks[t], grown[t]))
-                for t, roots in enumerate(found)]
+            polys.append(_close(grown, h[0], r))
+            states.append((k + 1, kids[t], blocks[:kept], grown))
+        found = realpoly.root_lists(polys + [last], policy)
+        states.append((k + 1, kids[-1], fs, g))
+        return list(zip(found, states))
 
     return NodeFamily((r,) * m, root, children)
 

@@ -404,9 +404,8 @@ def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
         for prefix in ((0,), (0, 1)):
             k, n = len(prefix), m - len(prefix)
             bases = weaver._part_sums(tables[0], prefix, r)
-            fs = weaver._minor_polys(inst, bases[:-1], n, tables[2])
-            assert len(fs) == r - 1
-            for b, f in enumerate(fs):
+            for b, base in enumerate(bases[:-1]):
+                f = weaver._minor_polys(inst, base, n, tables[2])
                 assert [x.shape for x in f] == [
                     (math.comb(n, s), d + 1) for s in range(min(d, n) + 1)]
                 pinned = [i for i in range(k) if prefix[i] == b]
@@ -638,6 +637,24 @@ def test_descent_asks_for_each_node_once(monkeypatch):
         asked.clear()
         descend(lift(inst, r))
         assert len(asked) == len(set(asked)) == 1 + r * inst.count, (name, r)
+
+
+def test_node_states_keep_only_the_f_blocks_children_read():
+    # child t replaces F_t and keeps the others, so at r = 2 no child reads
+    # its parent's F_0: no state keeps an F block there, and at r >= 3
+    # every state keeps all r - 1
+    inst = block_instances()["haar-diag"]
+    for r in (1, 2, 3, 4):
+        family = weaver._block_family(inst, r, DEFAULT_POLICY)
+        level = [family.root()[1]]
+        walked = list(level)
+        for _ in range(2):
+            level = [below for state in level
+                     for _, below in family.children(state)]
+            walked += level
+        assert len(walked) == 1 + r + r * r, r
+        for k, bases, fs, g in walked:
+            assert len(fs) == (r - 1 if r > 2 else 0), (r, k)
 
 
 def test_no_subset_lattice_outlives_its_call():
