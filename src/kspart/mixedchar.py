@@ -257,8 +257,10 @@ class _SubsetLattice:
 
     members: each subset's elements, ascending, padded with m; starts[k]
     for k <= m; by_size[j]: the rows of size j, ascending, so by_size[j] at
-    a j-subset's lexicographic rank is its row; binom[n, j]: C(n, j) for
-    n < m.  Arrays are read-only because they are shared.
+    a j-subset's lexicographic rank is its row, and the last C(n, j) of
+    by_size[j] are the j-subsets of range(m - n, m), which the block
+    engine's minors read from members; binom[n, j]: C(n, j) for n < m.
+    Arrays are read-only because they are shared.
     """
 
     members: np.ndarray

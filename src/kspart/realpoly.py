@@ -61,6 +61,8 @@ def poly_eval(p, x):
 def from_roots(root_values) -> np.ndarray:
     """Monic polynomial with the given roots (ascending coefficients)."""
     r = np.atleast_1d(np.asarray(root_values, dtype=np.float64))
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("roots must be finite")
     if r.size == 0:
         return np.array([1.0])
     return npp.polyfromroots(r)
@@ -68,6 +70,8 @@ def from_roots(root_values) -> np.ndarray:
 
 def one_minus_c_derivative(p, c: float) -> np.ndarray:
     """Apply (1 - c d/dx) to p."""
+    if not math.isfinite(c):
+        raise ValidationError("c must be finite")
     q = as_poly(p)
     if q.size == 1:
         return q.copy()

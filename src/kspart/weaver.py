@@ -23,7 +23,9 @@ With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
              prod_{j not in J} (x - lam_{b,j}),
 
 a signed nonnegative combination of minors, so nothing nearly equal is
-subtracted, and F_b(S) = 0 for |S| > d, so F_b is kept by subset size.
+subtracted, and F_b(S) = 0 for |S| > d, so F_b is kept by subset size;
+each minor is the determinant of W_b's columns at S bordered by unit
+vectors, S read straight off the subset lattice's rows of its size.
 ``block_node_poly`` grows the products of the F blocks one block at a
 time over the splits of each union, on subset lattice rows, and closes
 them with d x d characteristic polynomials of subset sums.  ``descend``
@@ -49,8 +51,8 @@ import numpy as np
 from . import linalg, realpoly
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
-                        RandomVectorEnsemble, _positions, _readonly,
-                        _subset_lattice, _SubsetLattice)
+                        RandomVectorEnsemble, _positions, _subset_lattice,
+                        _SubsetLattice)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
 
@@ -396,15 +398,14 @@ def block_work(m: int, d: int, r: int) -> float:
 
 def _node_tables(inst: WeaverInstance, r: int) -> tuple:
     """What every node of the r-part descent reads: u_i u_i* for i < m and
-    a zero matrix, the padding of ``_SubsetLattice.members``; the lattice
-    of the unions of the first r - 1 blocks, on whose rows products and
-    closings live; and the ``_minor_table`` of F.  Built once."""
+    a zero matrix, the padding of ``_SubsetLattice.members``; and the
+    lattice of the unions of the first r - 1 blocks, on whose rows products
+    and closings live and whose rows of size s <= d are the subsets of F's
+    minors.  Built once."""
     u, m, d = inst.vectors, inst.count, inst.dim
     outers = np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
                              np.zeros((1, d, d), dtype=np.complex128)))
-    size = min(m, (r - 1) * d)
-    lat = _subset_lattice(m, size)
-    return outers, lat, _minor_table(lat, d)
+    return outers, _subset_lattice(m, min(m, (r - 1) * d))
 
 
 def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
@@ -433,32 +434,15 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
     return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
 
 
-def _minor_table(lat: _SubsetLattice, d: int) -> list:
-    """The minors behind F, by subset size s = 1 .. min(d, size): for each
-    s-subset S of range(m) and each s-subset J of range(d), both in
-    ``combinations`` order, the columns of [W; I] whose determinant is
-    +-det W[J, S] (S, then m + j for j not in J) as a (C(m, s), C(d, s), d)
-    array, and the bitmasks of the J."""
-    m = len(lat.binom)
-    table = [None]  # the empty set has no minors
-    for s in range(1, min(d, lat.members.shape[1]) + 1):
-        subsets = _positions(d, s)
-        keep = np.ones((len(subsets), d), dtype=bool)
-        keep[np.arange(len(subsets))[:, None], subsets] = False
-        cols = np.empty((len(lat.by_size[s]), len(subsets), d), dtype=np.intp)
-        cols[..., :s] = lat.members[lat.by_size[s], None, :s]
-        cols[..., s:] = m + np.nonzero(keep)[1].reshape(len(subsets), d - s)
-        table.append((_readonly(cols), np.sum(1 << subsets, axis=1)))
-    return table
-
-
 def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
-                 table: list) -> list[np.ndarray]:
-    """F of a base P by subset size, given ``_minor_table``: for s <=
-    min(d, n), F(S) of the s-subsets S of the last n vectors in
-    ``combinations`` order, the last C(n, s) of range(m)'s, so S's
-    lexicographic rank minus C(m, s) reads it.  One ``eigh`` diagonalises
-    P, and one ``det`` per chunk takes every minor."""
+                 lat: _SubsetLattice) -> list[np.ndarray]:
+    """F of a base P by subset size: for s <= min(d, n), F(S) of the
+    s-subsets S of the last n vectors in ``combinations`` order, the last
+    C(n, s) rows of ``lat.by_size[s]``, so S's lexicographic rank minus
+    C(m, s) reads it.  One ``eigh`` diagonalises P, and one ``det`` per
+    chunk of subsets takes det W[J, S] for every s-subset J of range(d), in
+    ``combinations`` order, as the determinant of the rows of W transposed
+    at S over the unit rows e_j, j not in J."""
     d = base.shape[0]
     lam, basis = np.linalg.eigh(base)
     wt = inst.vectors @ basis.conj()  # W transposed
@@ -470,18 +454,26 @@ def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
         times[:, 1:] = comp[:, :-1]
         comp = np.concatenate((times - lam[j] * comp, comp))
     f = [comp[:1]]  # the empty set
-    ext = np.concatenate((wt, np.eye(d)))
+    eye = np.eye(d)
     for s in range(1, min(d, n) + 1):
-        cols, masks = table[s]
-        cols = cols[len(cols) - math.comb(n, s):].reshape(-1, d)
-        weights = np.empty(len(cols))
-        for c in range(0, len(cols), CHUNK):
-            weights[c:c + CHUNK] = np.abs(
-                np.linalg.det(ext[cols[c:c + CHUNK]])) ** 2
-        terms = (-1.0) ** s * weights.reshape(-1, len(masks), 1) * comp[masks]
+        subsets = _positions(d, s)
+        # complements run through combinations order backwards
+        units = eye[_positions(d, d - s)[::-1]]
+        rows = lat.by_size[s][-math.comb(n, s):]
+        weights = np.empty((len(rows), len(subsets)))
+        step = max(1, CHUNK // len(subsets))
+        for lo in range(0, len(rows), step):
+            at = lat.members[rows[lo:lo + step], :s]
+            mats = np.empty((len(at), len(subsets), d, d),
+                            dtype=np.complex128)
+            mats[:, :, :s] = wt.take(at, axis=0)[:, None]
+            mats[:, :, s:] = units
+            weights[lo:lo + step] = np.abs(np.linalg.det(mats)) ** 2
+        terms = (-1.0) ** s * weights[..., None] * comp[
+            (1 << subsets).sum(axis=1)]
         # reduceat's x_0 + (x_1 + ...) per S keeps the bits; a J loop does not
         f.append(np.add.reduceat(terms.reshape(-1, d + 1),
-                                 np.arange(0, len(cols), len(masks))))
+                                 np.arange(0, weights.size, len(subsets))))
     return f
 
 
@@ -539,7 +531,7 @@ def _closing(tables: tuple, tops: np.ndarray, start: int) -> list[np.ndarray]:
     """chi(C - sum_{i in W} u_i u_i*) for each C of a stack tops and each
     lattice row W from start: one ``char_poly_stack`` per chunk of rows
     over every top."""
-    outers, lat, _ = tables
+    outers, lat = tables
     d = outers.shape[1]
     rows = lat.members.shape[0] - start
     h = [np.empty((rows, d + 1)) for _ in tops]
@@ -571,9 +563,9 @@ def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
     given ``_node_tables(inst, r)``, with the F blocks and the grown
     product its children reuse."""
     m, r = inst.count, bases.shape[0]
-    outers, lat, minors = tables
+    outers, lat = tables
     start = lat.starts[k]
-    fs = [_minor_polys(inst, base, m - k, minors) for base in bases[:-1]]
+    fs = [_minor_polys(inst, base, m - k, lat) for base in bases[:-1]]
     g = _chain(fs, lat, start)
     # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
     tops = bases[-1:].copy()
@@ -596,7 +588,7 @@ def _block_family(inst: WeaverInstance, r: int,
     built once for the tree and freed with it."""
     m = inst.count
     tables = _node_tables(inst, r)
-    outers, lat, minors = tables
+    outers, lat = tables
     kept = r - 1 if r > 2 else 0  # the F blocks a state keeps
 
     def root():
@@ -628,7 +620,7 @@ def _block_family(inst: WeaverInstance, r: int,
         last = _close(g, h.pop(), r)
         polys, states = [], []
         for t in range(r - 1):  # one child's intermediate products at a time
-            blocks = (fs[:t] + [_minor_polys(inst, kids[t, t], n, minors)]
+            blocks = (fs[:t] + [_minor_polys(inst, kids[t, t], n, lat)]
                       + fs[t + 1:])
             grown = _chain(blocks, lat, start)
             polys.append(_close(grown, h[0], r))

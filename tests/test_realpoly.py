@@ -74,6 +74,16 @@ def test_one_minus_c_derivative_examples():
     assert np.allclose(one_minus_c_derivative([3.0], 5.0), [3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_shift_or_root_is_refused(bad):
+    for p in ([3.0], [0.0, 0.0, 1.0]):
+        with pytest.raises(ValidationError, match="finite"):
+            one_minus_c_derivative(p, bad)
+    for r in ([bad], [1.0, bad, 2.0]):
+        with pytest.raises(ValidationError, match="finite"):
+            from_roots(r)
+
+
 def test_laguerre_expected_examples():
     assert np.allclose(laguerre_expected(1, 1, 0.3), [-0.3, 1.0])
     assert np.allclose(laguerre_expected(2, 1, 0.3), [0.0, -0.6, 1.0])

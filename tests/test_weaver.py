@@ -367,9 +367,10 @@ def cayley(skew):
 
 
 def rational_diagonal(skew=None):
-    """diag(3, 1/3), three copies of each e_j / sqrt(3), rotated by the
-    Cayley transform of skew: the exact outer products and the instance."""
-    d = 3
+    """diag(3, 1/3) in dimension d = len(skew), or 3 without a skew: three
+    copies of each e_j / sqrt(3), rotated by the Cayley transform of skew;
+    the exact outer products and the instance."""
+    d = len(skew) if skew else 3
     q = cayley(skew) if skew else [[Fraction(int(i == j)) for j in range(d)]
                                    for i in range(d)]
     cols = [j for j in range(d) for _ in range(3)]
@@ -395,9 +396,12 @@ def test_block_node_poly_matches_exact_oracle():
 def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
     # F_b(S) = 0 for |S| > d: one array per size s <= min(d, n), of the
     # s-subsets of the unpinned vectors in combinations order, each row the
-    # alternating sum over T in S of chi(P_b + sum_{i in T} u_i u_i*)
+    # alternating sum over T in S of chi(P_b + sum_{i in T} u_i u_i*); at
+    # d = 4 each S of size 1 .. 4 borders 4, 6, 4 and 1 minors
     r = 3
-    for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]]):
+    for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]],
+                 [[0, 1, -2, 3], [-1, 0, 2, -1], [2, -2, 0, 1],
+                  [-3, 1, -1, 0]]):
         outers, inst = rational_diagonal(skew)
         m, d = inst.count, inst.dim
         tables = weaver._node_tables(inst, r)
@@ -405,7 +409,7 @@ def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
             k, n = len(prefix), m - len(prefix)
             bases = weaver._part_sums(tables[0], prefix, r)
             for b, base in enumerate(bases[:-1]):
-                f = weaver._minor_polys(inst, base, n, tables[2])
+                f = weaver._minor_polys(inst, base, n, tables[1])
                 assert [x.shape for x in f] == [
                     (math.comb(n, s), d + 1) for s in range(min(d, n) + 1)]
                 pinned = [i for i in range(k) if prefix[i] == b]
@@ -429,6 +433,41 @@ def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
                                         for w, c in zip(want, chi(part))]
                         dev = np.max(np.abs(row - np.array(want, float)))
                         assert dev <= 1e-13, (skew, prefix, b, subset, dev)
+
+
+def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
+    # each det stack takes whole subsets S, at least one: at most
+    # max(CHUNK, C(d, |S|)) matrices, with the bits of the default CHUNK
+    inst = block_instances()["k5"]
+    m, d, r = inst.count, inst.dim, 3
+    tables = weaver._node_tables(inst, r)
+    blocks = [(base, m - len(prefix)) for prefix in ((), (0,), (1, 0, 2))
+              for base in weaver._part_sums(tables[0], prefix, r)[:-1]]
+    want = [weaver._minor_polys(inst, base, n, tables[1])
+            for base, n in blocks]
+    stacks = []
+    real = np.linalg.det
+
+    def record(a):
+        stacks.append(np.asarray(a).reshape(-1, d, d))
+        return real(a)
+
+    monkeypatch.setattr(weaver, "CHUNK", 5)
+    monkeypatch.setattr(np.linalg, "det", record)
+    got = [weaver._minor_polys(inst, base, n, tables[1])
+           for base, n in blocks]
+    monkeypatch.undo()
+    for x, y in zip(got, want, strict=True):
+        assert [f.tobytes() for f in x] == [f.tobytes() for f in y]
+    assert sum(len(a) for a in stacks) == sum(
+        math.comb(n, s) * math.comb(d, s)
+        for _, n in blocks for s in range(1, d + 1))
+    for a in stacks:
+        # no row of W is a unit row (||u_e||^2 = 2/5 on K5), so the unit
+        # rows are the d - |S| that border the minor
+        s = d - sum(any(np.array_equal(row, e) for e in np.eye(d))
+                    for row in a[0])
+        assert len(a) <= max(5, math.comb(d, s)), (s, len(a))
 
 
 def test_block_node_poly_of_no_vectors_is_a_power_of_x():
