@@ -3,7 +3,9 @@
 Matrices are plain numpy arrays (complex128).  Hermitian inputs are checked
 against the policy tolerance and then symmetrized, so downstream code can rely
 on exact conjugate symmetry.  Characteristic polynomials use ascending
-coefficient order throughout the package.
+coefficient order throughout the package; ``char_poly_stack`` forms them
+for a whole stack at once, in cache-sized blocks, with its traces summed
+in ``np.trace``'s own order so every bit matches the plain recursion.
 """
 from __future__ import annotations
 
@@ -57,6 +59,39 @@ def det(m) -> complex:
     return complex(np.linalg.det(a))
 
 
+BLOCK_BYTES = 1 << 18
+"""Bytes of one block of a stack in ``char_poly_stack``: about 256 KiB per
+array (1,024 matrices at d = 4), so each product and its temporaries stay
+in cache instead of being faulted in again for every block."""
+
+
+def _pairwise(x, lo: int, n: int):
+    """x[lo] + ... + x[lo + n - 1], n >= 1, in the order of numpy's pairwise
+    add-reduce on complex terms: one after another below 4 terms, in four
+    lanes combined as (l0 + l1) + (l2 + l3) and then the rest one after
+    another up to 64, and above that the first (n - n % 8) // 2 terms and
+    the others on their own, then their sum.  The terms are complex scalars
+    or arrays; adding 0.0, the reduction's start, then gives ``np.sum``'s
+    bits, so ``_pairwise`` of a stack's diagonal columns plus 0.0 is its
+    ``np.trace``."""
+    if n < 4:
+        s = x[lo]
+        for i in range(lo + 1, lo + n):
+            s = s + x[i]
+        return s
+    if n <= 64:
+        lanes = [x[lo + j] for j in range(4)]
+        end = lo + n - n % 4
+        for i in range(lo + 4, end, 4):
+            lanes = [a + x[i + j] for j, a in enumerate(lanes)]
+        s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        for i in range(end, lo + n):
+            s = s + x[i]
+        return s
+    half = (n - n % 8) // 2
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
 def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of matrices, ascending coeffs.
 
@@ -70,29 +105,36 @@ def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     itself, and the last step needs only a trace, c_d = -tr(A B) / d with
     B = M_{d-1} + c_{d-1} I, taken as the elementwise sum of A_ij B_ji in
     O(d^2) per matrix.  c_1 .. c_{d-1} are bit-identical to the recursion
-    that forms every product, M_1 = A I included: taking A for A I and
-    adding c_k to the diagonal for adding c_k I change only the signs of
-    zero entries, which no nonzero sum sees, and a zero trace is +0 either
-    way.  Only c_d changes, in its last bits.
+    that forms every product, M_1 = A I included, with ``np.trace``: taking
+    A for A I and adding c_k to the diagonal for adding c_k I change only
+    the signs of zero entries, which no nonzero sum sees, and a zero trace
+    is +0 either way; each trace is ``_pairwise`` over the diagonal columns
+    plus 0.0, numpy's own order, without a reduction per matrix.  Only c_d
+    changes, in its last bits.  The stack is taken in blocks of about
+    BLOCK_BYTES; no coefficient depends on the blocking.
 
     The matrices must be Hermitian: the coefficients are then real, and only
     the real part of each trace is kept, without a check.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     d = ms.shape[-1]
-    batch = ms.shape[:-2]
-    coeffs = np.zeros(batch + (d + 1,), dtype=np.float64)
+    coeffs = np.zeros(ms.shape[:-2] + (d + 1,), dtype=np.float64)
     coeffs[..., d] = 1.0
     if d == 0:
         return coeffs
+    flat = ms.reshape(-1, d, d)
+    out = coeffs.reshape(-1, d + 1)
+    step = max(1, BLOCK_BYTES // (16 * d * d))
     diag = np.arange(d)
-    b = np.broadcast_to(np.eye(d, dtype=np.complex128), ms.shape)  # B_0 = I
-    for k in range(1, d):
-        b = ms.copy() if k == 1 else ms @ b  # M_k = A B_{k-1}
-        c_k = -np.trace(b, axis1=-2, axis2=-1) / k
-        coeffs[..., d - k] = c_k.real
-        b[..., diag, diag] += c_k[..., None]  # B_k = M_k + c_k I
-    coeffs[..., 0] = -np.einsum("...ij,...ji->...", ms, b).real / d
+    for lo in range(0, len(flat), step):
+        a, c = flat[lo:lo + step], out[lo:lo + step]
+        b = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape)  # B_0 = I
+        for k in range(1, d):
+            b = a.copy() if k == 1 else a @ b  # M_k = A B_{k-1}
+            c_k = -(_pairwise(b.diagonal(0, -2, -1).T, 0, d) + 0.0) / k
+            c[:, d - k] = c_k.real
+            b[:, diag, diag] += c_k[:, None]  # B_k = M_k + c_k I
+        c[:, 0] = -np.einsum("...ij,...ji->...", a, b).real / d
     return coeffs
 
 

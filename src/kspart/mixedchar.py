@@ -175,8 +175,7 @@ def expansion_work(m: int, dim: int) -> float:
 
 
 def outcome_sums(e: RandomVectorEnsemble, kernel, kernel_work: float,
-                 what: str, policy: NumericPolicy = DEFAULT_POLICY,
-                 threads: int = 1) -> list:
+                 what: str, policy: NumericPolicy = DEFAULT_POLICY) -> list:
     """kernel(first, weights, sums) over every outcome of e, in the order of
     product(*(range(s) for s in e.support_sizes)), at most CHUNK at a time.
 
@@ -223,12 +222,12 @@ def outcome_sums(e: RandomVectorEnsemble, kernel, kernel_work: float,
         return kernel(first, weights, sums)
 
     lead = product(*(range(0, s, w) for s, w in zip(sizes, width)))
-    return ordered_map(run_chunk, lead, threads=threads)
+    return ordered_map(run_chunk, lead)
 
 
-def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
-                                  policy: NumericPolicy = DEFAULT_POLICY,
-                                  threads: int = 1) -> np.ndarray:
+def expected_char_poly_bruteforce(
+        e: RandomVectorEnsemble,
+        policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """E det(xI - sum v_i v_i*) by enumerating every outcome of the ensemble.
 
     Independent oracle for the subset expansion; its work is capped.
@@ -238,7 +237,7 @@ def expected_char_poly_bruteforce(e: RandomVectorEnsemble,
 
     total = np.zeros(e.dim + 1)
     for part in outcome_sums(e, weighted_polys, _poly_work(e.dim),
-                             "brute-force oracle", policy, threads):
+                             "brute-force oracle", policy):
         total += part
     return total
 
@@ -295,6 +294,16 @@ def _positions(k: int, r: int) -> np.ndarray:
     cached, since k is at most a lattice size, never m."""
     return _readonly(np.array(list(combinations(range(k), r)),
                               dtype=np.intp).reshape(math.comb(k, r), r))
+
+
+@lru_cache(maxsize=64)
+def _minor_rows(d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the s-subsets J of range(d), in ``combinations`` order: the unit
+    rows e_j, j not in J, as a read-only (C(d, s), d - s, d) array (the
+    complements run through combinations order backwards), and J's
+    bitmasks; cached, since they depend on (d, s) alone."""
+    units = np.eye(d)[_positions(d, d - s)[::-1]]
+    return _readonly(units), _readonly((1 << _positions(d, s)).sum(axis=1))
 
 
 def _subset_lattice(m: int, size: int) -> _SubsetLattice:

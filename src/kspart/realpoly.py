@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
+from .linalg import _pairwise
 from .policy import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -264,6 +265,16 @@ def _polished_roots(derivs: list[list], raw: np.ndarray) -> np.ndarray:
     return polished
 
 
+def _mean(pts: list[complex]) -> complex:
+    """``complex(np.mean(pts))`` by numpy's operations: the pairwise sum
+    plus 0.0, then complex division by n + 0j, which scales (re + im*0)
+    and (im - re*0) by 1/n."""
+    n = len(pts)
+    s = _pairwise(pts, 0, n) + 0.0
+    return complex((s.real + s.imag * 0.0) * (1.0 / n),
+                   (s.imag - s.real * 0.0) * (1.0 / n))
+
+
 def _greedy_clusters(croots: np.ndarray, radius: float) -> list[list[complex]]:
     """Group roots whose running centroid stays within radius.
 
@@ -275,7 +286,7 @@ def _greedy_clusters(croots: np.ndarray, radius: float) -> list[list[complex]]:
     clusters = [[pts[0]]]
     for z in pts[1:]:
         last = clusters[-1]
-        c = last[0] if len(last) == 1 else np.mean(last)
+        c = last[0] if len(last) == 1 else _mean(last)
         if abs(z - c) <= radius:
             last.append(z)
         else:
@@ -300,8 +311,7 @@ def _try_real_clustering(derivs, croots, radius, policy):
     values, mults = [], []
     for cluster in _greedy_clusters(croots, radius):
         # a singleton's mean: + 0.0 turns -0.0 into 0.0, as np.mean does
-        m = (cluster[0] + 0.0 if len(cluster) == 1
-             else complex(np.mean(cluster)))
+        m = cluster[0] + 0.0 if len(cluster) == 1 else _mean(cluster)
         if abs(m.imag) > policy.real_root_imag_rtol * (1.0 + abs(m.real)):
             return None
         x = _polish_multiple(derivs, m.real, len(cluster), 2.0 * radius)

@@ -51,8 +51,8 @@ import numpy as np
 from . import linalg, realpoly
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
-                        RandomVectorEnsemble, _positions, _subset_lattice,
-                        _SubsetLattice)
+                        RandomVectorEnsemble, _minor_rows, _positions,
+                        _subset_lattice, _SubsetLattice)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
 
@@ -454,26 +454,21 @@ def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
         times[:, 1:] = comp[:, :-1]
         comp = np.concatenate((times - lam[j] * comp, comp))
     f = [comp[:1]]  # the empty set
-    eye = np.eye(d)
     for s in range(1, min(d, n) + 1):
-        subsets = _positions(d, s)
-        # complements run through combinations order backwards
-        units = eye[_positions(d, d - s)[::-1]]
+        units, masks = _minor_rows(d, s)
         rows = lat.by_size[s][-math.comb(n, s):]
-        weights = np.empty((len(rows), len(subsets)))
-        step = max(1, CHUNK // len(subsets))
+        weights = np.empty((len(rows), len(masks)))
+        step = max(1, CHUNK // len(masks))
         for lo in range(0, len(rows), step):
             at = lat.members[rows[lo:lo + step], :s]
-            mats = np.empty((len(at), len(subsets), d, d),
-                            dtype=np.complex128)
+            mats = np.empty((len(at), len(masks), d, d), dtype=np.complex128)
             mats[:, :, :s] = wt.take(at, axis=0)[:, None]
             mats[:, :, s:] = units
             weights[lo:lo + step] = np.abs(np.linalg.det(mats)) ** 2
-        terms = (-1.0) ** s * weights[..., None] * comp[
-            (1 << subsets).sum(axis=1)]
+        terms = (-1.0) ** s * weights[..., None] * comp[masks]
         # reduceat's x_0 + (x_1 + ...) per S keeps the bits; a J loop does not
         f.append(np.add.reduceat(terms.reshape(-1, d + 1),
-                                 np.arange(0, weights.size, len(subsets))))
+                                 np.arange(0, weights.size, len(masks))))
     return f
 
 

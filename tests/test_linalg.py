@@ -221,6 +221,37 @@ def test_char_poly_stack_bits_on_descent_stacks(name, monkeypatch):
         assert_matches_reference(stack)
 
 
+@pytest.mark.parametrize("d", [*range(1, 71), 130])
+def test_pairwise_plus_zero_is_np_trace(d):
+    # numpy's own order; fails if a numpy upgrade changes how it reduces
+    rng = np.random.default_rng(300 + d)
+    n = 50 if d <= 16 else 8
+    random = ((rng.standard_normal((n, d, d))
+               + 1j * rng.standard_normal((n, d, d)))
+              * np.exp(rng.uniform(-30, 30, (n, d, d))))
+    zeros = np.zeros((4, d, d), dtype=np.complex128)
+    zeros[1] = -0.0
+    zeros[2] = complex(-0.0, -0.0)
+    zeros[3] = complex(0.0, -0.0)
+    for stack in (random, zeros):
+        got = linalg._pairwise(stack.diagonal(0, -2, -1).T, 0, d) + 0.0
+        want = np.trace(stack, axis1=-2, axis2=-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_char_poly_stack_blocks_give_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(41)
+    stacks = [random_hermitian_stack(rng, n, d, zeros=z)
+              for d in range(6) for n in (1, 7, 3000) for z in (False, True)]
+    stacks.append(random_hermitian_stack(rng, 60, 4).reshape(3, 20, 4, 4))
+    want = [char_poly_stack(s) for s in stacks]
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)  # one matrix a block
+    for stack, w in zip(stacks, want):
+        got = char_poly_stack(stack)
+        assert got.shape == w.shape
+        assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+
 def gaussian_integer_det(a) -> Fraction:
     """det of a matrix of Gaussian integers by Leibniz's formula, exactly;
     its imaginary part must vanish (the matrix is Hermitian)."""

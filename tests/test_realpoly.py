@@ -356,6 +356,24 @@ def reference_complex_roots(q):
     return polished
 
 
+def test_cluster_mean_is_np_mean():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        lists = [(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                 * 10.0 ** rng.integers(-8, 9, n) for _ in range(300)]
+        lists.append(rng.standard_normal(n) + 0j)  # real only
+        lists.append(np.full(n, complex(-0.0, -0.0)))
+        lists.append(np.full(n, complex(0.0, -0.0)))
+        signed = rng.standard_normal(n) + 0j
+        signed.imag[::2] = -0.0
+        lists.append(signed)
+        for pts in lists:
+            got = realpoly._mean(pts.tolist())
+            want = complex(np.mean(pts))
+            assert np.array_equal(np.array([got]).view(np.int64),
+                                  np.array([want]).view(np.int64)), pts
+
+
 def reference_greedy_clusters(croots, radius):
     order = np.lexsort((croots.imag, croots.real))
     pts = croots[order]

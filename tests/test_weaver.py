@@ -6,9 +6,6 @@ import functools
 import gc
 import json
 import math
-import os
-import threading
-import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -38,7 +35,6 @@ from kspart import (
     validate,
 )
 from kspart import interlace, mixedchar, realpoly, weaver
-from kspart._parallel import ordered_map, usable_cpus
 from kspart.serialize import partition_report_to_dict
 from kspart.weaver import laplacian
 
@@ -723,16 +719,3 @@ def test_partition_never_reaches_the_lift(monkeypatch):
             range(inst.count))
         assert math.isclose(rep.trace.final_root, r * max(rep.part_norms),
                             rel_tol=1e-12)
-
-
-def test_ordered_map_starts_at_most_one_thread_per_cpu():
-    idents = set()
-
-    def record(x):
-        idents.add(threading.get_ident())
-        time.sleep(0.001)
-        return 2 * x
-
-    assert ordered_map(record, range(100), threads=10 ** 6) == [
-        2 * x for x in range(100)]
-    assert len(idents) <= usable_cpus() <= os.cpu_count()
