@@ -10,8 +10,23 @@ is max part norm <= (1/sqrt(r) + sqrt(delta))^2.
 ``partition`` never builds the lift.  Its nodes pin the first k vectors,
 which fold into the block bases P_b = r sum_{i < k, prefix_i = b} u_i u_i*,
 and every lifted determinant factors into r blocks of size d (Marcus,
-Spielman and Srivastava, "Interlacing families II").  Each block is
-multiaffine in the unpinned vectors U, so by Leibniz a node polynomial is
+Spielman and Srivastava, "Interlacing families II").  A node polynomial is
+
+    prod_{i >= k} (1 - d/dz_i) prod_b det(xI - P_b + sum_i z_i u_i u_i*)
+
+at z = 0, and two engines compute it.  ``partition`` and
+``block_node_poly`` run the one whose closed-form work model
+(``state_work`` or ``block_work``) predicts less work, and refuse the
+request only when both exceed the work cap.
+
+The state engine (``exterior``) contracts a suffix state, whose size
+C(2d, d)^r does not grow with m, with one coefficient block per part sum;
+its nodes are formed in t = x - 1 and their roots come back plus 1.  Its
+stored states cost 16 bytes an entry and count BYTE_WORK a byte against
+the work cap, so it is admitted only where they fit.
+
+The lattice engine.  Each block is multiaffine in the unpinned vectors
+U, so by Leibniz a node polynomial is
 
     sum over disjoint S_0 .. S_{r-2} in U, |S_b| <= d, of
         prod_b F_b(S_b) chi(P_{r-1} + sum_{i in U - union S_b} u_i u_i*),
@@ -25,21 +40,28 @@ With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
 a signed nonnegative combination of minors, so nothing nearly equal is
 subtracted, and F_b(S) = 0 for |S| > d, so F_b is kept by subset size;
 each minor is the determinant of W_b's columns at S bordered by unit
-vectors, S read straight off the subset lattice's rows of its size.
-``block_node_poly`` grows the products of the F blocks one block at a
-time over the splits of each union, on subset lattice rows, and closes
-them with d x d characteristic polynomials of subset sums.  ``descend``
-walks those nodes one level per pass: child t pins u_k to block t, so
-its unions are a suffix of its parent's lattice rows, its s-subsets the
-last of its parent's, and it keeps every F_b but F_t.  One pass closes
-on two bases in one characteristic-polynomial stack per chunk, lets child
-r - 1 keep its parent's product, builds children 0 .. r - 2 one after
-another, each taking its new block in one ``eigh`` and one ``det`` per
-chunk and growing its own product, and finds the r children's roots in
-one eigenvalue call; every row is computed as for a fresh node, so each
-node polynomial equals ``block_node_poly`` bit for bit.  A leaf takes the
-eigenvalues of the r part sums.  ``lift`` with ``descend`` on the
-ensemble stays as library API and as the oracle.
+vectors, S read straight off the subset lattice's rows of its size.  The
+products of the F blocks grow one block at a time over the splits of
+each union, on subset lattice rows, and close with d x d characteristic
+polynomials of subset sums.  ``descend`` walks those nodes one level per
+pass: child t pins u_k to block t, so its unions are a suffix of its
+parent's lattice rows, its s-subsets the last of its parent's, and it
+keeps every F_b but F_t.  One pass closes on two bases in one
+characteristic-polynomial stack per chunk, lets child r - 1 keep its
+parent's product, builds children 0 .. r - 2 one after another, and
+finds the r children's roots in one eigenvalue call; every node
+polynomial equals the lattice engine's fresh node bit for bit.  Its rows
+number sum_{j <= (r-1) d} C(m - k, j), so it is cheaper only at small m
+with large d r: K5 at r = 3 or 4, or gauss(6, 3/4) (m = 8).
+
+Either engine's leaves take the eigenvalues of the r part sums.  On a
+2-core machine (Python 3.11, numpy 2.4) the state engine partitions
+gauss(3, 1/4) (m = 12) in about 6 ms (the lattice engine 10 ms), and
+gauss(d, d/m) at (d, r, m) = (3, 2, 140), (4, 2, 64), (2, 3, 69),
+(3, 3, 29) and (2, 4, 31), each 19 to 37 s on the lattice, in 0.04 to
+0.1 s; (3, 2, 2000) takes about 1 s.
+``lift`` with ``descend`` on the ensemble stays as library API and as the
+oracle.
 """
 from __future__ import annotations
 
@@ -49,6 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realpoly
+from .exterior import (BYTE_WORK, LEVEL_WORK, _leaves, _part_sums,
+                       _state_family, _state_node, _state_work, state_bytes,
+                       state_work)
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
                         RandomVectorEnsemble, _minor_rows, _positions,
@@ -408,28 +433,23 @@ def _node_tables(inst: WeaverInstance, r: int) -> tuple:
     return outers, _subset_lattice(m, min(m, (r - 1) * d))
 
 
-def _part_sums(outers: np.ndarray, prefix: tuple[int, ...],
-               r: int) -> np.ndarray:
-    """P_0 .. P_{r-1}: r times the outer products pinned to each block."""
-    bases = np.zeros((r,) + outers.shape[1:], dtype=np.complex128)
-    for i, t in enumerate(prefix):
-        bases[t] += r * outers[i]
-    return bases
-
-
 def block_node_poly(inst: WeaverInstance, prefix, r: int,
                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Node polynomial of the r-part descent at a prefix of length k, by
-    the block formula of the module docstring; it equals r^k
-    ``conditional_expected_poly(lift(inst, r), prefix)`` and is monic of
-    degree r d.  Blocks are taken in label order."""
+    """Node polynomial of the r-part descent at a prefix of length k, in
+    x, on the engine that predicts less work for one node (see the module
+    docstring); it equals r^k ``conditional_expected_poly(lift(inst, r),
+    prefix)`` and is monic of degree r d.  Blocks are taken in label
+    order."""
     prefix = tuple(int(t) for t in prefix)
     r = int(r)
     m, d, k = inst.count, inst.dim, len(prefix)
     if r < 1 or k > m or any(not 0 <= t < r for t in prefix):
         raise ValidationError(f"prefix {prefix} is not a prefix of labels "
                               f"below {r} of {m} vectors")
-    policy.admit(_node_work(m - k, d, r), f"block node over {m - k} vectors")
+    n = m - k
+    if _admit(_node_work(n, d, r), _state_work(n, d, r, 1) + LEVEL_WORK,
+              state_bytes(n, d, r), policy, f"block node over {n} vectors"):
+        return _state_node(inst.vectors, prefix, r, 0.0)
     tables = _node_tables(inst, r)
     return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
 
@@ -576,11 +596,8 @@ def _block_family(inst: WeaverInstance, r: int,
     its part sums, the F blocks its children read by subset size, and its
     grown product over the lattice rows from ``starts[k]``, which its
     children slice.  At r = 2 a child replaces F_0 or keeps the grown
-    product, so no state keeps an F block.
-    A leaf's roots are the eigenvalues of the r part sums, exact where the
-    coefficients of prod_b chi(P_b) scatter a multiple root (by about 1e-4
-    for a double eigenvalue shared by two parts).  ``_node_tables`` are
-    built once for the tree and freed with it."""
+    product, so no state keeps an F block.  A leaf takes ``_leaves``.
+    ``_node_tables`` are built once for the tree and freed with it."""
     m = inst.count
     tables = _node_tables(inst, r)
     outers, lat = tables
@@ -597,9 +614,7 @@ def _block_family(inst: WeaverInstance, r: int,
         for t in range(r):
             kids[t, t] += r * outers[k]
         if k + 1 == m:
-            return [(realpoly.RootList(*np.unique(np.linalg.eigvalsh(kid),
-                                                  return_counts=True)), None)
-                    for kid in kids]
+            return _leaves(kids)
         start = lat.starts[k + 1]
         n, g = m - k - 1, g[start - lat.starts[k]:]
         fs = [[x[len(x) - math.comb(n, s):] for s, x in enumerate(f[:n + 1])]
@@ -627,6 +642,27 @@ def _block_family(inst: WeaverInstance, r: int,
     return NodeFamily((r,) * m, root, children)
 
 
+def _picks_states(lattice: float, states: float) -> bool:
+    """Whether a request whose suffix states fit runs on the state engine:
+    when that predicts less work than the lattice engine."""
+    return states < lattice
+
+
+def _admit(lattice: float, states: float, nbytes: int,
+           policy: NumericPolicy, what: str) -> bool:
+    """Admit a request on the engine that predicts less work, and say
+    whether that is the state engine.  The state engine holds max(states,
+    BYTE_WORK nbytes) against the cap, so it is admitted only when its
+    stored states fit too; the request is refused, with the smaller
+    figure, when neither engine is under the cap."""
+    held = max(states, nbytes * BYTE_WORK)
+    if held <= policy.work_cap and _picks_states(lattice, states):
+        return True
+    policy.admit(lattice if held <= policy.work_cap else min(lattice, held),
+                 what)
+    return False
+
+
 def improved_bound_r2(delta: float) -> float:
     """Two-part bound 1/2 + sqrt(delta (1 - delta)), valid for delta <= 1/2."""
     if not (0 <= delta <= 0.5):
@@ -651,19 +687,21 @@ def partition(inst: WeaverInstance, r: int,
               policy: NumericPolicy = DEFAULT_POLICY) -> PartitionReport:
     """Partition the vectors into r parts by interlacing-family descent.
 
-    The descent walks ``block_node_poly`` and, at the leaves, the
+    The descent walks the node polynomials on the engine that predicts
+    less work, ``state_work`` or ``block_work``, and, at the leaves, the
     eigenvalues of the r part sums; the chosen child of each vector is its
     part label.  Each part norm is checked against (1/sqrt(r) +
     sqrt(delta))^2 with delta recomputed from the vectors.
-    The request is refused before any work when ``block_work`` exceeds the
-    work cap.
+    The request is refused before any work when neither engine is under
+    the work cap.
     """
     r = int(r)
     m, d = inst.count, inst.dim
     if r < 1 or d < 1:
         raise ValidationError("r and the dimension must be positive")
-    policy.admit(block_work(m, d, r),
-                 f"partition of {m} vectors into {r} parts")
+    use_states = _admit(block_work(m, d, r), state_work(m, d, r),
+                        state_bytes(m, d, r), policy,
+                        f"partition of {m} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:
         raise ValidationError(
@@ -672,7 +710,9 @@ def partition(inst: WeaverInstance, r: int,
             f"vs declared delta {rep.delta_declared:.6g}"
         )
     delta = rep.max_norm_sq
-    trace = descend(_block_family(inst, r, policy), policy)
+    family = (_state_family(inst.vectors, r, policy) if use_states
+              else _block_family(inst, r, policy))
+    trace = descend(family, policy)
     parts = tuple(
         tuple(i for i, c in enumerate(trace.final_assignment) if c == k)
         for k in range(r)

@@ -10,7 +10,7 @@ import pytest
 
 from kspart import (Graph, SingularMatrixError, ValidationError,
                     WeaverInstance, gen_diagonal, gen_from_graph, gen_gaussian,
-                    linalg, partition)
+                    linalg, partition, weaver)
 from kspart.linalg import (
     as_hermitian,
     char_poly,
@@ -215,6 +215,8 @@ def test_char_poly_stack_bits_on_descent_stacks(name, monkeypatch):
         return char_poly_stack(ms)
 
     monkeypatch.setattr(linalg, "char_poly_stack", recording)
+    # the lattice engine's stacks; the state engine builds none
+    monkeypatch.setattr(weaver, "_picks_states", lambda lattice, states: False)
     partition(inst, r)
     assert stacks
     for stack in stacks:

@@ -30,7 +30,7 @@ from kspart import (
     lift,
     mixed_char_poly,
 )
-from kspart import exhaustive_minimum, linalg, mixedchar
+from kspart import exhaustive_minimum, exterior, linalg, mixedchar
 from kspart.linalg import char_poly, char_poly_stack, isotropic_normalizer
 from kspart.mixedchar import outcome_sums
 
@@ -216,6 +216,7 @@ def no_kernels(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", kernel)
     monkeypatch.setattr(np.linalg, "eigh", kernel)
     monkeypatch.setattr(np.linalg, "det", kernel)
+    monkeypatch.setattr(exterior, "_suffix_states", kernel)
 
 
 def test_capacity_guards(monkeypatch):

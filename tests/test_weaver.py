@@ -34,7 +34,7 @@ from kspart import (
     spectral_approx_check,
     validate,
 )
-from kspart import interlace, mixedchar, realpoly, weaver
+from kspart import exterior, interlace, mixedchar, realpoly, weaver
 from kspart.serialize import partition_report_to_dict
 from kspart.weaver import laplacian
 
@@ -42,6 +42,12 @@ from test_mixedchar import haar_unitary, no_kernels
 
 
 K4_EDGES = tuple((a, b, 1.0) for a in range(4) for b in range(a + 1, 4))
+
+
+@pytest.fixture
+def lattice_engine(monkeypatch):
+    """``partition`` and ``block_node_poly`` on the lattice engine."""
+    monkeypatch.setattr(weaver, "_picks_states", lambda lattice, states: False)
 
 
 def test_gen_diagonal_shapes_and_values():
@@ -376,17 +382,65 @@ def rational_diagonal(skew=None):
     return outers, WeaverInstance(d, vecs / math.sqrt(3.0), 1.0 / 3.0)
 
 
-def test_block_node_poly_matches_exact_oracle():
+@functools.cache
+def exact_cases():
+    """(skew, r, prefix, instance, exact node polynomial) on diag(3, 1/3),
+    unrotated and rotated by a Cayley transform: r = 2 with at most 9
+    unpinned vectors and r = 3 with at most 6."""
     rng = np.random.default_rng(1)
+    cases = []
     for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]]):
         outers, inst = rational_diagonal(skew)
         for r, most in ((2, 9), (3, 6)):
             for k in range(inst.count - most, inst.count + 1):
                 prefix = tuple(int(t) for t in rng.integers(0, r, size=k))
-                want = exact_node_poly(outers, prefix, r)
-                dev = relative_deviation(block_node_poly(inst, prefix, r),
-                                         want)
-                assert dev <= 1e-13, (skew, r, prefix, dev)
+                cases.append((skew, r, prefix, inst,
+                              exact_node_poly(outers, prefix, r)))
+    return cases
+
+
+def test_block_node_poly_matches_exact_oracle(lattice_engine):
+    for skew, r, prefix, inst, want in exact_cases():
+        dev = relative_deviation(block_node_poly(inst, prefix, r), want)
+        assert dev <= 1e-13, (skew, r, prefix, dev)
+
+
+def test_state_nodes_match_exact_oracle():
+    # within 1e-12 of the largest exact coefficient, unshifted
+    for skew, r, prefix, inst, want in exact_cases():
+        got = exterior._state_node(inst.vectors, prefix, r, 0.0)
+        assert got[-1] == 1.0 and got.shape == (r * inst.dim + 1,)
+        dev = relative_deviation(got, want)
+        assert dev <= 1e-12, (skew, r, prefix, dev)
+
+
+def test_state_nodes_match_lattice_nodes(lattice_engine):
+    # the Haar-rotated instance is complex: l stays complex until the
+    # contraction's real part (taking l's real part first is 1.3e-2 off)
+    rng = np.random.default_rng(2)
+    for r in (2, 3):
+        for name, inst in block_instances().items():
+            m = inst.count
+            for k in sorted({0, 1, m // 2, m - 1}):
+                prefix = tuple(int(t) for t in rng.integers(0, r, size=k))
+                want = block_node_poly(inst, prefix, r)
+                got = exterior._state_node(inst.vectors, prefix, r, 0.0)
+                dev = relative_deviation(got, want)
+                assert dev <= 1e-12, (r, name, prefix, dev)
+
+
+def test_shifted_state_nodes_are_nodes_in_x_minus_one():
+    # mu(x) = sum_j c_j (x - 1)^j: composed with x - 1, the shifted
+    # coefficients give the unshifted ones
+    u = block_instances()["haar-diag"].vectors
+    poly = np.polynomial.Polynomial
+    for r, prefix in ((2, ()), (2, (1, 0, 1)), (3, (2, 0))):
+        shifted = exterior._state_node(u, prefix, r, exterior.SHIFT)
+        plain = exterior._state_node(u, prefix, r, 0.0)
+        expanded = poly(shifted)(poly([-1.0, 1.0])).coef
+        assert relative_deviation(expanded, plain) <= 1e-13, (r, prefix)
+        # the mean root is 1: the t^(rd - 1) coefficient vanishes
+        assert abs(shifted[-2]) <= 1e-13, (r, prefix)
 
 
 def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
@@ -483,7 +537,7 @@ def descent_prefixes(inst, r):
                    for t in range(r)]
 
 
-def test_block_node_poly_cache_and_chunks(monkeypatch):
+def test_block_node_poly_cache_and_chunks(monkeypatch, lattice_engine):
     inst = gen_gaussian(3, 0.25, seed=1)
     for r, prefix in ((2, ()), (2, (0, 1, 1)), (2, (1, 0, 0, 1, 0)),
                       (3, (2, 0)), (4, (3, 1, 0))):
@@ -491,7 +545,7 @@ def test_block_node_poly_cache_and_chunks(monkeypatch):
         for chunk in (3, 1):
             monkeypatch.setattr(weaver, "CHUNK", chunk)
             assert np.array_equal(block_node_poly(inst, prefix, r), want)
-        monkeypatch.undo()
+        monkeypatch.setattr(weaver, "CHUNK", mixedchar.CHUNK)
 
 
 def test_two_part_partition_matches_lifted_descent():
@@ -544,12 +598,60 @@ def test_two_part_scale_rung():
 
 
 def test_two_part_refused_before_any_kernel(monkeypatch):
+    # both engines refuse each: the lattice for its rows; the state engine
+    # for 172 GB and 2.8 GB of states (it admits gauss(4, 1/8) at r = 3,
+    # m=32, with 181 MB of states), and under a cap of 3e7 for the time
+    # of 100 levels (4.3e7) although its states fit (1.2e7)
     two = gen_gaussian(8, 0.125, seed=0)  # m=64, d=8
-    three = gen_gaussian(4, 0.125, seed=0)  # m=32, d=4
+    three = gen_gaussian(4, 1 / 128, seed=0)  # m=512, d=4
+    line = gen_gaussian(2, 0.02, seed=0)  # m=100, d=2
+    tight = DEFAULT_POLICY.merged({"work_cap": 3e7})
     no_kernels(monkeypatch)
-    for inst, r in ((two, 2), (three, 3)):
+    for inst, r, policy in ((two, 2, DEFAULT_POLICY),
+                            (three, 3, DEFAULT_POLICY), (line, 2, tight)):
         with pytest.raises(CapacityError, match="predicted work"):
-            partition(inst, r)
+            partition(inst, r, policy)
+
+
+def test_partition_picks_the_engine_that_predicts_less_work(monkeypatch):
+    # the benchmark's partitions take the state engine; small m with large
+    # d r keeps the lattice, whose rows are fewer than a state's entries
+    picked = []
+    for name in ("_state_family", "_block_family"):
+        real = getattr(weaver, name)
+
+        def spy(*args, real=real, name=name):
+            picked.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(weaver, name, spy)
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    k5 = gen_from_graph(Graph(5, tuple((a, b, 1.0) for a, b in edges)))[0]
+    cases = [(gen_gaussian(3, 0.25, seed=s), 2, "_state_family")
+             for s in range(3)]
+    cases += [(block_instances()["haar-diag"], 3, "_state_family"),
+              (k5, 2, "_state_family"), (k5, 3, "_block_family"),
+              (k5, 4, "_block_family"),
+              (gen_gaussian(6, 0.75, seed=0), 2, "_block_family")]
+    for inst, r, want in cases:
+        picked.clear()
+        partition(inst, r)
+        assert picked == [want], (inst.count, inst.dim, r)
+
+
+@pytest.mark.parametrize("d, r, m", [(3, 3, 150), (4, 2, 300),
+                                     (3, 2, 2000)])
+def test_shifted_state_descents_at_small_delta(d, r, m):
+    # at delta = d/m every node's roots crowd about 1, where coefficients
+    # in x lost them (unshifted, these raised DescentError at levels 149,
+    # 293 and 1638); in t = x - 1 each descent finishes and falls
+    inst = gen_gaussian(d, d / m, seed=0)
+    rep = partition(inst, r)
+    assert rep.within_bound and len(rep.trace.steps) == m
+    prev = rep.root_of_empty
+    for step in rep.trace.steps:
+        assert step.chosen_root <= prev + DEFAULT_POLICY.descent_slack
+        prev = step.chosen_root
 
 
 def test_experiment_refused_before_any_trial(monkeypatch):
@@ -575,7 +677,7 @@ def walked_node_polys(monkeypatch, inst, r):
     return seen, rep
 
 
-def test_descent_nodes_are_block_node_polys(monkeypatch):
+def test_descent_nodes_are_block_node_polys(monkeypatch, lattice_engine):
     for r in (2, 3):
         for name, inst in block_instances().items():
             if r == 3 and name != "haar-diag":
@@ -598,7 +700,8 @@ def test_descent_nodes_are_block_node_polys(monkeypatch):
             assert rep.trace.final_root == values[-1]
 
 
-def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch):
+def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch,
+                                                          lattice_engine):
     # each child reuses its parent's F blocks and grown product, sliced,
     # and siblings share one pass; every inner node still has the bits of
     # a fresh block_node_poly at its prefix
@@ -620,7 +723,35 @@ def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch):
                 assert again == rep
 
 
-def test_partition_chunks_give_the_same_report(monkeypatch):
+def test_state_walk_nodes_equal_fresh_state_nodes(monkeypatch):
+    # children share their parent's l blocks and one array of suffix
+    # states; every inner node of the walk still has the bits of a fresh
+    # state node at its prefix, in t = x - 1, and the leaves' roots are
+    # the eigenvalues of the part sums
+    monkeypatch.setattr(weaver, "_picks_states", lambda lattice, states: True)
+    for r in (2, 3, 4):
+        for name, inst in block_instances().items():
+            if name == "k5" and r > 2:  # 60 MB and 4.2 GB of states
+                continue
+            m = inst.count
+            polys, rep = walked_node_polys(monkeypatch, inst, r)
+            path = rep.trace.final_assignment
+            inner = [()] + [path[:k] + (t,) for k in range(m - 1)
+                            for t in range(r)]
+            want = [exterior._state_node(inst.vectors, prefix, r,
+                                         exterior.SHIFT) for prefix in inner]
+            assert [p.tobytes() for p in polys] == [
+                p.tobytes() for p in want], (r, name)
+            top = realpoly.roots(want[0]).values[-1] + exterior.SHIFT
+            assert rep.root_of_empty == top, (r, name)
+            u = inst.vectors
+            bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()),
+                                      path, r)
+            values = np.unique(np.linalg.eigvalsh(bases))
+            assert rep.trace.final_root == values[-1], (r, name)
+
+
+def test_partition_chunks_give_the_same_report(monkeypatch, lattice_engine):
     # several closing chunks per level
     inst = block_instances()["gauss"]
 
@@ -638,9 +769,13 @@ def test_descent_asks_for_each_node_once(monkeypatch):
     # one root() call, then one children() call per level, on the chosen
     # child's state: the root and the r children of each chosen node are
     # 1 + r m distinct prefixes
-    for name, r in (("gauss", 2), ("gauss", 3), ("haar-diag", 3)):
+    for (name, r), engine in product(
+            (("gauss", 2), ("gauss", 3), ("haar-diag", 3)),
+            ("lattice", "state")):
         inst = block_instances()[name]
-        family = weaver._block_family(inst, r, DEFAULT_POLICY)
+        family = (weaver._block_family(inst, r, DEFAULT_POLICY)
+                  if engine == "lattice" else
+                  exterior._state_family(inst.vectors, r, DEFAULT_POLICY))
         roots, parents = [], []
 
         def root():
@@ -692,7 +827,7 @@ def test_node_states_keep_only_the_f_blocks_children_read():
             assert len(fs) == (r - 1 if r > 2 else 0), (r, k)
 
 
-def test_no_subset_lattice_outlives_its_call():
+def test_no_subset_lattice_outlives_its_call(lattice_engine):
     inst = block_instances()["gauss"]
     mixedchar.mixed_char_poly(mixedchar.MixedInstance(3, tuple(
         np.outer(u, u.conj()) for u in inst.vectors)))
