@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 from .policy import (DEFAULT_POLICY, CapabilityError, CapacityError,
                      DescentError, KsError, NumericPolicy, PoleError,
                      RootednessError, SingularMatrixError, ValidationError)
-from .realpoly import (RealRootedness, RootList, SeparationReport,
+from .realpoly import (RealRootedness, RootList, SeparationReport, TopRoot,
                        common_interlacing_test, from_roots,
                        gaussian_expected_poly, hko_test, interlaces,
                        is_real_rooted, laguerre_expected, largest_root,
                        one_minus_c_derivative, poly_eval, roots,
-                       separate_check, shrunk_power_largest_root)
+                       separate_check, shrunk_power_largest_root, top_roots)
 from .mixedchar import (CohenReport, FiniteSupportVector, MixedInstance,
                         RandomVectorEnsemble, cohen_inequality_check,
                         conditional_expected_poly, covariance,

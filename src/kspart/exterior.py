@@ -64,8 +64,8 @@ def _leaves(kids: np.ndarray) -> list:
     eigenvalues, exact where the coefficients of prod_b chi(P_b) scatter a
     multiple root (by about 1e-4 for a double eigenvalue shared by two
     parts)."""
-    return [(realpoly.RootList(*np.unique(np.linalg.eigvalsh(kid),
-                                          return_counts=True)), None)
+    return [(realpoly.TopRoot.of(realpoly.RootList(
+        *np.unique(np.linalg.eigvalsh(kid), return_counts=True))), None)
             for kid in kids]
 
 
@@ -241,10 +241,6 @@ SHIFT = 1.0
 """Every node's mean root: the block sums have trace r d in all."""
 
 
-def _shifted(found: realpoly.RootList) -> realpoly.RootList:
-    return realpoly.RootList(found.values + SHIFT, found.multiplicities)
-
-
 def _state_family(u: np.ndarray, r: int,
                   policy: NumericPolicy) -> NodeFamily:
     """The r-part descent tree of the vectors u on the state engine.  A
@@ -261,8 +257,8 @@ def _state_family(u: np.ndarray, r: int,
     def root():
         bases = _part_sums(outers, (), r)
         ells = _ell(bases, SHIFT)
-        found = realpoly.root_lists([_contract(states[0], ells)], policy)
-        return _shifted(found[0]), (0, bases, ells)
+        found = realpoly.top_roots([_contract(states[0], ells)], policy)
+        return found[0].shifted(SHIFT), (0, bases, ells)
 
     def children(state):
         k, bases, ells = state
@@ -273,9 +269,9 @@ def _state_family(u: np.ndarray, r: int,
         new = _ell(kids[diag, diag], SHIFT)
         blocks = np.repeat(ells[None], r, axis=0)
         blocks[diag, diag] = new
-        found = realpoly.root_lists(
+        found = realpoly.top_roots(
             [_contract(states[k + 1], x) for x in blocks], policy)
-        return [(_shifted(f), (k + 1, kid, x))
+        return [(f.shifted(SHIFT), (k + 1, kid, x))
                 for f, kid, x in zip(found, kids, blocks)]
 
     return NodeFamily((r,) * m, root, children)

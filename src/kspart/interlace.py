@@ -26,7 +26,10 @@ ROOTS_WORK = 70_000
 """A ``realpoly.roots`` or ``is_real_rooted`` call on degree D costs
 ROOTS_WORK + ROOTS_WORK_PER_DEGREE * D: 0.09 ms at D=1, 0.17 ms at D=4,
 0.25 ms at D=6, 0.36 ms at D=10, 0.54 ms at D=16 (simple roots; each
-multiple root adds a clustering attempt or more)."""
+multiple root adds a clustering attempt or more).  A descent node whose
+top root ``realpoly.top_roots`` certifies costs about half of that; the
+work models still charge the full call, and predict the state engine's
+five ladder rungs at 0.99 to 1.9 times their measured time."""
 ROOTS_WORK_PER_DEGREE = 30_000
 EIGVALSH_WORK = 1_000
 """An eigenvalue decomposition of size D in a stack of 4096 costs
@@ -104,16 +107,19 @@ def _profile_beats(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 @dataclass(frozen=True)
 class NodeFamily:
     """The tree ``descend`` walks, one level at a time: the number of
-    children at each level, ``root()``, which returns the roots of the root
-    node's polynomial and the root's state, and ``children(state)``, which
-    returns (roots, state) for each child of the node with that state, in
-    child order.  ``descend`` passes the chosen child's state on and drops
-    the others, so a state may carry whatever its children reuse; no node
-    is asked for twice, so nothing is memoised."""
+    children at each level, ``root()``, which returns the root node's
+    ``realpoly.TopRoot`` and the root's state, and ``children(state)``,
+    which returns (top root, state) for each child of the node with that
+    state, in child order.  A ``TopRoot`` carries the largest root as its
+    ``value`` and builds the full root list only when ``profile()`` is
+    called, which ``descend`` does for tied children alone.  ``descend``
+    passes the chosen child's state on and drops the others, so a state
+    may carry whatever its children reuse; no node is asked for twice, so
+    nothing is memoised."""
 
     support_sizes: tuple[int, ...]
-    root: Callable[[], tuple[realpoly.RootList, object]]
-    children: Callable[[object], list[tuple[realpoly.RootList, object]]]
+    root: Callable[[], tuple[realpoly.TopRoot, object]]
+    children: Callable[[object], list[tuple[realpoly.TopRoot, object]]]
 
 
 def _ensemble_family(e: RandomVectorEnsemble,
@@ -121,8 +127,8 @@ def _ensemble_family(e: RandomVectorEnsemble,
     """The atom tree of an ensemble: a node's state is its prefix, and its
     children are one ``conditional_expected_poly`` call each."""
     def node(prefix):
-        return (realpoly.roots(conditional_expected_poly(e, prefix, policy),
-                               policy), prefix)
+        return (realpoly.top_roots(
+            [conditional_expected_poly(e, prefix, policy)], policy)[0], prefix)
 
     def children(prefix):
         # one thread; ordered_map stays the seam the benchmark's tracer wraps
@@ -137,8 +143,10 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
     """Walk the atom tree of an ensemble (or any ``NodeFamily``) by
     smallest largest-root.
 
-    Ties on the largest root are refined by comparing the full descending
-    root profiles lexicographically, then by lowest index.  The refinement
+    Children are compared by their ``TopRoot.value``.  Ties on the largest
+    root, children within tie_tol of the smallest, are refined by comparing
+    their full descending root profiles lexicographically, then by lowest
+    index; only tied children build their ``profile()``.  The refinement
     does not change the guarantee; it steers the walk toward balanced
     leaves when the greedy objective alone cannot distinguish children.
 
@@ -156,17 +164,16 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
                      f"descent over {len(e.vectors)} vectors")
         family = _ensemble_family(e, policy)
     top, state = family.root()
-    if top.values.size == 0:
+    if top.value is None:
         raise ValidationError("constant polynomial has no largest root")
-    parent_root = float(top.values[-1])
+    parent_root = top.value
     root_of_empty = parent_root
     prefix: tuple[int, ...] = ()
     steps = []
     for level in range(len(family.support_sizes)):
         # the root node's roots show that every node has degree >= 1
         kids = family.children(state)
-        child_sets = [roots for roots, _ in kids]
-        child_roots = [float(r.values[-1]) for r in child_sets]
+        child_roots = [found.value for found, _ in kids]
         best = min(child_roots)
         if best > parent_root + policy.descent_slack:
             raise DescentError(
@@ -178,7 +185,7 @@ def descend(e: RandomVectorEnsemble | NodeFamily,
         chosen = tied[0]
         if len(tied) > 1:
             tol = policy.tie_tol * (1.0 + abs(best))
-            profiles = {i: child_sets[i].expand()[::-1] for i in tied}
+            profiles = {i: kids[i][0].profile().expand()[::-1] for i in tied}
             for i in tied[1:]:
                 if _profile_beats(profiles[i], profiles[chosen], tol):
                     chosen = i

@@ -10,6 +10,14 @@ every evaluation is Horner's rule on Python floats (on plain arrays for
 the polish), by ``npp.polyval``'s operations, so it gives numpy's bits
 without numpy's per-call overhead.
 
+``top_roots`` serves a descent, which compares nodes by their largest
+roots alone: each ``TopRoot`` holds ``root_lists``' largest root, bit for
+bit, and builds the whole ``RootList`` only when asked.  Where certified
+signs prove the roots real and simple and the clustering is sure to take
+each alone, only the top root is polished, by the clustering's own
+operations (``_certified_top``); every other polynomial is clustered at
+once, RootednessError included.
+
 No function takes a per-call tolerance, sample count or seed: those come
 from the NumericPolicy argument or the module constant COMBO_SEED (the
 sampled tests).  shrunk_power_largest_root needs none: its bisection runs
@@ -17,10 +25,12 @@ until the bracket cannot narrow.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -201,7 +211,12 @@ class RealRootedness:
 
 
 def _nonzero_poly(p) -> np.ndarray:
-    """as_poly(p), refusing the zero polynomial, which has no root set."""
+    """as_poly(p), refusing the zero polynomial, which has no root set.  A
+    finite 1-D float64 array whose last coefficient is nonzero needs no
+    trimming, and its copy is ``as_poly``'s result."""
+    if (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.ndim == 1
+            and p.size and p[-1] != 0.0 and np.isfinite(p).all()):
+        return p.copy()
     q = as_poly(p)
     if q.size == 1 and q[0] == 0.0:
         raise ValidationError("the zero polynomial has no root set")
@@ -395,21 +410,162 @@ def root_lists(ps, policy: NumericPolicy = DEFAULT_POLICY) -> list[RootList]:
     qs = [_nonzero_poly(p) for p in ps]
     live = [q for q in qs if q.size > 1]
     raws = iter(_companion_roots(live) if live else [])
+    return [_root_list(q, policy, next(raws)) if q.size > 1 else _no_roots()
+            for q in qs]
+
+
+def _no_roots() -> RootList:
+    """The root list of a nonzero constant."""
+    return RootList(np.array([]), np.array([], dtype=int))
+
+
+def _root_list(q, policy, raw) -> RootList:
+    """The ``RootList`` of a trimmed q of degree >= 1 from its companion
+    roots raw, or RootednessError."""
+    got, max_imag = _root_clustering(q, policy, raw)
+    if got is None:
+        raise RootednessError(
+            f"polynomial is not real-rooted: max imaginary part "
+            f"{max_imag:.3e}", max_imag)
+    values, mults = got
+    order = np.argsort(values)
+    return RootList(np.asarray(values)[order],
+                    np.asarray(mults, dtype=int)[order])
+
+
+class TopRoot:
+    """The largest root of a polynomial, ``value`` (None for a constant),
+    and its whole ``RootList``, which ``profile()`` builds on its first
+    call and keeps."""
+
+    __slots__ = ("value", "_build", "_found")
+
+    def __init__(self, value: float | None, build: Callable[[], RootList]):
+        self.value = value
+        self._build = build
+        self._found = None
+
+    @classmethod
+    def of(cls, found: RootList) -> "TopRoot":
+        """The record of a root list at hand."""
+        top = cls(float(found.values[-1]) if found.values.size else None,
+                  None)
+        top._found = found
+        return top
+
+    def profile(self) -> RootList:
+        if self._found is None:
+            self._found, self._build = self._build(), None
+        return self._found
+
+    def shifted(self, shift: float) -> "TopRoot":
+        """The record of the same roots plus shift."""
+        def build():
+            found = self.profile()
+            return RootList(found.values + shift, found.multiplicities)
+
+        return TopRoot(None if self.value is None else self.value + shift,
+                       build)
+
+
+def top_roots(ps, policy: NumericPolicy = DEFAULT_POLICY) -> list[TopRoot]:
+    """A ``TopRoot`` of each polynomial of ps, in order, whose ``value`` and
+    ``profile()`` have the bits of ``root_lists(ps)``'s largest root and
+    root list.  The companion roots come from one ``_companion_roots``
+    call.  Where ``_certified_top`` proves the roots simple and real, only
+    the largest is polished; every other polynomial goes through
+    ``root_lists``' clustering at once, RootednessError included."""
+    qs = [_nonzero_poly(p) for p in ps]
+    live = [q for q in qs if q.size > 1]
+    raws = iter(_companion_roots(live) if live else [])
     out = []
     for q in qs:
         if q.size == 1:
-            out.append(RootList(np.array([]), np.array([], dtype=int)))
+            out.append(TopRoot.of(_no_roots()))
             continue
-        got, max_imag = _root_clustering(q, policy, next(raws))
-        if got is None:
-            raise RootednessError(
-                f"polynomial is not real-rooted: max imaginary part "
-                f"{max_imag:.3e}", max_imag)
-        values, mults = got
-        order = np.argsort(values)
-        out.append(RootList(np.asarray(values)[order],
-                            np.asarray(mults, dtype=int)[order]))
+        raw = next(raws)
+        top = _certified_top(q.tolist(), raw, policy)
+        out.append(TopRoot.of(_root_list(q, policy, raw)) if top is None else
+                   TopRoot(top, functools.partial(_root_list, q, policy, raw)))
     return out
+
+
+def _certified_top(c: list, raw: np.ndarray,
+                   policy: NumericPolicy) -> float | None:
+    """The largest root of c, a coefficient list of degree n >= 1, given
+    its companion roots raw, where ``_root_clustering`` is sure to accept
+    every root as simple at its first merge radius R; else None.  All on
+    Python floats, by ``_root_clustering``'s operations where they give
+    bits.
+
+    With real raw roots, the ``_polished_roots`` step on each fixes the
+    scale and R, and the roots are taken when:
+
+    - the polished roots c_1 < ... < c_n are more than 4R apart, two
+      leashes of ``_polish_multiple``, so every cluster is a singleton and
+      no polish reorders them;
+    - c takes alternating signs at c_1 - scale, the midpoints and
+      c_n + scale, each certified by |c(x)| > 2 gamma_2n sum |c_i| |x|^i,
+      the Horner error bound (doubled for the bound's own rounding): n
+      distinct real roots, proved;
+    - every |c(c_i)| passes the residual test at the nearest point its
+      leashed polish can reach, and the polish never raises |c|, so the
+      test passes wherever it lands.
+
+    The top root then takes ``_polish_multiple`` as in
+    ``_try_real_clustering``.
+    """
+    if raw.dtype.kind != "f":  # complex roots give up before any Horner
+        return None
+    n = len(c) - 1
+    slope = [j * c[j] for j in range(1, n + 1)]
+    absc = [abs(a) for a in c]
+    croots, resid = [], []
+    for x in raw.tolist():
+        v = _horner(c, x)
+        s = _horner(slope, x)
+        if abs(s) > 1e-300:
+            y = x - v / s
+            a = _horner(c, y)
+            if not abs(a) > abs(v):
+                croots.append(y)
+                resid.append(abs(a))
+                continue
+        croots.append(x)
+        resid.append(abs(v))
+    if not all(map(math.isfinite, croots)):
+        return None
+    scale = 1.0 + max(map(abs, croots))
+    radius = max(policy.root_merge_rtol, 1e-12) * scale
+    if not (radius <= 0.101 * scale  # else the clustering tries no radius
+            and all(b - a > 4.000001 * radius  # 4R and rounding's share
+                    for a, b in zip(croots, croots[1:]))):
+        return None
+    unit = sys.float_info.epsilon / 2
+    bound = 4 * n * unit / (1 - 2 * n * unit)  # 2 gamma_2n
+    points = ([croots[0] - scale]
+              + [0.5 * (a + b) for a, b in zip(croots, croots[1:])]
+              + [croots[-1] + scale])
+    above = None
+    for x in points:
+        v, mag = c[-1], absc[-1]
+        ax = abs(x)
+        for a, b in zip(c[-2::-1], absc[-2::-1]):
+            v = a + v * x
+            mag = b + mag * ax
+        if not abs(v) > bound * mag or (v > 0) == above:
+            return None
+        above = v > 0
+    # the residual test's noise grows with |x|, and a leashed polish moves
+    # a root by at most 2R, rounding aside: a root that passes at 1 or at
+    # |c_i| - 2.5R passes wherever its polish lands
+    rtol = policy.root_residual_rtol
+    floor = max(rtol * _horner(absc, 1.0), 1e-250)
+    for x, r in zip(croots, resid):
+        if r > floor and r > max(
+                rtol * _horner(absc, max(1.0, abs(x) - 2.5 * radius)), 1e-250):
+            return None
+    return _polish_multiple([c, slope], croots[-1] + 0.0, 1, 2.0 * radius)
 
 
 def largest_root(p, policy: NumericPolicy = DEFAULT_POLICY) -> float:

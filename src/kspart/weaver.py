@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -408,17 +409,29 @@ def _node_work(n: int, d: int, r: int, chains: int = 1,
             + (r - 1) * minors * MINOR_WORK + chains * splits * SPLIT_WORK)
 
 
-def block_work(m: int, d: int, r: int) -> float:
+def block_work(m: int, d: int, r: int, stop: float = math.inf) -> float:
     """Predicted work of an r-part ``partition`` of m vectors in dimension
     d: the root node in full, with one root finding of degree r d, then
     one pass per level, each taking the r - 1 new F blocks, the r - 1
     grown products and the two closing bases of the r children and r
     root findings, n being the children's unpinned vectors (the leaves,
-    which take eigenvalues instead, count as a level)."""
-    level = lambda n: (_node_work(n, d, r, r - 1, 2)
-                       + r * roots_work(r * d))
-    return float(min(_node_work(m, d, r) + roots_work(r * d)
-                     + sum(level(n) for n in range(m)), 10 ** 300))
+    which take eigenvalues instead, count as a level).
+
+    With a finite stop it may return a lower bound above stop instead: a
+    level without its grown products costs more the more vectors it leaves
+    unpinned, so the last k levels cost at least k times the (m - k)-th,
+    tried at k = 1, 2, 4, ...  Any figure above stop answers a comparison
+    with stop, or with anything below it, as the full sum does."""
+    per_level = r * roots_work(r * d)
+    root = _node_work(m, d, r) + roots_work(r * d)
+    k = 1
+    while stop < math.inf and k <= m:
+        bound = root + k * (_node_work(m - k, d, r, 0, 2) + per_level)
+        if bound > stop:
+            return float(min(bound, 10 ** 300))
+        k *= 2
+    level = lambda n: _node_work(n, d, r, r - 1, 2) + per_level
+    return float(min(root + sum(level(n) for n in range(m)), 10 ** 300))
 
 
 def _node_tables(inst: WeaverInstance, r: int) -> tuple:
@@ -447,8 +460,9 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
         raise ValidationError(f"prefix {prefix} is not a prefix of labels "
                               f"below {r} of {m} vectors")
     n = m - k
-    if _admit(_node_work(n, d, r), _state_work(n, d, r, 1) + LEVEL_WORK,
-              state_bytes(n, d, r), policy, f"block node over {n} vectors"):
+    if _admit(lambda stop: _node_work(n, d, r),
+              _state_work(n, d, r, 1) + LEVEL_WORK, state_bytes(n, d, r),
+              policy, f"block node over {n} vectors"):
         return _state_node(inst.vectors, prefix, r, 0.0)
     tables = _node_tables(inst, r)
     return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
@@ -606,7 +620,7 @@ def _block_family(inst: WeaverInstance, r: int,
     def root():
         bases = _part_sums(outers, (), r)
         mu, fs, g = _node(inst, tables, bases, 0)
-        return realpoly.root_lists([mu], policy)[0], (0, bases, fs[:kept], g)
+        return realpoly.top_roots([mu], policy)[0], (0, bases, fs[:kept], g)
 
     def children(state):
         k, bases, fs, g = state
@@ -635,7 +649,7 @@ def _block_family(inst: WeaverInstance, r: int,
             grown = _chain(blocks, lat, start)
             polys.append(_close(grown, h[0], r))
             states.append((k + 1, kids[t], blocks[:kept], grown))
-        found = realpoly.root_lists(polys + [last], policy)
+        found = realpoly.top_roots(polys + [last], policy)
         states.append((k + 1, kids[-1], fs, g))
         return list(zip(found, states))
 
@@ -648,18 +662,20 @@ def _picks_states(lattice: float, states: float) -> bool:
     return states < lattice
 
 
-def _admit(lattice: float, states: float, nbytes: int,
+def _admit(lattice: Callable[[float], float], states: float, nbytes: int,
            policy: NumericPolicy, what: str) -> bool:
     """Admit a request on the engine that predicts less work, and say
     whether that is the state engine.  The state engine holds max(states,
     BYTE_WORK nbytes) against the cap, so it is admitted only when its
     stored states fit too; the request is refused, with the smaller
-    figure, when neither engine is under the cap."""
+    figure, when neither engine is under the cap.  lattice(stop) is the
+    lattice engine's work, or any figure above stop = max(held, cap),
+    past which the lattice can be neither picked nor quoted."""
     held = max(states, nbytes * BYTE_WORK)
-    if held <= policy.work_cap and _picks_states(lattice, states):
+    work = lattice(max(held, policy.work_cap))
+    if held <= policy.work_cap and _picks_states(work, states):
         return True
-    policy.admit(lattice if held <= policy.work_cap else min(lattice, held),
-                 what)
+    policy.admit(work if held <= policy.work_cap else min(work, held), what)
     return False
 
 
@@ -699,8 +715,8 @@ def partition(inst: WeaverInstance, r: int,
     m, d = inst.count, inst.dim
     if r < 1 or d < 1:
         raise ValidationError("r and the dimension must be positive")
-    use_states = _admit(block_work(m, d, r), state_work(m, d, r),
-                        state_bytes(m, d, r), policy,
+    use_states = _admit(lambda stop: block_work(m, d, r, stop),
+                        state_work(m, d, r), state_bytes(m, d, r), policy,
                         f"partition of {m} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:

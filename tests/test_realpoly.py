@@ -467,16 +467,16 @@ def reference_common_interlacing_test(fs, policy=DEFAULT_POLICY):
 
 def descent_node_polys(monkeypatch):
     """Every polynomial whose roots three descents take, through their
-    batched seam ``realpoly.root_lists``: two-part gauss(3, 1/4), the
+    batched seam ``realpoly.top_roots``: two-part gauss(3, 1/4), the
     Haar-rotated diag(3, 1/3) with r = 3 and the two-part K5."""
     seen = []
-    real = realpoly.root_lists
+    real = realpoly.top_roots
 
     def record(ps, policy=DEFAULT_POLICY):
         seen.extend(np.array(p, dtype=np.float64) for p in ps)
         return real(ps, policy)
 
-    monkeypatch.setattr(realpoly, "root_lists", record)
+    monkeypatch.setattr(realpoly, "top_roots", record)
     diag = gen_diagonal(3, 1.0 / 3.0)
     haar = WeaverInstance(
         3, diag.vectors @ haar_unitary(3, np.random.default_rng(5)).T,
@@ -511,20 +511,99 @@ def test_roots_bit_identical_to_reference_on_node_polys(monkeypatch):
         assert_same_roots(p)
 
 
+SYNTHETIC_POLYS = [from_roots([1.0, 1.0, 2.0]),
+                   from_roots([0.5, 0.5, 0.5, 2.0]),
+                   from_roots([0.3, 0.3, 0.3, 0.3, -1.0]),
+                   3.0 * from_roots([-2.0, -2.0, 0.7, 0.7, 0.7, 1.5]),
+                   [0.0, 2.0],                   # -0.0 from the companion
+                   from_roots([0.0, 0.0, 1.0]),  # a double root at zero
+                   laguerre_expected(4, 2, 0.1),  # a double root at zero
+                   [-2.0, 1.0, -2.0, 1.0],       # (x - 2)(x^2 + 1)
+                   [1.0, 0.0, 1.0]]              # x^2 + 1
+
+
 def test_roots_bit_identical_to_reference_on_synthetic_polys():
-    polys = [from_roots([1.0, 1.0, 2.0]),
-             from_roots([0.5, 0.5, 0.5, 2.0]),
-             from_roots([0.3, 0.3, 0.3, 0.3, -1.0]),
-             3.0 * from_roots([-2.0, -2.0, 0.7, 0.7, 0.7, 1.5]),
-             [0.0, 2.0],                            # -0.0 from the companion
-             from_roots([0.0, 0.0, 1.0]),           # a double root at zero
-             laguerre_expected(4, 2, 0.1),          # a double root at zero
-             [-2.0, 1.0, -2.0, 1.0],                # (x - 2)(x^2 + 1)
-             [1.0, 0.0, 1.0]]                       # x^2 + 1
-    for p in polys:
+    for p in SYNTHETIC_POLYS:
         assert_same_roots(p)
     with pytest.raises(RootednessError):
-        roots(polys[-2])
+        roots(SYNTHETIC_POLYS[-2])
+
+
+def assert_same_top_roots(ps, policy=DEFAULT_POLICY):
+    """top_roots(ps) has the bits of root_lists(ps): each value is the
+    largest root and each profile() the root list; or it raises the same
+    RootednessError."""
+    try:
+        want = realpoly.root_lists(ps, policy)
+    except RootednessError as err:
+        with pytest.raises(RootednessError) as got:
+            realpoly.top_roots(ps, policy)
+        assert str(got.value) == str(err)
+        assert got.value.max_imag == err.max_imag
+        return
+    got = realpoly.top_roots(ps, policy)
+    assert len(got) == len(want)
+    for top, found in zip(got, want):
+        if found.values.size == 0:
+            assert top.value is None
+        else:
+            assert np.array([top.value]).view(np.int64)[0] == \
+                found.values[-1:].view(np.int64)[0], ps
+        profile = top.profile()
+        assert np.array_equal(profile.values.view(np.int64),
+                              found.values.view(np.int64)), ps
+        assert np.array_equal(profile.multiplicities, found.multiplicities)
+        assert top.profile() is profile  # built once
+
+
+def test_top_roots_bit_identical_to_root_lists(monkeypatch):
+    polys = descent_node_polys(monkeypatch)
+    assert len(polys) > 60
+    for p in polys + SYNTHETIC_POLYS + [[3.0]]:
+        assert_same_top_roots([p])
+    sixes = [p for p in polys if p.size == 7]
+    assert len(sixes) > 20
+    assert_same_top_roots(sixes)  # one companion call
+    # most node roots are simple and certified; the rest fall back
+    fast = sum(realpoly._certified_top(p.tolist(), raw, DEFAULT_POLICY)
+               is not None for p, raw in zip(
+                   polys, realpoly._companion_roots([as_poly(p)
+                                                    for p in polys])))
+    assert 0 < fast < len(polys)
+
+
+def test_top_roots_fall_back_on_close_or_complex_roots():
+    simple = from_roots([-1.0, 0.25, 0.5, 1.5])
+    close = from_roots([-1.0, 0.25, 0.5, 1.5, 1.5 + 1e-7])
+    # (x + 1)(x - 1/4)(x - 3/2)((x - 1.4)^2 + 1e-4)
+    paired = npp.polymul(from_roots([-1.0, 0.25, 1.5]), [1.9601, -2.8, 1.0])
+
+    def certified(p):
+        q = as_poly(p)
+        raw = realpoly._companion_roots([q])[0]
+        return realpoly._certified_top(q.tolist(), raw, DEFAULT_POLICY)
+
+    assert certified(simple) is not None
+    assert certified(close) is None
+    assert certified(paired) is None
+    for p in (simple, close, paired):
+        assert_same_top_roots([p])
+    with pytest.raises(RootednessError):
+        realpoly.top_roots([paired])
+
+
+def test_top_roots_raise_where_root_lists_do():
+    for p in ([1.0, 0.0, 1.0], [-2.0, 1.0, -2.0, 1.0]):
+        with pytest.raises(RootednessError):
+            realpoly.root_lists([p])
+        assert_same_top_roots([p])
+        # a polynomial after a certified one raises all the same
+        assert_same_top_roots([from_roots([0.5, 2.0, 3.0]), p])
+    # a merge radius above the clustering's last leaves no radius to try
+    coarse = DEFAULT_POLICY.merged({"root_merge_rtol": 0.2})
+    with pytest.raises(RootednessError):
+        realpoly.root_lists([from_roots([-1.0, 1.0])], coarse)
+    assert_same_top_roots([from_roots([-1.0, 1.0])], coarse)
 
 
 def test_common_interlacing_matches_reference(monkeypatch):

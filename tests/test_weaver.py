@@ -654,6 +654,79 @@ def test_shifted_state_descents_at_small_delta(d, r, m):
         prev = step.chosen_root
 
 
+def admit_outcome(m, d, r, policy, stop):
+    """What ``partition``'s admission says of (m, d, r): the state engine
+    (True), the lattice (False) or the refusal's message; with stop=False
+    the lattice's work is summed in full."""
+    lattice = ((lambda at: weaver.block_work(m, d, r, at)) if stop else
+               (lambda at: weaver.block_work(m, d, r)))
+    try:
+        return weaver._admit(lattice, exterior.state_work(m, d, r),
+                             exterior.state_bytes(m, d, r), policy, "p")
+    except CapacityError as err:
+        return str(err)
+
+
+def test_block_work_stops_once_the_lattice_cannot_win(monkeypatch):
+    # 10^5 levels priced one by one took 0.4 s; the last k levels cost at
+    # least k times the (m - k)-th, so a doubling k passes the cap at once
+    calls = []
+    real = weaver._node_work
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weaver, "_node_work", counting)
+    m, d, r = 10 ** 5, 1, 2
+    assert admit_outcome(m, d, r, DEFAULT_POLICY, stop=True) is True
+    assert 0 < len(calls) < 40
+    stop = max(exterior.state_work(m, d, r), DEFAULT_POLICY.work_cap)
+    assert weaver.block_work(m, d, r, stop) > stop
+
+
+# (m, d, r) of the partitions in the tier-1 tests, the CI step and the
+# benchmark
+PARTITION_SHAPES = [
+    (1, 1, 2), (2, 2, 2), (4, 2, 2), (4, 2, 3), (4, 2, 4), (5, 2, 1),
+    (5, 2, 2), (5, 2, 3), (5, 2, 4), (6, 2, 2), (6, 3, 2), (8, 2, 1),
+    (8, 2, 2), (8, 2, 4), (8, 6, 2), (9, 3, 2), (9, 3, 3), (9, 3, 4),
+    (10, 4, 2), (10, 4, 3), (10, 4, 4), (12, 3, 2), (12, 3, 3), (12, 3, 4),
+    (15, 3, 3), (16, 4, 2), (64, 8, 2), (100, 2, 2), (140, 3, 2),
+    (150, 3, 3), (300, 4, 2), (512, 4, 3), (2000, 3, 2)]
+
+
+def test_block_work_bound_keeps_every_pick_and_refusal():
+    tight = DEFAULT_POLICY.merged({"work_cap": 3e7})
+    cut = 0
+    for (m, d, r), policy in product(PARTITION_SHAPES,
+                                     (DEFAULT_POLICY, tight)):
+        want = admit_outcome(m, d, r, policy, stop=False)
+        assert admit_outcome(m, d, r, policy, stop=True) == want, (m, d, r)
+        stop = max(exterior.state_work(m, d, r),
+                   exterior.BYTE_WORK * exterior.state_bytes(m, d, r),
+                   policy.work_cap)
+        cut += weaver.block_work(m, d, r, stop) != weaver.block_work(m, d, r)
+    assert cut > 0
+
+
+def test_descent_builds_profiles_only_for_tied_children(monkeypatch):
+    # at level 0 of a two-part walk both children pin u_0 to one part, so
+    # their polynomials are mirror images and tie; no other level ties
+    built = []
+    real = realpoly._root_list
+
+    def counting(q, policy, raw):
+        built.append(q)
+        return real(q, policy, raw)
+
+    monkeypatch.setattr(realpoly, "_root_list", counting)
+    rep = partition(gen_gaussian(3, 0.25, seed=0), 2)
+    first = rep.trace.steps[0].candidate_roots
+    assert abs(first[0] - first[1]) <= DEFAULT_POLICY.tie_tol
+    assert len(built) == 2
+
+
 def test_experiment_refused_before_any_trial(monkeypatch):
     inst = gen_diagonal(2, 0.5)
     no_kernels(monkeypatch)
@@ -663,17 +736,17 @@ def test_experiment_refused_before_any_trial(monkeypatch):
 
 def walked_node_polys(monkeypatch, inst, r):
     """The polynomials whose roots the r-part descent takes, through their
-    batched seam ``realpoly.root_lists``, and the report."""
+    batched seam ``realpoly.top_roots``, and the report."""
     seen = []
-    real = realpoly.root_lists
+    real = realpoly.top_roots
 
     def record(ps, policy=DEFAULT_POLICY):
         seen.extend(ps)
         return real(ps, policy)
 
-    monkeypatch.setattr(realpoly, "root_lists", record)
+    monkeypatch.setattr(realpoly, "top_roots", record)
     rep = partition(inst, r)
-    monkeypatch.setattr(realpoly, "root_lists", real)
+    monkeypatch.setattr(realpoly, "top_roots", real)
     return seen, rep
 
 
