@@ -6,6 +6,9 @@ on exact conjugate symmetry.  Characteristic polynomials use ascending
 coefficient order throughout the package; ``char_poly_stack`` forms them
 for a whole stack at once, in cache-sized blocks, with its traces summed
 in ``np.trace``'s own order so every bit matches the plain recursion.
+``rank_one_char_polys`` shares that recursion (``_leverrier``) and keeps
+its adjugate coefficients, from which each rank-one update's polynomial
+follows by the matrix determinant lemma.
 """
 from __future__ import annotations
 
@@ -92,6 +95,35 @@ def _pairwise(x, lo: int, n: int):
     return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
 
 
+def _leverrier(a: np.ndarray, c: np.ndarray, adj: np.ndarray | None = None):
+    """One block of the Faddeev-LeVerrier recursion: c_k into c[:, d - k],
+    k = 1 .. d, for the n Hermitian d x d matrices of a, d >= 1.
+
+    With adj, an (d, n, d, d) complex array, the adjugate coefficients
+    B_0 = I, B_1 .. B_{d-1} are formed in adj[0 .. d - 1], each product
+    straight into its slot; without it, each B_k is a new array, as
+    ``char_poly_stack``'s bit contract was measured with."""
+    d = a.shape[-1]
+    diag = np.arange(d)
+    if adj is None:
+        b = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape)  # B_0 = I
+    else:
+        b = adj[0]
+        b[...] = np.eye(d)
+    for k in range(1, d):
+        if adj is None:
+            b = a.copy() if k == 1 else a @ b  # M_k = A B_{k-1}
+        elif k == 1:
+            b = adj[1]
+            b[...] = a
+        else:
+            b = np.matmul(a, b, out=adj[k])
+        c_k = -(_pairwise(b.diagonal(0, -2, -1).T, 0, d) + 0.0) / k
+        c[:, d - k] = c_k.real
+        b[:, diag, diag] += c_k[:, None]  # B_k = M_k + c_k I
+    c[:, 0] = -np.einsum("...ij,...ji->...", a, b).real / d
+
+
 def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of matrices, ascending coeffs.
 
@@ -125,17 +157,47 @@ def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     flat = ms.reshape(-1, d, d)
     out = coeffs.reshape(-1, d + 1)
     step = max(1, BLOCK_BYTES // (16 * d * d))
-    diag = np.arange(d)
     for lo in range(0, len(flat), step):
-        a, c = flat[lo:lo + step], out[lo:lo + step]
-        b = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape)  # B_0 = I
-        for k in range(1, d):
-            b = a.copy() if k == 1 else a @ b  # M_k = A B_{k-1}
-            c_k = -(_pairwise(b.diagonal(0, -2, -1).T, 0, d) + 0.0) / k
-            c[:, d - k] = c_k.real
-            b[:, diag, diag] += c_k[:, None]  # B_k = M_k + c_k I
-        c[:, 0] = -np.einsum("...ij,...ji->...", a, b).real / d
+        _leverrier(flat[lo:lo + step], out[lo:lo + step])
     return coeffs
+
+
+def rank_one_char_polys(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """det(xI - A - v v*) for every matrix A of the stack ms, shape (n, d, d),
+    and every vector v of vs, shape (l, d): shape (n, l, d + 1), ascending.
+
+    Matrix determinant lemma in adjugate form, which holds for singular
+    xI - A too: det(xI - A - v v*) = det(xI - A) - v* adj(xI - A) v, and
+    adj(xI - A) = sum_k B_k x^(d-1-k) with the B_k of the Faddeev-LeVerrier
+    recursion, so one ``_leverrier`` pass per matrix serves all its vectors.
+    The quadratic forms v* B_k v = sum_ij Re(B_ij) Re(W_ij) + Im(B_ij)
+    Im(W_ij), W = v v*, of a block are one real matrix product,
+    (d n, 2 d^2) @ (2 d^2, l).  The matrices must be Hermitian; unlike
+    ``char_poly_stack``, no bit contract covers the result, and a block
+    holds about BLOCK_BYTES of adjugate coefficients.
+    """
+    ms = np.asarray(ms, dtype=np.complex128)
+    vs = np.asarray(vs, dtype=np.complex128)
+    d, n, l = vs.shape[1], len(ms), len(vs)
+    leaves = np.zeros((n, l, d + 1))
+    leaves[..., d] = 1.0
+    if d == 0:
+        return leaves
+    outer = np.ascontiguousarray(np.einsum("aj,ak->ajk", vs, vs.conj()))
+    forms = outer.view(np.float64).reshape(l, 2 * d * d).T
+    step = max(1, BLOCK_BYTES // (16 * d ** 3))  # adj holds d matrices each
+    poly = np.empty((min(step, n), d + 1))
+    adj = np.empty((d, min(step, n), d, d), dtype=np.complex128)
+    for lo in range(0, n, step):
+        a = ms[lo:lo + step]
+        if len(a) < adj.shape[1]:
+            poly, adj = poly[:len(a)], np.empty((d,) + a.shape, adj.dtype)
+        _leverrier(a, poly, adj)
+        q = (adj.view(np.float64).reshape(d * len(a), 2 * d * d) @ forms
+             ).reshape(d, len(a), l)  # v* B_k v at [k, matrix, vector]
+        leaves[lo:lo + step, :, :d] = (poly[:, None, :d]
+                                       - q[::-1].transpose(1, 2, 0))
+    return leaves
 
 
 def char_poly(m, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -20,6 +20,7 @@ from kspart.linalg import (
     isotropic_normalizer,
     jacobi_directional,
     operator_norm,
+    rank_one_char_polys,
 )
 
 from test_mixedchar import haar_unitary
@@ -282,3 +283,56 @@ def test_char_poly_stack_constant_term_exact_on_integer_matrices():
             want = (-1) ** d * gaussian_integer_det(a)
             got = Fraction(float(char_poly_stack(a)[0]))
             assert abs(got - want) <= Fraction(1, 10 ** 12) * max(1, abs(want))
+
+
+# -- rank-one leaves: the matrix determinant lemma --------------------------
+
+def random_psd_stack(rng, n, d):
+    """Hermitian PSD matrices with spectra about [0, 2], as outcome sums of
+    an isotropic ensemble have."""
+    g = (rng.standard_normal((n, d, 2 * d))
+         + 1j * rng.standard_normal((n, d, 2 * d))) / np.sqrt(2 * d)
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def assert_leaves_match(stack, vs):
+    got = rank_one_char_polys(stack, vs)
+    outer = np.einsum("aj,ak->ajk", vs, vs.conj())
+    want = char_poly_stack(stack[:, None] + outer[None])
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rank_one_char_polys_match_char_poly_stack(d):
+    rng = np.random.default_rng(500 + d)
+    stack = random_psd_stack(rng, 300, d)
+    vs = (rng.standard_normal((5, d))
+          + 1j * rng.standard_normal((5, d))) / np.sqrt(2 * d)
+    assert_leaves_match(stack, vs)
+    assert_leaves_match(stack, vs[:1])  # a one-atom last vector
+    vs[2] = 0.0  # a zero atom leaves det(xI - A) itself
+    assert_leaves_match(stack, vs)
+    assert np.array_equal(rank_one_char_polys(stack, vs)[:, 2],
+                          rank_one_char_polys(stack, vs[2:3])[:, 0])
+    # the empty prefix: a single zero sum, det(xI - v v*) = x^d - |v|^2 x^(d-1)
+    zero = np.zeros((1, d, d), dtype=np.complex128)
+    assert_leaves_match(zero, vs)
+    want = np.zeros((len(vs), d + 1))
+    want[:, d] = 1.0
+    want[:, d - 1] = -np.sum(np.abs(vs) ** 2, axis=1)
+    assert np.allclose(rank_one_char_polys(zero, vs)[0], want,
+                       rtol=0.0, atol=1e-15)
+
+
+def test_rank_one_char_polys_blocks(monkeypatch):
+    rng = np.random.default_rng(43)
+    stack = random_psd_stack(rng, 50, 3)
+    vs = rng.standard_normal((4, 3)) + 0j
+    want = rank_one_char_polys(stack, vs)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 9 * 7)  # 7, then 1
+    assert np.allclose(rank_one_char_polys(stack, vs), want, rtol=0.0,
+                       atol=1e-14 * np.max(np.abs(want)))
+    empty = rank_one_char_polys(np.zeros((0, 3, 3)), vs)
+    assert empty.shape == (0, 4, 4)

@@ -3,6 +3,7 @@ the subset-expansion derivative formula, plus conditional tree polynomials
 and the deterministic-vs-expected top root comparison."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -100,6 +101,100 @@ def test_bruteforce_diagonal_half_power():
         p = expected_char_poly_bruteforce(e)
         want = np.polynomial.polynomial.polyfromroots([0.5] * n)
         assert np.max(np.abs(p - want)) <= 1e-12
+
+
+def exact_char_poly(a):
+    """det(xI - A) of a real matrix of Fractions, ascending, by the
+    Faddeev-LeVerrier recursion in exact arithmetic."""
+    d = len(a)
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    b = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        m = [[sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d)]
+             for i in range(d)]
+        c = -sum(m[i][i] for i in range(d)) / k
+        coeffs[d - k] = c
+        b = [[m[i][j] + (c if i == j else 0) for j in range(d)]
+             for i in range(d)]
+    return coeffs
+
+
+def exact_expected_char_poly(e):
+    """E det(xI - sum v_i v_i^T) of a real ensemble, exactly: every outcome
+    enumerated, its probabilities and atoms read as the Fractions their
+    floats are."""
+    d = e.dim
+    vectors = [([Fraction(float(p)) for p in v.probabilities],
+                [[Fraction(float(x.real)) for x in row] for row in v.values])
+               for v in e.vectors]
+    total = [Fraction(0)] * (d + 1)
+    for outcome in product(*(range(v.support_size) for v in e.vectors)):
+        weight = Fraction(1)
+        s = [[Fraction(0)] * d for _ in range(d)]
+        for (probs, vals), t in zip(vectors, outcome):
+            weight *= probs[t]
+            for i in range(d):
+                for j in range(d):
+                    s[i][j] += vals[t][i] * vals[t][j]
+        for k, c in enumerate(exact_char_poly(s)):
+            total[k] += weight * c
+    return total
+
+
+def test_bruteforce_matches_exact_rationals():
+    rng = np.random.default_rng(211)
+    probs = [[1.0], [0.5, 0.5], [0.25, 0.75], [1 / 3, 2 / 3],
+             [0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.2, 0.3, 0.5]]
+    for trial in range(40):
+        d = int(rng.integers(1, 4))
+        den = (4, 3, 8)[trial % 3]  # dyadic, then rational, atoms
+        vectors = []
+        for _ in range(int(rng.integers(1, 5))):
+            p = probs[int(rng.integers(len(probs)))]
+            vals = rng.integers(-4, 5, (len(p), d)) / den
+            vectors.append(FiniteSupportVector(p, vals))
+        e = RandomVectorEnsemble(d, tuple(vectors))
+        want = exact_expected_char_poly(e)
+        got = expected_char_poly_bruteforce(e)
+        scale = max(abs(c) for c in want)
+        assert max(abs(Fraction(float(g)) - w) for g, w in zip(got, want)) \
+            <= Fraction(1, 10 ** 13) * scale
+
+
+def test_bruteforce_single_and_no_vector():
+    rng = np.random.default_rng(17)
+    vals = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    one = RandomVectorEnsemble(4, (FiniteSupportVector([0.2, 0.3, 0.5],
+                                                        vals),))
+    want = sum(p * char_poly(np.outer(w, w.conj()))
+               for p, w in zip([0.2, 0.3, 0.5], vals))
+    assert np.max(np.abs(expected_char_poly_bruteforce(one) - want)) \
+        <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(expected_char_poly_bruteforce(
+        RandomVectorEnsemble(3, ())), [0.0, 0.0, 0.0, 1.0])
+
+
+def test_bruteforce_blocks_stay_within_chunk(monkeypatch):
+    rng = np.random.default_rng(29)
+    e = ensemble_with_sizes(rng, 3, (3, 1, 4, 2, 5))
+    # one characteristic polynomial per outcome, as before the rank-one leaves
+    want = sum(outcome_sums(e, lambda first, w, s: w @ char_poly_stack(s),
+                            0.0, "reference"))
+    calls = []
+
+    def recording(ms, vs):
+        calls.append(len(ms) * len(vs))
+        return leaves(ms, vs)
+
+    leaves = linalg.rank_one_char_polys
+    monkeypatch.setattr(linalg, "rank_one_char_polys", recording)
+    for chunk in (4096, 7, 3, 1):  # the last vector's 5 atoms split below 5
+        monkeypatch.setattr(mixedchar, "CHUNK", chunk)
+        calls.clear()
+        got = expected_char_poly_bruteforce(e)
+        assert max(calls) <= chunk
+        assert sum(calls) == e.leaf_count
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_mixed_diagonal_half_power():
