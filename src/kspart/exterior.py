@@ -181,6 +181,21 @@ def _suffix_states(vectors: np.ndarray, r: int) -> np.ndarray:
     return states
 
 
+def _complement_polys(mu: np.ndarray) -> np.ndarray:
+    """prod_{l not in M} (t - mu_l) for every bitmask M of range(d), at
+    [..., M, :], for each row mu of a stack (..., d): ascending
+    coefficients, padded to degree d, built one root at a time."""
+    d = mu.shape[-1]
+    comp = np.zeros(mu.shape[:-1] + (1, d + 1))
+    comp[..., 0, 0] = 1.0
+    for l in range(d):
+        times = np.zeros_like(comp)
+        times[..., 1:] = comp[..., :-1]
+        comp = np.concatenate((times - mu[..., l, None, None] * comp, comp),
+                              axis=-2)
+    return comp
+
+
 def _ell(bases: np.ndarray, shift: float) -> np.ndarray:
     """l(P) of each base P of a stack, by coordinate, as coefficients in
     t = x - shift, ascending, padded to degree d: l(P)[J, K] = (-1)^(|J| +
@@ -191,15 +206,7 @@ def _ell(bases: np.ndarray, shift: float) -> np.ndarray:
     characteristic polynomial prod_l (t - mu_l) itself."""
     count, d = bases.shape[:2]
     lam, q = np.linalg.eigh(bases)
-    mu = lam - shift
-    # prod_{l not in M} (t - mu_l) for every bitmask M of range(d)
-    comp = np.zeros((count, 1, d + 1))
-    comp[:, 0, 0] = 1.0
-    for l in range(d):
-        times = np.zeros_like(comp)
-        times[..., 1:] = comp[..., :-1]
-        comp = np.concatenate((times - mu[:, l, None, None] * comp, comp),
-                              axis=1)
+    comp = _complement_polys(lam - shift)
     _, gathers, (jc, kc, masks), starts, signs = _exterior(d)
     one = np.ones((count, 1), dtype=np.complex128)
     minors = np.concatenate(

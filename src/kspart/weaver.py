@@ -43,23 +43,17 @@ each minor is the determinant of W_b's columns at S bordered by unit
 vectors, S read straight off the subset lattice's rows of its size.  The
 products of the F blocks grow one block at a time over the splits of
 each union, on subset lattice rows, and close with d x d characteristic
-polynomials of subset sums.  ``descend`` walks those nodes one level per
-pass: child t pins u_k to block t, so its unions are a suffix of its
-parent's lattice rows, its s-subsets the last of its parent's, and it
-keeps every F_b but F_t.  One pass closes on two bases in one
-characteristic-polynomial stack per chunk, lets child r - 1 keep its
-parent's product, builds children 0 .. r - 2 one after another, and
-finds the r children's roots in one eigenvalue call; every node
-polynomial equals the lattice engine's fresh node bit for bit.  Its rows
-number sum_{j <= (r-1) d} C(m - k, j), so it is cheaper only at small m
+polynomials of subset sums.  ``descend`` asks for each child as a fresh
+node at its prefix, one after another.  A node's rows number
+sum_{j <= (r-1) d} C(m - k, j), so this engine is cheaper only at small m
 with large d r: K5 at r = 3 or 4, or gauss(6, 3/4) (m = 8).
 
 Either engine's leaves take the eigenvalues of the r part sums.  On a
 2-core machine (Python 3.11, numpy 2.4) the state engine partitions
-gauss(3, 1/4) (m = 12) in about 6 ms (the lattice engine 10 ms), and
-gauss(d, d/m) at (d, r, m) = (3, 2, 140), (4, 2, 64), (2, 3, 69),
-(3, 3, 29) and (2, 4, 31), each 19 to 37 s on the lattice, in 0.04 to
-0.1 s; (3, 2, 2000) takes about 1 s.
+gauss(3, 1/4) (m = 12) in about 6 ms, and gauss(d, d/m) at (d, r, m) =
+(3, 2, 140), (4, 2, 64), (2, 3, 69), (3, 3, 29) and (2, 4, 31) in 0.04
+to 0.1 s; (3, 2, 2000) takes about 1 s.  The lattice engine partitions
+K5 in about 0.1 s at r = 3 and 0.24 s at r = 4.
 ``lift`` with ``descend`` on the ensemble stays as library API and as the
 oracle.
 """
@@ -72,9 +66,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, realpoly
-from .exterior import (BYTE_WORK, LEVEL_WORK, _leaves, _part_sums,
-                       _state_family, _state_node, _state_work, state_bytes,
-                       state_work)
+from .exterior import (BYTE_WORK, LEVEL_WORK, _complement_polys, _leaves,
+                       _part_sums, _state_family, _state_node, _state_work,
+                       state_bytes, state_work)
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
                         RandomVectorEnsemble, _minor_rows, _positions,
@@ -169,21 +163,21 @@ def normalize_isotropy(inst: WeaverInstance,
 
 
 def gen_diagonal(n: int, delta: float) -> WeaverInstance:
-    """1/delta scaled copies of each basis vector; requires 1/delta integer."""
+    """1/delta scaled copies of each basis vector; requires 1/delta integer.
+    Refused before allocating, as ``gen_gaussian`` is, when the vectors
+    would take more bytes than ``DEFAULT_POLICY``'s cap admits."""
     if n < 1:
         raise ValidationError("dimension must be positive")
     if not (0 < delta <= 1):
         raise ValidationError("delta must lie in (0, 1]")
     k = 1.0 / delta
+    DEFAULT_POLICY.admit(BYTE_WORK * 16.0 * n * k * n,
+                         f"diagonal instance of {n * k:.3g} vectors")
     if abs(k - round(k)) > 1e-9:
         raise ValidationError(f"1/delta = {k} is not an integer")
     k = int(round(k))
     vecs = np.zeros((n * k, n), dtype=np.complex128)
-    row = 0
-    for i in range(n):
-        for _ in range(k):
-            vecs[row, i] = math.sqrt(delta)
-            row += 1
+    vecs[np.arange(n * k), np.arange(n).repeat(k)] = math.sqrt(delta)
     return WeaverInstance(n, vecs, delta)
 
 
@@ -194,12 +188,16 @@ def gen_gaussian(n: int, delta: float, seed: int = 0,
 
     The declared delta of the result is the measured max ||w||^2, which
     fluctuates around the requested value.  Up to three draws are attempted
-    if the sample covariance is rank-deficient.
+    if the sample covariance is rank-deficient.  The request is refused
+    before any draw when the m x n complex vectors would take more bytes
+    than the work cap admits at BYTE_WORK a byte.
     """
     if n < 1:
         raise ValidationError("dimension must be positive")
     if not (0 < delta <= n):
         raise ValidationError("delta must lie in (0, n]")
+    policy.admit(BYTE_WORK * 16.0 * (n / delta) * n,
+                 f"gaussian instance of {n / delta:.3g} vectors")
     m = int(round(n / delta))
     if m < n:
         raise ValidationError(
@@ -369,9 +367,9 @@ def lift(inst: WeaverInstance, r: int,
 # Work model of the block engine, in the units of NumericPolicy.work_cap
 # (see mixedchar), fitted to 28 partitions of gen_gaussian(d, d/m) with
 # (d, r, m) from (1, 2, 60), (4, 2, 40), (2, 3, 40), (3, 3, 20), (2, 4, 16)
-# to (1, 20, 5), each predicted within a factor of 2; with one pass per
-# level, 18 partitions from (1, 2, 60) to (1, 20, 8) and (2, 4, 31) are
-# predicted at 0.57 to 1.62 times their measured time:
+# to (1, 20, 5), each predicted within a factor of 2; K5 at r = 3 and 4 and
+# gauss(d, d/m) at (d, r, m) = (6, 2, 8), (8, 2, 16) and (5, 3, 14), each
+# node built afresh, are predicted at 1.2 to 2.3 times their measured time:
 BLOCK_WORK = 330_000
 """A node's fixed cost per block."""
 ROW_WORK = 5
@@ -383,12 +381,9 @@ SPLIT_WORK = 17
 (b d + 1)(d + 1) coefficient products and its |W| rank steps."""
 
 
-def _node_work(n: int, d: int, r: int, chains: int = 1,
-               tops: int = 1) -> int:
-    """Work of one pass over the lattice rows of n unpinned vectors that
-    takes r - 1 F blocks, grows chains products of them and closes on
-    tops bases: a fresh node has one chain and one top, a level of
-    siblings r - 1 chains and two tops."""
+def _node_work(n: int, d: int, r: int) -> int:
+    """Work of one node over the lattice rows of n unpinned vectors: its
+    r - 1 F blocks, their grown product and its closing."""
     rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
     minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
     splits = 0
@@ -405,32 +400,29 @@ def _node_work(n: int, d: int, r: int, chains: int = 1,
         splits += (count * (d + 1) * later * ((b + r - 2) * d + 2) // 2
                    + later * ranks)
         break
-    return (r * BLOCK_WORK + tops * rows * ROW_WORK * r * d ** 3
-            + (r - 1) * minors * MINOR_WORK + chains * splits * SPLIT_WORK)
+    return (r * BLOCK_WORK + rows * ROW_WORK * r * d ** 3
+            + (r - 1) * minors * MINOR_WORK + splits * SPLIT_WORK)
 
 
 def block_work(m: int, d: int, r: int, stop: float = math.inf) -> float:
     """Predicted work of an r-part ``partition`` of m vectors in dimension
-    d: the root node in full, with one root finding of degree r d, then
-    one pass per level, each taking the r - 1 new F blocks, the r - 1
-    grown products and the two closing bases of the r children and r
-    root findings, n being the children's unpinned vectors (the leaves,
-    which take eigenvalues instead, count as a level).
+    d: the root node, then r fresh nodes per level, n being the children's
+    unpinned vectors, each node with one root finding of degree r d (the
+    leaves, which take eigenvalues instead, count as a level).
 
     With a finite stop it may return a lower bound above stop instead: a
-    level without its grown products costs more the more vectors it leaves
-    unpinned, so the last k levels cost at least k times the (m - k)-th,
-    tried at k = 1, 2, 4, ...  Any figure above stop answers a comparison
-    with stop, or with anything below it, as the full sum does."""
-    per_level = r * roots_work(r * d)
+    level costs more the more vectors it leaves unpinned, so the last k
+    levels cost at least k times the (m - k)-th, tried at k = 1, 2, 4, ...
+    Any figure above stop answers a comparison with stop, or with anything
+    below it, as the full sum does."""
     root = _node_work(m, d, r) + roots_work(r * d)
+    level = lambda n: r * (_node_work(n, d, r) + roots_work(r * d))
     k = 1
     while stop < math.inf and k <= m:
-        bound = root + k * (_node_work(m - k, d, r, 0, 2) + per_level)
+        bound = root + k * level(m - k)
         if bound > stop:
             return float(min(bound, 10 ** 300))
         k *= 2
-    level = lambda n: _node_work(n, d, r, r - 1, 2) + per_level
     return float(min(root + sum(level(n) for n in range(m)), 10 ** 300))
 
 
@@ -464,8 +456,7 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
               _state_work(n, d, r, 1) + LEVEL_WORK, state_bytes(n, d, r),
               policy, f"block node over {n} vectors"):
         return _state_node(inst.vectors, prefix, r, 0.0)
-    tables = _node_tables(inst, r)
-    return _node(inst, tables, _part_sums(tables[0], prefix, r), k)[0]
+    return _node(inst, _node_tables(inst, r), prefix, r)
 
 
 def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
@@ -480,13 +471,7 @@ def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
     d = base.shape[0]
     lam, basis = np.linalg.eigh(base)
     wt = inst.vectors @ basis.conj()  # W transposed
-    # prod_{j not in J} (x - lam_j) for every J in range(d), at J's bitmask
-    comp = np.zeros((1, d + 1))
-    comp[0, 0] = 1.0
-    for j in range(d):
-        times = np.zeros_like(comp)
-        times[:, 1:] = comp[:, :-1]
-        comp = np.concatenate((times - lam[j] * comp, comp))
+    comp = _complement_polys(lam)
     f = [comp[:1]]  # the empty set
     for s in range(1, min(d, n) + 1):
         units, masks = _minor_rows(d, s)
@@ -556,29 +541,29 @@ def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
     return g
 
 
-def _closing(tables: tuple, tops: np.ndarray, start: int) -> list[np.ndarray]:
-    """chi(C - sum_{i in W} u_i u_i*) for each C of a stack tops and each
-    lattice row W from start: one ``char_poly_stack`` per chunk of rows
-    over every top."""
+def _node(inst: WeaverInstance, tables: tuple, prefix: tuple[int, ...],
+          r: int) -> np.ndarray:
+    """``block_node_poly`` at a prefix of length k on the lattice engine,
+    given ``_node_tables(inst, r)``: sum_W G(W) chi_W over the lattice rows
+    W from ``starts[k]``, G the grown product of the F blocks and chi_W =
+    chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_{i >= k} u_i u_i*,
+    from one ``char_poly_stack`` per chunk of rows."""
+    m, d, k = inst.count, inst.dim, len(prefix)
     outers, lat = tables
-    d = outers.shape[1]
-    rows = lat.members.shape[0] - start
-    h = [np.empty((rows, d + 1)) for _ in tops]
-    step = max(1, CHUNK // len(tops))
-    for lo in range(0, rows, step):
-        members = lat.members[start + lo:start + lo + step]
-        q = np.zeros((members.shape[0], d, d), dtype=np.complex128)
+    start = lat.starts[k]
+    bases = _part_sums(outers, prefix, r)
+    g = _chain([_minor_polys(inst, base, m - k, lat) for base in bases[:-1]],
+               lat, start)
+    top = bases[-1].copy()
+    for i in range(k, m):
+        top += outers[i]
+    h = np.empty((len(g), d + 1))
+    for lo in range(0, len(g), CHUNK):
+        members = lat.members[start + lo:start + lo + CHUNK]
+        q = np.zeros((len(members), d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
             q += outers[members[:, t]]
-        for x, y in zip(h, linalg.char_poly_stack(tops[:, None] - q)):
-            x[lo:lo + len(q)] = y
-    return h
-
-
-def _close(g: np.ndarray, h: np.ndarray, r: int) -> np.ndarray:
-    """The node polynomial sum_W G(W) chi_W from its grown products g and
-    closing polynomials h."""
-    d = h.shape[1] - 1
+        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
     products = np.einsum("sa,sb->ab", g, h)
     mu = np.zeros(r * d + 1)
     for j in range(g.shape[1]):
@@ -586,74 +571,27 @@ def _close(g: np.ndarray, h: np.ndarray, r: int) -> np.ndarray:
     return mu
 
 
-def _node(inst: WeaverInstance, tables: tuple, bases: np.ndarray,
-          k: int) -> tuple:
-    """``block_node_poly`` at a prefix of length k with part sums bases,
-    given ``_node_tables(inst, r)``, with the F blocks and the grown
-    product its children reuse."""
-    m, r = inst.count, bases.shape[0]
-    outers, lat = tables
-    start = lat.starts[k]
-    fs = [_minor_polys(inst, base, m - k, lat) for base in bases[:-1]]
-    g = _chain(fs, lat, start)
-    # the closing block: chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_U
-    tops = bases[-1:].copy()
-    for i in range(k, m):
-        tops += outers[i]
-    return _close(g, _closing(tables, tops, start)[0], r), fs, g
-
-
 def _block_family(inst: WeaverInstance, r: int,
                   policy: NumericPolicy) -> NodeFamily:
-    """The r-part descent tree on ``block_node_poly``, one level per pass
-    (see the module docstring).  A node's state is its prefix length k,
-    its part sums, the F blocks its children read by subset size, and its
-    grown product over the lattice rows from ``starts[k]``, which its
-    children slice.  At r = 2 a child replaces F_0 or keeps the grown
-    product, so no state keeps an F block.  A leaf takes ``_leaves``.
-    ``_node_tables`` are built once for the tree and freed with it."""
-    m = inst.count
+    """The r-part descent tree on the lattice engine.  A node's state is
+    its prefix, each child is a fresh ``_node``, and a leaf takes
+    ``_leaves`` of its part sums.  ``_node_tables`` are built once for the
+    tree and freed with it."""
     tables = _node_tables(inst, r)
-    outers, lat = tables
-    kept = r - 1 if r > 2 else 0  # the F blocks a state keeps
 
     def root():
-        bases = _part_sums(outers, (), r)
-        mu, fs, g = _node(inst, tables, bases, 0)
-        return realpoly.top_roots([mu], policy)[0], (0, bases, fs[:kept], g)
+        return realpoly.top_roots([_node(inst, tables, (), r)], policy)[0], ()
 
-    def children(state):
-        k, bases, fs, g = state
-        kids = np.repeat(bases[None], r, axis=0)
-        for t in range(r):
-            kids[t, t] += r * outers[k]
-        if k + 1 == m:
-            return _leaves(kids)
-        start = lat.starts[k + 1]
-        n, g = m - k - 1, g[start - lat.starts[k]:]
-        fs = [[x[len(x) - math.comb(n, s):] for s, x in enumerate(f[:n + 1])]
-              for f in fs]  # each size's suffix
-        # children 0 .. r - 2 close on P_{r-1}, child r - 1 on that plus
-        # r u_k u_k* (at r = 1 the first goes unused)
-        tops = np.array([bases[-1], kids[-1, -1]])
-        for i in range(k + 1, m):
-            tops += outers[i]
-        h = _closing(tables, tops, start)
-        # child r - 1 keeps its parent's product: it closes first, so its
-        # closing polynomials are gone before the others' products grow
-        last = _close(g, h.pop(), r)
-        polys, states = [], []
-        for t in range(r - 1):  # one child's intermediate products at a time
-            blocks = (fs[:t] + [_minor_polys(inst, kids[t, t], n, lat)]
-                      + fs[t + 1:])
-            grown = _chain(blocks, lat, start)
-            polys.append(_close(grown, h[0], r))
-            states.append((k + 1, kids[t], blocks[:kept], grown))
-        found = realpoly.top_roots(polys + [last], policy)
-        states.append((k + 1, kids[-1], fs, g))
-        return list(zip(found, states))
+    def children(prefix):
+        kids = [prefix + (t,) for t in range(r)]
+        if len(prefix) + 1 == inst.count:
+            return _leaves(np.array([_part_sums(tables[0], kid, r)
+                                     for kid in kids]))
+        found = realpoly.top_roots([_node(inst, tables, kid, r)
+                                    for kid in kids], policy)
+        return list(zip(found, kids))
 
-    return NodeFamily((r,) * m, root, children)
+    return NodeFamily((r,) * inst.count, root, children)
 
 
 def _picks_states(lattice: float, states: float) -> bool:

@@ -221,6 +221,27 @@ def test_partition_refused_before_any_work_exits_4(tmp_path, monkeypatch,
     assert "predicted work" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "diagonal"])
+def test_gen_refused_before_allocating_exits_4(kind, tmp_path, capsys):
+    # 2e300 rows raised numpy's "Maximum allowed dimension exceeded", and
+    # 2e12 rows (gaussian, delta 1e-12) tried to allocate 29 TiB; the m x n
+    # complex array is held at BYTE_WORK a byte, 500 MB at the default cap
+    out = tmp_path / "inst.json"
+    for delta in ("1e-300", "1e-12", "5e-324"):
+        assert main(["gen", kind, "--n", "2", "--delta", delta,
+                     "--out", str(out)]) == 4, delta
+        assert "predicted work" in capsys.readouterr().err
+    assert not out.exists()
+    if kind == "gaussian":  # the cap of --numeric-policy: 5,000 bytes
+        pol = tmp_path / "pol.json"
+        pol.write_text(json.dumps({"work_cap": 1e6}))
+        for delta, rows, code in (("0.01", 200, 4), ("0.02", 100, 0)):
+            assert main(["gen", kind, "--n", "2", "--delta", delta,
+                         "--numeric-policy", str(pol),
+                         "--out", str(out)]) == code, rows
+        assert len(read_report(out)["vectors"]) == 100
+
+
 def test_nan_work_cap_exits_2_before_any_work(tmp_path, monkeypatch,
                                               capsys):
     # a NaN cap compares false with every prediction, so it would admit

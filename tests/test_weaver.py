@@ -751,9 +751,10 @@ def walked_node_polys(monkeypatch, inst, r):
 
 
 def test_descent_nodes_are_block_node_polys(monkeypatch, lattice_engine):
-    for r in (2, 3):
+    one = {3: "haar-diag", 4: "k5"}  # r = 3 and 4 on one instance each
+    for r in (2, 3, 4):
         for name, inst in block_instances().items():
-            if r == 3 and name != "haar-diag":
+            if r in one and name != one[r]:
                 continue
             prefixes = descent_prefixes(inst, r)
             m = inst.count
@@ -763,37 +764,13 @@ def test_descent_nodes_are_block_node_polys(monkeypatch, lattice_engine):
             for p, prefix in zip(seen, inner):
                 want = block_node_poly(inst, prefix, r)
                 assert p.tobytes() == want.tobytes(), (r, name, prefix)
-            # the leaves' part sums, grown one vector at a time, are the
-            # ones summed anew
+            # the last root is the largest eigenvalue of the leaf's part sums
             leaf = rep.trace.final_assignment
             u = inst.vectors
             bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()),
                                       leaf, r)
             values = np.unique(np.linalg.eigvalsh(bases))
             assert rep.trace.final_root == values[-1]
-
-
-def test_level_walk_nodes_equal_fresh_nodes_for_any_chunk(monkeypatch,
-                                                          lattice_engine):
-    # each child reuses its parent's F blocks and grown product, sliced,
-    # and siblings share one pass; every inner node still has the bits of
-    # a fresh block_node_poly at its prefix
-    for r in (2, 3, 4):
-        for name, inst in block_instances().items():
-            m = inst.count
-            polys, rep = walked_node_polys(monkeypatch, inst, r)
-            path = rep.trace.final_assignment
-            inner = [()] + [path[:k] + (t,) for k in range(m - 1)
-                            for t in range(r)]
-            want = [block_node_poly(inst, prefix, r).tobytes()
-                    for prefix in inner]
-            assert [p.tobytes() for p in polys] == want, (r, name)
-            for chunk in (1, 3):
-                monkeypatch.setattr(weaver, "CHUNK", chunk)
-                got, again = walked_node_polys(monkeypatch, inst, r)
-                monkeypatch.setattr(weaver, "CHUNK", mixedchar.CHUNK)
-                assert [p.tobytes() for p in got] == want, (r, name, chunk)
-                assert again == rep
 
 
 def test_state_walk_nodes_equal_fresh_state_nodes(monkeypatch):
@@ -880,24 +857,6 @@ def test_descent_asks_for_each_node_once(monkeypatch):
         asked.clear()
         descend(lift(inst, r))
         assert len(asked) == len(set(asked)) == 1 + r * inst.count, (name, r)
-
-
-def test_node_states_keep_only_the_f_blocks_children_read():
-    # child t replaces F_t and keeps the others, so at r = 2 no child reads
-    # its parent's F_0: no state keeps an F block there, and at r >= 3
-    # every state keeps all r - 1
-    inst = block_instances()["haar-diag"]
-    for r in (1, 2, 3, 4):
-        family = weaver._block_family(inst, r, DEFAULT_POLICY)
-        level = [family.root()[1]]
-        walked = list(level)
-        for _ in range(2):
-            level = [below for state in level
-                     for _, below in family.children(state)]
-            walked += level
-        assert len(walked) == 1 + r + r * r, r
-        for k, bases, fs, g in walked:
-            assert len(fs) == (r - 1 if r > 2 else 0), (r, k)
 
 
 def test_no_subset_lattice_outlives_its_call(lattice_engine):
