@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .barrier import build_certificate
+from .exterior import BYTE_WORK, JSON_BYTES
 from .mixedchar import (MixedInstance, ensemble_instance,
                         expected_char_poly_bruteforce, mixed_char_poly)
 from .policy import (DEFAULT_POLICY, CapabilityError, CapacityError,
@@ -91,6 +92,9 @@ def cmd_gen(args) -> int:
         policy = _resolve_policy(args)
         graph = Graph.from_edge_text(read_text(args.edges))
         inst, _ = gen_from_graph(graph, policy)
+    # the file's peak memory, JSON_BYTES a coordinate, under the default cap
+    DEFAULT_POLICY.admit(BYTE_WORK * JSON_BYTES * inst.vectors.size,
+                         f"instance file of {inst.count} vectors")
     write_json(instance_to_dict(inst, graph), args.out)
     return EXIT_OK
 

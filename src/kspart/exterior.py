@@ -82,11 +82,21 @@ ENTRY_WORK = 10
 BYTE_WORK = 200
 """A byte of the stored suffix states, counted against the work cap on
 its own: the default cap admits 500 MB of states."""
+JSON_BYTES = 650
+"""Peak bytes a vector coordinate takes while ``gen`` writes an instance
+file: 1e5 and 2e5 vectors at n = 2 raised the peak RSS 135 and 261 MB."""
 
 
-def state_bytes(n: int, d: int, r: int) -> int:
-    """Bytes of the n + 1 suffix states of n vectors."""
-    return 16 * (n + 1) * math.comb(2 * d, d) ** r
+def _state_size(d: int, r: int) -> int | float:
+    """C(2d, d)^r, the entries of a suffix state, or the float 10^300 once
+    it passes that, so that no r builds a larger integer."""
+    width = math.comb(2 * d, d)
+    return 1e300 if r * math.log10(width) > 300 else width ** r
+
+
+def state_bytes(n: int, d: int, r: int) -> int | float:
+    """Bytes of the n + 1 suffix states of n vectors, at most 10^300."""
+    return min(16 * (n + 1) * _state_size(d, r), 1e300)
 
 
 def _state_work(n: int, d: int, r: int, nodes: int) -> float:
@@ -94,9 +104,10 @@ def _state_work(n: int, d: int, r: int, nodes: int) -> float:
     n updates, each multiplying every block by Omega, the n + 1 stored
     states and the contractions with l's d + 1 coefficients."""
     width = math.comb(2 * d, d)
-    size = width ** r
+    size = _state_size(d, r)
     macs = n * r * size * width + nodes * size * (d + 1)
-    return macs * MAC_WORK + (n + 1) * size * ENTRY_WORK
+    return (min(macs, 1e300) * MAC_WORK
+            + min((n + 1) * size, 1e300) * ENTRY_WORK)
 
 
 def state_work(m: int, d: int, r: int) -> float:

@@ -305,19 +305,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class _SubsetLattice:
     """Subsets S of range(m) with |S| <= size, sorted by smallest element
     (the empty set last; by size, then in ``combinations`` order, within),
-    so the subsets of range(k, m) are the rows from ``starts[k]`` on, and
-    the rows of one size, in ascending order, are in ``combinations`` order.
+    so the rows of one size, ascending, are in ``combinations`` order.
 
-    members: each subset's elements, ascending, padded with m; starts[k]
-    for k <= m; by_size[j]: the rows of size j, ascending, so by_size[j] at
-    a j-subset's lexicographic rank is its row, and the last C(n, j) of
-    by_size[j] are the j-subsets of range(m - n, m), which the block
-    engine's minors read from members; binom[n, j]: C(n, j) for n < m.
+    members: each subset's elements, ascending, padded with m; by_size[j]:
+    the rows of size j, ascending, so by_size[j] at a j-subset's
+    lexicographic rank is its row; binom[n, j]: C(n, j) for n < m.
     Arrays are read-only because they are shared.
     """
 
     members: np.ndarray
-    starts: np.ndarray
     by_size: tuple[np.ndarray, ...]
     binom: np.ndarray
 
@@ -328,8 +324,7 @@ class _SubsetLattice:
         and each row p of the array, shape (len(rows), count).
 
         The j-subset e_0 < .. < e_{j-1} has rank
-        C(m, j) - 1 - sum_t C(m - 1 - e_t, j - t), so the j-subsets of
-        range(k, m) are the last C(m - k, j) ranks."""
+        C(m, j) - 1 - sum_t C(m - 1 - e_t, j - t)."""
         m = len(self.binom)
         table = self.binom[m - 1 - rows]  # C(m - 1 - S[q], b) at [S, q, b]
         found = []
@@ -364,9 +359,8 @@ def _subset_lattice(m: int, size: int) -> _SubsetLattice:
     total = sum(math.comb(m, j) for j in range(size + 1))
     members = np.full((total, size), m, dtype=np.intp)
     sizes = np.zeros(total, dtype=np.intp)  # the empty set, last, is size 0
-    starts, at = [], 0
+    at = 0
     for s in range(m):
-        starts.append(at)
         # smallest element s, then at most size - 1 of the m - 1 - s above it
         for j in range(1, size + 1):
             rest = list(combinations(range(s + 1, m), j - 1))
@@ -375,11 +369,10 @@ def _subset_lattice(m: int, size: int) -> _SubsetLattice:
                 rest, dtype=np.intp).reshape(len(rest), j - 1)
             sizes[at:at + len(rest)] = j
             at += len(rest)
-    starts.append(at)
     binom = np.array([[math.comb(n, j) for j in range(size + 1)]
                       for n in range(m)], dtype=np.intp).reshape(m, size + 1)
     return _SubsetLattice(
-        members=_readonly(members), starts=_readonly(np.array(starts)),
+        members=_readonly(members),
         by_size=tuple(_readonly(np.flatnonzero(sizes == j))
                       for j in range(size + 1)),
         binom=_readonly(binom))

@@ -16,12 +16,13 @@ cap.  A work unit is about one nanosecond on the 2-core machine the
 per-routine weights were measured on (Python 3.11, numpy 2.4), and each
 module documents its weights beside the routine.  The default, 1e11, is
 about 100 s there.  A partition runs on the engine that predicts less
-work, ``weaver.state_work`` or ``weaver.block_work``; the state engine
-also holds its stored states against the cap at ``weaver.BYTE_WORK`` a
-byte, so the default admits 500 MB of them.  The default admits a
-three-part partition of gauss(4, 1/8) (m=32: predicted 5.3e8, its 181 MB
-of states held as 3.6e10) and refuses one of gauss(4, 1/128) (m=512:
-2.8 GB of states, held as 5.6e11; 5.1e23 on the lattice).
+work, ``weaver.state_work`` or ``weaver.block_work``, both closed forms
+that no m or r makes slow; the state engine also holds its stored
+states against the cap at ``weaver.BYTE_WORK`` a byte, so the default
+admits 500 MB of them.  The default admits a three-part partition of
+gauss(4, 1/8) (m=32: predicted 5.3e8, its 181 MB of states held as
+3.6e10; 5.5e12 on the lattice) and refuses one of gauss(4, 1/128)
+(m=512: 2.8 GB of states, held as 5.6e11; 7.7e23 on the lattice).
 It admits the mixed polynomial of 24 rank-one 8x8 matrices (3.3e10:
 21-24 s in 246 MB peak).
 Working memory grows with the same counts, so the cap bounds it too.

@@ -43,10 +43,13 @@ each minor is the determinant of W_b's columns at S bordered by unit
 vectors, S read straight off the subset lattice's rows of its size.  The
 products of the F blocks grow one block at a time over the splits of
 each union, on subset lattice rows, and close with d x d characteristic
-polynomials of subset sums.  ``descend`` asks for each child as a fresh
-node at its prefix, one after another.  A node's rows number
-sum_{j <= (r-1) d} C(m - k, j), so this engine is cheaper only at small m
-with large d r: K5 at r = 3 or 4, or gauss(6, 3/4) (m = 8).
+polynomials of subset sums.  A node at prefix length k reads only the
+lattice of its own n = m - k unpinned vectors, which the r children of a
+level share, and ``descend`` asks for each child as a fresh node, one
+after another.  A node's rows number sum_{j <= (r-1) d} C(n, j), so this
+engine is cheaper only at small m with large d r: K5 at r = 3 or 4, or
+gauss(6, 3/4) (m = 8).  Its work, summed over the levels, is priced in
+closed form (``block_work``).
 
 Either engine's leaves take the eigenvalues of the r part sums.  On a
 2-core machine (Python 3.11, numpy 2.4) the state engine partitions
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -381,61 +383,63 @@ SPLIT_WORK = 17
 (b d + 1)(d + 1) coefficient products and its |W| rank steps."""
 
 
+def _node_pieces(d: int, r: int, top: int):
+    """``_node_work(n, d, r)`` for n <= top, piece by piece: (lo, hi, a),
+    hi None on the last piece, with _node_work(n) = r BLOCK_WORK +
+    sum_{w < hi} a[w] C(n, w) for lo <= n < hi.  The closing has
+    sum_{j <= (r - 1) d} C(n, j) rows and each F block sum_{j <= d} C(n, j)
+    C(d, j) minors.  Step b of the growth splits a union of size w in
+    c_b(w) = sum_s C(w, s) ways, max(0, w - b d) <= s <= min(w, d); from
+    the first step with b d >= n on, the steps split the same unions, so
+    the pieces end at n = d, 2d, .., (r - 2) d."""
+    size = min(top, (r - 1) * d) + 1
+    base = [ROW_WORK * r * d ** 3 + (r - 1) * MINOR_WORK * math.comb(d, w)
+            for w in range(size)]
+    full = [sum(math.comb(w, s) for s in range(min(w, d) + 1))
+            for w in range(size)]  # c_b(w) for w <= b d
+    whole = [0] * size  # the splits of the steps before b
+    lo, b = 0, 1
+    while b <= r - 2 and lo <= top:
+        hi, later = b * d + 1, r - 1 - b
+        wide = (d + 1) * ((b + r - 2) * d + 2) // 2  # the product is even
+        yield lo, hi, [x + SPLIT_WORK * (y + later * c * (wide + w))
+                       for w, (x, y, c) in enumerate(zip(base[:hi], whole,
+                                                         full))]
+        for w in range(min(size, hi + d)):
+            c = full[w] if w < hi else sum(
+                math.comb(w, s) for s in range(w - b * d, d + 1))
+            whole[w] += c * ((b * d + 1) * (d + 1) + w)
+        lo, b = hi, b + 1
+    if lo <= top:
+        yield lo, None, [x + SPLIT_WORK * y for x, y in zip(base, whole)]
+
+
 def _node_work(n: int, d: int, r: int) -> int:
     """Work of one node over the lattice rows of n unpinned vectors: its
-    r - 1 F blocks, their grown product and its closing."""
-    rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
-    minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
-    splits = 0
-    for b in range(1, r - 1):
-        sizes = [(math.comb(n, w) * math.comb(w, s), w)
-                 for w in range(min(n, (b + 1) * d) + 1)
-                 for s in range(max(0, w - b * d), min(w, d) + 1)]
-        count, ranks = sum(c for c, _ in sizes), sum(c * w for c, w in sizes)
-        if b * d < n:
-            splits += count * (b * d + 1) * (d + 1) + ranks
-            continue
-        # the later steps split the same unions, into wider products
-        later = r - 1 - b
-        splits += (count * (d + 1) * later * ((b + r - 2) * d + 2) // 2
-                   + later * ranks)
-        break
-    return (r * BLOCK_WORK + rows * ROW_WORK * r * d ** 3
-            + (r - 1) * minors * MINOR_WORK + splits * SPLIT_WORK)
+    r - 1 F blocks, their grown product and its closing; 10^300 from
+    2^1000 rows on, which it has once min(n, (r - 1) d) >= 1000."""
+    if min(n, (r - 1) * d) >= 1000:
+        return 10 ** 300
+    *_, (_, _, a) = _node_pieces(d, r, n)
+    return r * BLOCK_WORK + sum(x * math.comb(n, w) for w, x in enumerate(a))
 
 
-def block_work(m: int, d: int, r: int, stop: float = math.inf) -> float:
+def block_work(m: int, d: int, r: int) -> float:
     """Predicted work of an r-part ``partition`` of m vectors in dimension
     d: the root node, then r fresh nodes per level, n being the children's
     unpinned vectors, each node with one root finding of degree r d (the
-    leaves, which take eigenvalues instead, count as a level).
-
-    With a finite stop it may return a lower bound above stop instead: a
-    level costs more the more vectors it leaves unpinned, so the last k
-    levels cost at least k times the (m - k)-th, tried at k = 1, 2, 4, ...
-    Any figure above stop answers a comparison with stop, or with anything
-    below it, as the full sum does."""
-    root = _node_work(m, d, r) + roots_work(r * d)
-    level = lambda n: r * (_node_work(n, d, r) + roots_work(r * d))
-    k = 1
-    while stop < math.inf and k <= m:
-        bound = root + k * level(m - k)
-        if bound > stop:
-            return float(min(bound, 10 ** 300))
-        k *= 2
-    return float(min(root + sum(level(n) for n in range(m)), 10 ** 300))
-
-
-def _node_tables(inst: WeaverInstance, r: int) -> tuple:
-    """What every node of the r-part descent reads: u_i u_i* for i < m and
-    a zero matrix, the padding of ``_SubsetLattice.members``; and the
-    lattice of the unions of the first r - 1 blocks, on whose rows products
-    and closings live and whose rows of size s <= d are the subsets of F's
-    minors.  Built once."""
-    u, m, d = inst.vectors, inst.count, inst.dim
-    outers = np.concatenate((np.einsum("mj,mk->mjk", u, u.conj()),
-                             np.zeros((1, d, d), dtype=np.complex128)))
-    return outers, _subset_lattice(m, min(m, (r - 1) * d))
+    leaves, which take eigenvalues instead, count as a level).  In closed
+    form: on each piece of ``_node_pieces`` the levels lo <= n < hi sum
+    C(n, w) to C(hi, w + 1) - C(lo, w + 1)."""
+    root = _node_work(m, d, r)
+    if root >= 10 ** 300:
+        return 1e300
+    levels = r * m * (r * BLOCK_WORK + roots_work(r * d))
+    for lo, hi, a in _node_pieces(d, r, m - 1):
+        hi = m if hi is None else min(hi, m)
+        levels += r * sum(x * (math.comb(hi, w + 1) - math.comb(lo, w + 1))
+                          for w, x in enumerate(a))
+    return float(min(root + roots_work(r * d) + levels, 10 ** 300))
 
 
 def block_node_poly(inst: WeaverInstance, prefix, r: int,
@@ -452,30 +456,31 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
         raise ValidationError(f"prefix {prefix} is not a prefix of labels "
                               f"below {r} of {m} vectors")
     n = m - k
-    if _admit(lambda stop: _node_work(n, d, r),
-              _state_work(n, d, r, 1) + LEVEL_WORK, state_bytes(n, d, r),
-              policy, f"block node over {n} vectors"):
+    if _admit(_node_work(n, d, r), _state_work(n, d, r, 1) + LEVEL_WORK,
+              state_bytes(n, d, r), policy, f"block node over {n} vectors"):
         return _state_node(inst.vectors, prefix, r, 0.0)
-    return _node(inst, _node_tables(inst, r), prefix, r)
+    u = inst.vectors
+    bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix, r)
+    return _node(u, bases, _subset_lattice(n, min(n, (r - 1) * d)))
 
 
-def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
+def _minor_polys(u: np.ndarray, base: np.ndarray,
                  lat: _SubsetLattice) -> list[np.ndarray]:
     """F of a base P by subset size: for s <= min(d, n), F(S) of the
-    s-subsets S of the last n vectors in ``combinations`` order, the last
-    C(n, s) rows of ``lat.by_size[s]``, so S's lexicographic rank minus
-    C(m, s) reads it.  One ``eigh`` diagonalises P, and one ``det`` per
-    chunk of subsets takes det W[J, S] for every s-subset J of range(d), in
-    ``combinations`` order, as the determinant of the rows of W transposed
-    at S over the unit rows e_j, j not in J."""
-    d = base.shape[0]
+    s-subsets S of the last n vectors of u, n being the lattice's, in
+    ``combinations`` order, the rows ``lat.by_size[s]``.  One ``eigh``
+    diagonalises P, and one ``det`` per chunk of subsets takes det W[J, S]
+    for every s-subset J of range(d), in ``combinations`` order, as the
+    determinant of the rows of W transposed at S over the unit rows e_j, j
+    not in J; W transposed from the last n of u alone may differ in bits."""
+    d, n = base.shape[0], len(lat.binom)
     lam, basis = np.linalg.eigh(base)
-    wt = inst.vectors @ basis.conj()  # W transposed
+    wt = (u @ basis.conj())[len(u) - n:]  # W transposed
     comp = _complement_polys(lam)
     f = [comp[:1]]  # the empty set
     for s in range(1, min(d, n) + 1):
         units, masks = _minor_rows(d, s)
-        rows = lat.by_size[s][-math.comb(n, s):]
+        rows = lat.by_size[s]
         weights = np.empty((len(rows), len(masks)))
         step = max(1, CHUNK // len(masks))
         for lo in range(0, len(rows), step):
@@ -491,21 +496,18 @@ def _minor_polys(inst: WeaverInstance, base: np.ndarray, n: int,
     return f
 
 
-def _grow(g: np.ndarray | list, f: list[np.ndarray], b: int,
-          lat: _SubsetLattice, start: int) -> np.ndarray:
+def _grow(g: np.ndarray, f: list[np.ndarray], b: int,
+          lat: _SubsetLattice) -> np.ndarray:
     """G'(W) = sum of G(A) F(S) over the splits W = A + S with |S| <= d and
-    |A| <= b d, for the lattice rows W from start: F by subset size, and G
-    indexed by row - start, or at b = 1 G = F_0 by subset size; the splits
-    of a union add by the size of S, each size summed over S's positions
-    in ``combinations`` order, and no terms array holds more than CHUNK
-    splits."""
+    |A| <= b d, for the lattice rows W: F by subset size and G on the
+    lattice rows; the splits of a union add by the size of S, each size
+    summed over S's positions in ``combinations`` order, and no terms
+    array holds more than CHUNK splits."""
     d = f[0].shape[1] - 1
     width = b * d + 1
-    out = np.zeros((lat.members.shape[0] - start, width + d))
+    out = np.zeros((lat.members.shape[0], width + d))
     for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
-        unions = lat.by_size[w][np.searchsorted(lat.by_size[w], start):]
-        if not unions.size:  # nor any larger unions
-            break
+        unions = lat.by_size[w]
         for s in range(max(0, w - b * d), min(w, d) + 1):
             # complements run through combinations order backwards
             pos, rest = _positions(w, s), _positions(w, w - s)[::-1]
@@ -513,53 +515,39 @@ def _grow(g: np.ndarray | list, f: list[np.ndarray], b: int,
             for lo in range(0, len(unions), step):
                 at = unions[lo:lo + step]
                 part, a = lat.sub_ranks(lat.members[at, :w], pos, rest)
-                part = f[s][part - len(lat.by_size[s])]
-                a = (g[w - s][a - len(lat.by_size[w - s])] if b == 1
-                     else g[lat.by_size[w - s][a] - start])
+                part, a = f[s][part], g[lat.by_size[w - s][a]]
                 terms = np.zeros(part.shape[:2] + (width + d,))
                 for c in range(d + 1):
                     terms[..., c:c + width] += a * part[..., c:c + 1]
-                out[at - start] += terms.sum(axis=1)
+                out[at] += terms.sum(axis=1)
     return out
 
 
-def _chain(fs: list[list[np.ndarray]], lat: _SubsetLattice,
-           start: int) -> np.ndarray:
-    """prod_b F_b on the lattice rows from start, grown one block at a
-    time from one node's blocks fs = F_0 .. F_{r-2} by subset size; with
-    no block (r = 1) it is 1, the product over the empty union."""
-    rows = lat.members.shape[0] - start
-    if not fs:
-        return np.ones((rows, 1))
-    g = fs[0]
-    if len(fs) == 1:  # r = 2: F_0 itself, moved onto the lattice rows
-        g = np.zeros((rows, fs[0][0].shape[1]))
-        for f, at in zip(fs[0], lat.by_size):
-            g[at[len(at) - len(f):] - start] = f
-    for b in range(1, len(fs)):
-        g = _grow(g, fs[b], b, lat, start)
-    return g
-
-
-def _node(inst: WeaverInstance, tables: tuple, prefix: tuple[int, ...],
-          r: int) -> np.ndarray:
-    """``block_node_poly`` at a prefix of length k on the lattice engine,
-    given ``_node_tables(inst, r)``: sum_W G(W) chi_W over the lattice rows
-    W from ``starts[k]``, G the grown product of the F blocks and chi_W =
-    chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} + sum_{i >= k} u_i u_i*,
-    from one ``char_poly_stack`` per chunk of rows."""
-    m, d, k = inst.count, inst.dim, len(prefix)
-    outers, lat = tables
-    start = lat.starts[k]
-    bases = _part_sums(outers, prefix, r)
-    g = _chain([_minor_polys(inst, base, m - k, lat) for base in bases[:-1]],
-               lat, start)
+def _node(u: np.ndarray, bases: np.ndarray,
+          lat: _SubsetLattice) -> np.ndarray:
+    """``block_node_poly`` on the lattice engine at the part sums bases of
+    a prefix of length k of the vectors u, given the lattice of the n =
+    m - k unpinned ones: sum_W G(W) chi_W over the lattice rows W, G the
+    product of the F blocks (F_0 put on the rows, then grown; 1 with no
+    block) and chi_W = chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} +
+    sum_{i >= k} u_i u_i*, from one ``char_poly_stack`` per chunk of rows."""
+    r, d, n = len(bases), u.shape[1], len(lat.binom)
+    rows = lat.members.shape[0]
+    v = np.concatenate((u[len(u) - n:], np.zeros((1, d))))  # members' pad
+    outers = np.einsum("mj,mk->mjk", v, v.conj())
+    g = np.ones((rows, 1))
+    if r > 1:
+        f = _minor_polys(u, bases[0], lat)
+        g = np.zeros((rows, d + 1))
+        g[np.concatenate(lat.by_size[:len(f)])] = np.concatenate(f)
+    for b in range(1, r - 1):
+        g = _grow(g, _minor_polys(u, bases[b], lat), b, lat)
     top = bases[-1].copy()
-    for i in range(k, m):
-        top += outers[i]
-    h = np.empty((len(g), d + 1))
-    for lo in range(0, len(g), CHUNK):
-        members = lat.members[start + lo:start + lo + CHUNK]
+    for outer in outers[:n]:
+        top += outer
+    h = np.empty((rows, d + 1))
+    for lo in range(0, rows, CHUNK):
+        members = lat.members[lo:lo + CHUNK]
         q = np.zeros((len(members), d, d), dtype=np.complex128)
         for t in range(members.shape[1]):
             q += outers[members[:, t]]
@@ -574,24 +562,27 @@ def _node(inst: WeaverInstance, tables: tuple, prefix: tuple[int, ...],
 def _block_family(inst: WeaverInstance, r: int,
                   policy: NumericPolicy) -> NodeFamily:
     """The r-part descent tree on the lattice engine.  A node's state is
-    its prefix, each child is a fresh ``_node``, and a leaf takes
-    ``_leaves`` of its part sums.  ``_node_tables`` are built once for the
-    tree and freed with it."""
-    tables = _node_tables(inst, r)
+    its prefix, each child is a fresh ``_node`` (the r of a level share a
+    lattice), and a leaf takes ``_leaves`` of its part sums."""
+    u, m, d = inst.vectors, inst.count, inst.dim
+    outers = np.einsum("mj,mk->mjk", u, u.conj())
 
     def root():
-        return realpoly.top_roots([_node(inst, tables, (), r)], policy)[0], ()
+        lat = _subset_lattice(m, min(m, (r - 1) * d))
+        node = _node(u, _part_sums(outers, (), r), lat)
+        return realpoly.top_roots([node], policy)[0], ()
 
     def children(prefix):
         kids = [prefix + (t,) for t in range(r)]
-        if len(prefix) + 1 == inst.count:
-            return _leaves(np.array([_part_sums(tables[0], kid, r)
-                                     for kid in kids]))
-        found = realpoly.top_roots([_node(inst, tables, kid, r)
-                                    for kid in kids], policy)
+        bases = [_part_sums(outers, kid, r) for kid in kids]
+        if len(prefix) + 1 == m:
+            return _leaves(np.array(bases))
+        n = m - len(prefix) - 1
+        lat = _subset_lattice(n, min(n, (r - 1) * d))
+        found = realpoly.top_roots([_node(u, x, lat) for x in bases], policy)
         return list(zip(found, kids))
 
-    return NodeFamily((r,) * inst.count, root, children)
+    return NodeFamily((r,) * m, root, children)
 
 
 def _picks_states(lattice: float, states: float) -> bool:
@@ -600,20 +591,18 @@ def _picks_states(lattice: float, states: float) -> bool:
     return states < lattice
 
 
-def _admit(lattice: Callable[[float], float], states: float, nbytes: int,
+def _admit(lattice: float, states: float, nbytes: float,
            policy: NumericPolicy, what: str) -> bool:
     """Admit a request on the engine that predicts less work, and say
     whether that is the state engine.  The state engine holds max(states,
     BYTE_WORK nbytes) against the cap, so it is admitted only when its
     stored states fit too; the request is refused, with the smaller
-    figure, when neither engine is under the cap.  lattice(stop) is the
-    lattice engine's work, or any figure above stop = max(held, cap),
-    past which the lattice can be neither picked nor quoted."""
+    figure, when neither engine is under the cap."""
     held = max(states, nbytes * BYTE_WORK)
-    work = lattice(max(held, policy.work_cap))
-    if held <= policy.work_cap and _picks_states(work, states):
+    if held <= policy.work_cap and _picks_states(lattice, states):
         return True
-    policy.admit(work if held <= policy.work_cap else min(work, held), what)
+    policy.admit(lattice if held <= policy.work_cap else min(lattice, held),
+                 what)
     return False
 
 
@@ -653,8 +642,8 @@ def partition(inst: WeaverInstance, r: int,
     m, d = inst.count, inst.dim
     if r < 1 or d < 1:
         raise ValidationError("r and the dimension must be positive")
-    use_states = _admit(lambda stop: block_work(m, d, r, stop),
-                        state_work(m, d, r), state_bytes(m, d, r), policy,
+    use_states = _admit(block_work(m, d, r), state_work(m, d, r),
+                        state_bytes(m, d, r), policy,
                         f"partition of {m} vectors into {r} parts")
     rep = validate(inst, policy)
     if not rep.valid:

@@ -242,6 +242,24 @@ def test_gen_refused_before_allocating_exits_4(kind, tmp_path, capsys):
         assert len(read_report(out)["vectors"]) == 100
 
 
+def test_large_r_and_large_instance_files_exit_4(tmp_path, capsys):
+    # pricing C(2d, d)^r as an integer ended in an OverflowError traceback
+    # at r = 250 and did not finish at r = 10^20; writing 2e6 vectors
+    # would peak at about 2.6 GB, at JSON_BYTES a coordinate
+    inst = str(tmp_path / "gauss.json")
+    assert main(["gen", "gaussian", "--n", "3", "--delta", "0.25",
+                 "--out", inst]) == 0
+    for r in ("250", str(10 ** 20)):
+        assert main(["partition", "--in", inst, "--r", r]) == 4, r
+        assert "predicted work" in capsys.readouterr().err
+    out = tmp_path / "big.json"
+    for kind in ("gaussian", "diagonal"):
+        assert main(["gen", kind, "--n", "2", "--delta", "1e-6",
+                     "--out", str(out)]) == 4, kind
+        assert "instance file of 2000000 vectors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_work_cap_exits_2_before_any_work(tmp_path, monkeypatch,
                                               capsys):
     # a NaN cap compares false with every prediction, so it would admit

@@ -417,7 +417,6 @@ def test_subset_lattice_layout_and_rank(m):
                         lex[tuple(subsets[i][t] for t in q)] for i in rows]
         for k in range(m + 1):
             above = [i for i, s in enumerate(subsets) if min(s, default=m) >= k]
-            assert above == list(range(lat.starts[k], len(members)))
             # the j-subsets of range(k, m) are the last C(m - k, j) ranks
             for j in range(size + 1):
                 ranks = sorted(lex[subsets[i]] for i in above

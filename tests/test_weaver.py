@@ -453,13 +453,14 @@ def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
                  [[0, 1, -2, 3], [-1, 0, 2, -1], [2, -2, 0, 1],
                   [-3, 1, -1, 0]]):
         outers, inst = rational_diagonal(skew)
-        m, d = inst.count, inst.dim
-        tables = weaver._node_tables(inst, r)
+        m, d, u = inst.count, inst.dim, inst.vectors
         for prefix in ((0,), (0, 1)):
             k, n = len(prefix), m - len(prefix)
-            bases = weaver._part_sums(tables[0], prefix, r)
+            lat = mixedchar._subset_lattice(n, min(n, (r - 1) * d))
+            bases = weaver._part_sums(np.einsum("mj,mk->mjk", u, u.conj()),
+                                      prefix, r)
             for b, base in enumerate(bases[:-1]):
-                f = weaver._minor_polys(inst, base, n, tables[1])
+                f = weaver._minor_polys(u, base, lat)
                 assert [x.shape for x in f] == [
                     (math.comb(n, s), d + 1) for s in range(min(d, n) + 1)]
                 pinned = [i for i in range(k) if prefix[i] == b]
@@ -489,12 +490,13 @@ def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
     # each det stack takes whole subsets S, at least one: at most
     # max(CHUNK, C(d, |S|)) matrices, with the bits of the default CHUNK
     inst = block_instances()["k5"]
-    m, d, r = inst.count, inst.dim, 3
-    tables = weaver._node_tables(inst, r)
+    m, d, r, u = inst.count, inst.dim, 3, inst.vectors
+    outers = np.einsum("mj,mk->mjk", u, u.conj())
     blocks = [(base, m - len(prefix)) for prefix in ((), (0,), (1, 0, 2))
-              for base in weaver._part_sums(tables[0], prefix, r)[:-1]]
-    want = [weaver._minor_polys(inst, base, n, tables[1])
-            for base, n in blocks]
+              for base in weaver._part_sums(outers, prefix, r)[:-1]]
+    lats = {n: mixedchar._subset_lattice(n, min(n, (r - 1) * d))
+            for _, n in blocks}
+    want = [weaver._minor_polys(u, base, lats[n]) for base, n in blocks]
     stacks = []
     real = np.linalg.det
 
@@ -504,8 +506,7 @@ def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
 
     monkeypatch.setattr(weaver, "CHUNK", 5)
     monkeypatch.setattr(np.linalg, "det", record)
-    got = [weaver._minor_polys(inst, base, n, tables[1])
-           for base, n in blocks]
+    got = [weaver._minor_polys(u, base, lats[n]) for base, n in blocks]
     monkeypatch.undo()
     for x, y in zip(got, want, strict=True):
         assert [f.tobytes() for f in x] == [f.tobytes() for f in y]
@@ -654,12 +655,10 @@ def test_shifted_state_descents_at_small_delta(d, r, m):
         prev = step.chosen_root
 
 
-def admit_outcome(m, d, r, policy, stop):
-    """What ``partition``'s admission says of (m, d, r): the state engine
-    (True), the lattice (False) or the refusal's message; with stop=False
-    the lattice's work is summed in full."""
-    lattice = ((lambda at: weaver.block_work(m, d, r, at)) if stop else
-               (lambda at: weaver.block_work(m, d, r)))
+def admit_outcome(m, d, r, policy, lattice):
+    """What ``partition``'s admission says of (m, d, r) with the lattice's
+    work priced at lattice: the state engine (True), the lattice (False)
+    or the refusal's message."""
     try:
         return weaver._admit(lattice, exterior.state_work(m, d, r),
                              exterior.state_bytes(m, d, r), policy, "p")
@@ -667,22 +666,29 @@ def admit_outcome(m, d, r, policy, stop):
         return str(err)
 
 
-def test_block_work_stops_once_the_lattice_cannot_win(monkeypatch):
-    # 10^5 levels priced one by one took 0.4 s; the last k levels cost at
-    # least k times the (m - k)-th, so a doubling k passes the cap at once
-    calls = []
-    real = weaver._node_work
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(weaver, "_node_work", counting)
-    m, d, r = 10 ** 5, 1, 2
-    assert admit_outcome(m, d, r, DEFAULT_POLICY, stop=True) is True
-    assert 0 < len(calls) < 40
-    stop = max(exterior.state_work(m, d, r), DEFAULT_POLICY.work_cap)
-    assert weaver.block_work(m, d, r, stop) > stop
+def node_work_loop(n, d, r):
+    """A lattice node's work, term by term: r BLOCK_WORK, its closing rows,
+    its r - 1 blocks of minors and the splits of each growth step b, the
+    first step with b d >= n repeated into the wider products of the
+    r - 1 - b later ones."""
+    rows = sum(math.comb(n, j) for j in range(min(n, (r - 1) * d) + 1))
+    minors = sum(math.comb(n, j) * math.comb(d, j) for j in range(d + 1))
+    splits = 0
+    for b in range(1, r - 1):
+        sizes = [(math.comb(n, w) * math.comb(w, s), w)
+                 for w in range(min(n, (b + 1) * d) + 1)
+                 for s in range(max(0, w - b * d), min(w, d) + 1)]
+        count, ranks = sum(c for c, _ in sizes), sum(c * w for c, w in sizes)
+        if b * d < n:
+            splits += count * (b * d + 1) * (d + 1) + ranks
+            continue
+        later = r - 1 - b
+        splits += (count * (d + 1) * later * ((b + r - 2) * d + 2) // 2
+                   + later * ranks)
+        break
+    return (r * weaver.BLOCK_WORK + rows * weaver.ROW_WORK * r * d ** 3
+            + (r - 1) * minors * weaver.MINOR_WORK
+            + splits * weaver.SPLIT_WORK)
 
 
 # (m, d, r) of the partitions in the tier-1 tests, the CI step and the
@@ -696,18 +702,74 @@ PARTITION_SHAPES = [
     (150, 3, 3), (300, 4, 2), (512, 4, 3), (2000, 3, 2)]
 
 
-def test_block_work_bound_keeps_every_pick_and_refusal():
+def test_block_work_is_the_sum_of_its_levels():
+    # the closed form against the levels priced one by one: the root, then
+    # r nodes a level, each node with one root finding of degree r d
+    shapes = PARTITION_SHAPES + [
+        (m, d, r) for d, r in product(range(1, 7), range(1, 7))
+        for m in range(40)]
+    longest, nodes = {}, {}
+    for m, d, r in shapes:
+        longest[d, r] = max(longest.get((d, r), 0), m)
+    for (d, r), m in longest.items():
+        nodes[d, r] = [node_work_loop(n, d, r) for n in range(m + 1)]
+        assert [weaver._node_work(n, d, r)
+                for n in range(m + 1)] == nodes[d, r], (d, r)
+    outcomes = set()
     tight = DEFAULT_POLICY.merged({"work_cap": 3e7})
-    cut = 0
-    for (m, d, r), policy in product(PARTITION_SHAPES,
-                                     (DEFAULT_POLICY, tight)):
-        want = admit_outcome(m, d, r, policy, stop=False)
-        assert admit_outcome(m, d, r, policy, stop=True) == want, (m, d, r)
-        stop = max(exterior.state_work(m, d, r),
-                   exterior.BYTE_WORK * exterior.state_bytes(m, d, r),
-                   policy.work_cap)
-        cut += weaver.block_work(m, d, r, stop) != weaver.block_work(m, d, r)
-    assert cut > 0
+    for m, d, r in shapes:
+        node, roots = nodes[d, r], interlace.roots_work(r * d)
+        levels = node[m] + roots + sum(r * (node[n] + roots)
+                                       for n in range(m))
+        want = float(min(levels, 10 ** 300))
+        got = weaver.block_work(m, d, r)
+        assert got == want, (m, d, r)
+        for policy in (DEFAULT_POLICY, tight):  # picks and refusals
+            outcome = admit_outcome(m, d, r, policy, got)
+            assert outcome == admit_outcome(m, d, r, policy, want)
+            outcomes.add(outcome if isinstance(outcome, bool) else "refused")
+    assert outcomes == {True, False, "refused"}
+
+
+def test_block_work_prices_any_m_in_the_same_steps(monkeypatch):
+    # the levels sum in closed form, a piece of _node_pieces at a time:
+    # pricing 10^6 vectors level by level took 3.6 s
+    calls = []
+    node_work, node_pieces = weaver._node_work, weaver._node_pieces
+
+    def counting_node(*args):
+        calls.append(args)
+        return node_work(*args)
+
+    def counting_pieces(*args):
+        for piece in node_pieces(*args):
+            calls.append(piece[:2])
+            yield piece
+
+    monkeypatch.setattr(weaver, "_node_work", counting_node)
+    monkeypatch.setattr(weaver, "_node_pieces", counting_pieces)
+    for d, r in ((1, 2), (3, 2), (3, 3), (2, 5)):
+        counts = []
+        for m in (10 ** 2, 10 ** 4, 10 ** 6):
+            calls.clear()
+            assert weaver.block_work(m, d, r) > 0
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3, (d, r, counts)
+
+
+def test_large_r_is_refused_before_any_work(monkeypatch):
+    # C(2d, d)^r built as an integer raised OverflowError at r = 250 and
+    # did not finish at r = 10^20; the counts stop at 10^300
+    inst = gen_gaussian(3, 0.25, seed=0)  # m=12
+    no_kernels(monkeypatch)
+    for r in (250, 300, 10 ** 20):
+        with pytest.raises(CapacityError, match="predicted work"):
+            partition(inst, r)
+        with pytest.raises(CapacityError, match="predicted work"):
+            block_node_poly(inst, (), r)
+        assert exterior.state_bytes(12, 3, r) == 1e300
+        assert exterior.state_work(12, 3, r) == 1e300
+    assert weaver.block_work(10 ** 6, 1, 10 ** 20) == 1e300
 
 
 def test_descent_builds_profiles_only_for_tied_children(monkeypatch):
