@@ -30,8 +30,8 @@ from .serialize import (SCHEMA_ENSEMBLE, SCHEMA_INSTANCE, certificate_to_dict,
                         ensemble_from_dict, instance_from_dict,
                         instance_to_dict, partition_report_to_dict, read_json,
                         read_text, report_envelope, stats_to_dict, write_json)
-from .weaver import (Graph, WeaverInstance, gen_diagonal, gen_from_graph,
-                     gen_gaussian, normalize_isotropy,
+from .weaver import (Graph, WeaverInstance, gen_count, gen_diagonal,
+                     gen_from_graph, gen_gaussian, normalize_isotropy,
                      random_partition_experiment, spectral_approx_check)
 from .weaver import partition as run_partition
 
@@ -83,20 +83,28 @@ def _options(sub, *shared, out_default="-"):
 
 def cmd_gen(args) -> int:
     graph = None
-    if args.kind == "diagonal":
-        inst = gen_diagonal(args.n, args.delta)
-    elif args.kind == "gaussian":
-        inst = gen_gaussian(args.n, args.delta, seed=args.seed,
-                            policy=_resolve_policy(args))
-    else:
+    if args.kind == "graph":
         policy = _resolve_policy(args)
         graph = Graph.from_edge_text(read_text(args.edges))
         inst, _ = gen_from_graph(graph, policy)
-    # the file's peak memory, JSON_BYTES a coordinate, under the default cap
-    DEFAULT_POLICY.admit(BYTE_WORK * JSON_BYTES * inst.vectors.size,
-                         f"instance file of {inst.count} vectors")
+        _admit_file(inst.count, inst.dim)
+    elif args.kind == "diagonal":
+        _admit_file(gen_count("diagonal", args.n, args.delta), args.n)
+        inst = gen_diagonal(args.n, args.delta)
+    else:
+        policy = _resolve_policy(args)
+        _admit_file(gen_count("gaussian", args.n, args.delta), args.n)
+        inst = gen_gaussian(args.n, args.delta, seed=args.seed, policy=policy)
     write_json(instance_to_dict(inst, graph), args.out)
     return EXIT_OK
+
+
+def _admit_file(count: float, dim: int) -> None:
+    """The instance file's peak memory, JSON_BYTES a coordinate, under the
+    default cap; ``gen`` prices it before drawing the vectors it can count
+    up front."""
+    DEFAULT_POLICY.admit(BYTE_WORK * JSON_BYTES * count * dim,
+                         f"instance file of {count:.12g} vectors")
 
 
 def cmd_partition(args) -> int:

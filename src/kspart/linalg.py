@@ -6,9 +6,11 @@ on exact conjugate symmetry.  Characteristic polynomials use ascending
 coefficient order throughout the package; ``char_poly_stack`` forms them
 for a whole stack at once, in cache-sized blocks, with its traces summed
 in ``np.trace``'s own order so every bit matches the plain recursion.
-``rank_one_char_polys`` shares that recursion (``_leverrier``) and keeps
-its adjugate coefficients, from which each rank-one update's polynomial
-follows by the matrix determinant lemma.
+``rank_one_char_polys`` runs its own recursion on real float views, each
+product one real batched ``matmul`` against the block's interleaved
+embedding of A and iA, and keeps the adjugate coefficients, from which
+each rank-one update's polynomial follows by the matrix determinant lemma;
+no bit contract covers it, so the two recursions share no code.
 """
 from __future__ import annotations
 
@@ -95,29 +97,16 @@ def _pairwise(x, lo: int, n: int):
     return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
 
 
-def _leverrier(a: np.ndarray, c: np.ndarray, adj: np.ndarray | None = None):
+def _leverrier(a: np.ndarray, c: np.ndarray):
     """One block of the Faddeev-LeVerrier recursion: c_k into c[:, d - k],
-    k = 1 .. d, for the n Hermitian d x d matrices of a, d >= 1.
-
-    With adj, an (d, n, d, d) complex array, the adjugate coefficients
-    B_0 = I, B_1 .. B_{d-1} are formed in adj[0 .. d - 1], each product
-    straight into its slot; without it, each B_k is a new array, as
-    ``char_poly_stack``'s bit contract was measured with."""
+    k = 1 .. d, for the n Hermitian d x d matrices of a, d >= 1, each
+    product a new array, as ``char_poly_stack``'s bit contract was measured
+    with."""
     d = a.shape[-1]
     diag = np.arange(d)
-    if adj is None:
-        b = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape)  # B_0 = I
-    else:
-        b = adj[0]
-        b[...] = np.eye(d)
+    b = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape)  # B_0 = I
     for k in range(1, d):
-        if adj is None:
-            b = a.copy() if k == 1 else a @ b  # M_k = A B_{k-1}
-        elif k == 1:
-            b = adj[1]
-            b[...] = a
-        else:
-            b = np.matmul(a, b, out=adj[k])
+        b = a.copy() if k == 1 else a @ b  # M_k = A B_{k-1}
         c_k = -(_pairwise(b.diagonal(0, -2, -1).T, 0, d) + 0.0) / k
         c[:, d - k] = c_k.real
         b[:, diag, diag] += c_k[:, None]  # B_k = M_k + c_k I
@@ -168,35 +157,62 @@ def rank_one_char_polys(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     Matrix determinant lemma in adjugate form, which holds for singular
     xI - A too: det(xI - A - v v*) = det(xI - A) - v* adj(xI - A) v, and
-    adj(xI - A) = sum_k B_k x^(d-1-k) with the B_k of the Faddeev-LeVerrier
-    recursion, so one ``_leverrier`` pass per matrix serves all its vectors.
+    adj(xI - A) = sum_k B_k x^(d-1-k) with the adjugate coefficients
+    B_0 = I, B_k = B_{k-1} A + c_k I of the Faddeev-LeVerrier recursion
+    (B_{k-1} commutes with A), so one pass per matrix serves all its vectors.
+
+    The pass runs on float views, (d, 2d) real per matrix.  For a block of
+    matrices, E is the real (2d, 2d) embedding of each A whose rows 2k and
+    2k + 1 are the float views of row k of A and of iA, so that
+    view(B) @ E = view(B A) for any complex B: each product is one real
+    batched ``matmul``.  The traces and the + c_k I updates read the real
+    diagonal, every (2d + 2)-th float of a view, and c_d = -tr(A B_{d-1})/d
+    is the dot product of the views of A and B_{d-1}, A being Hermitian.
     The quadratic forms v* B_k v = sum_ij Re(B_ij) Re(W_ij) + Im(B_ij)
     Im(W_ij), W = v v*, of a block are one real matrix product,
     (d n, 2 d^2) @ (2 d^2, l).  The matrices must be Hermitian; unlike
-    ``char_poly_stack``, no bit contract covers the result, and a block
-    holds about BLOCK_BYTES of adjugate coefficients.
+    ``char_poly_stack``, no bit contract covers the result.  A block holds
+    about BLOCK_BYTES of adjugate coefficients, and the buffers are
+    allocated once a call.
     """
-    ms = np.asarray(ms, dtype=np.complex128)
+    ms = np.ascontiguousarray(ms, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     d, n, l = vs.shape[1], len(ms), len(vs)
     leaves = np.zeros((n, l, d + 1))
     leaves[..., d] = 1.0
-    if d == 0:
+    if d == 0 or n == 0:
         return leaves
+    w = 2 * d
     outer = np.ascontiguousarray(np.einsum("aj,ak->ajk", vs, vs.conj()))
-    forms = outer.view(np.float64).reshape(l, 2 * d * d).T
-    step = max(1, BLOCK_BYTES // (16 * d ** 3))  # adj holds d matrices each
-    poly = np.empty((min(step, n), d + 1))
-    adj = np.empty((d, min(step, n), d, d), dtype=np.complex128)
+    forms = outer.view(np.float64).reshape(l, d * w).T
+    step = min(n, max(1, BLOCK_BYTES // (16 * d ** 3)))  # d matrices each
+    emb = np.empty((step, d, 2, d), dtype=np.complex128)  # A, iA rows
+    adj = np.empty((d, step, d * w))  # views of B_0 .. B_{d-1}, flattened
+    adj[0] = np.eye(d, dtype=np.complex128).view(np.float64).reshape(-1)
+    c = np.empty((step, d))  # c_k at [:, d - k]
     for lo in range(0, n, step):
         a = ms[lo:lo + step]
-        if len(a) < adj.shape[1]:
-            poly, adj = poly[:len(a)], np.empty((d,) + a.shape, adj.dtype)
-        _leverrier(a, poly, adj)
-        q = (adj.view(np.float64).reshape(d * len(a), 2 * d * d) @ forms
-             ).reshape(d, len(a), l)  # v* B_k v at [k, matrix, vector]
-        leaves[lo:lo + step, :, :d] = (poly[:, None, :d]
-                                       - q[::-1].transpose(1, 2, 0))
+        b = len(a)
+        if d > 2:  # the first product is M_2
+            emb[:b, :, 0] = a
+            np.multiply(a, 1j, out=emb[:b, :, 1])
+            e = emb[:b].view(np.float64).reshape(b, w, w)
+        flat = a.view(np.float64).reshape(b, d * w)
+        for k in range(1, d):
+            m = adj[k, :b]
+            if k == 1:
+                m[...] = flat  # M_1 = A
+            else:
+                np.matmul(adj[k - 1, :b].reshape(b, d, w), e,
+                          out=m.reshape(b, d, w))  # M_k = B_{k-1} A
+            diag = m[:, ::w + 2]
+            c_k = diag.sum(axis=1) / -k
+            c[:b, d - k] = c_k
+            diag += c_k[:, None]  # B_k = M_k + c_k I
+        c[:b, 0] = np.einsum("ij,ij->i", adj[d - 1, :b], flat) / -d
+        q = (adj[:, :b].reshape(d * b, d * w) @ forms
+             ).reshape(d, b, l)  # v* B_k v at [k, matrix, vector]
+        leaves[lo:lo + b, :, :d] = c[:b, None] - q[::-1].transpose(1, 2, 0)
     return leaves
 
 

@@ -157,8 +157,11 @@ def ensemble_instance(e: RandomVectorEnsemble,
 
 
 CHUNK = 4096
-"""Matrices per ``char_poly_stack`` call in the subset expansion and the
-outcome enumerator, so no stack holds more than CHUNK * D^2 entries."""
+"""Matrices per ``char_poly_stack`` call in the subset expansion, and
+outcomes per kernel call of the outcome enumerator (in the brute-force
+oracle, prefix sums times atoms of the last vector per
+``rank_one_char_polys`` call), so no stack holds more than CHUNK * D^2
+entries."""
 
 # Work model, in the units of NumericPolicy.work_cap (about a nanosecond
 # each on the machine these were measured on, timing stacks of 4096):
@@ -174,13 +177,18 @@ expansions with m = 16..20 and D = 6..10."""
 GATHER_WORK = 5
 """A matrix entry added into an outcome sum, grown from its prefix's;
 4-11 ns at D = 2..16."""
-FORM_WORK = 2
-"""An outcome of the brute-force oracle costs FORM_WORK * D^3 beside its
-share of its prefix's polynomial: the quadratic forms of D adjugate
-coefficients of D^2 entries, its polynomial and its weighted term.  On a
-2-core machine where ``char_poly_stack`` ran 3.3-3.5 times faster than
-``_poly_work`` at D = 3..8: 39 ns an outcome at D = 4, 0.15 us at D = 8,
-0.29 us at D = 10 (prefix blocks of 64 atoms)."""
+PASS_WORK = 7
+"""A prefix of the brute-force oracle costs PASS_WORK * D^3 for its
+Faddeev-LeVerrier pass in ``rank_one_char_polys`` (its D - 2 real
+products, traces and embedding), beside D^2 GATHER_WORK for its sum."""
+FORM_WORK = 3
+"""An outcome of the brute-force oracle costs FORM_WORK * D^2 beside its
+share of its prefix's pass: the quadratic forms of D adjugate coefficients
+in one matrix product, its polynomial and its weighted term.  Fitted with
+PASS_WORK on a 2-core machine at D = 2, 4, 6, 8 and 1-8 atoms in the last
+vector: 0.11-0.32 us a prefix at D = 2, 0.59-0.89 us at D = 4, 1.6-2.2 us
+at D = 6 and 3.6-4.7 us at D = 8, each predicted at 0.48-1.29 times its
+measured time."""
 
 
 def _poly_work(dim: int) -> float:
@@ -267,7 +275,7 @@ def expected_char_poly_bruteforce(
 
     Prefixes times atoms are taken at most CHUNK at a time.  The request
     is refused up front when its predicted work exceeds the work cap: for
-    each prefix, D^2 GATHER_WORK, one polynomial and FORM_WORK * D^3 for
+    each prefix, D^2 GATHER_WORK, PASS_WORK * D^3 and FORM_WORK * D^2 for
     each atom of the last vector.
     """
     d = e.dim
@@ -288,8 +296,8 @@ def expected_char_poly_bruteforce(
         return part
 
     for part in outcome_sums(RandomVectorEnsemble(d, tuple(head)), leaf_sums,
-                             _poly_work(d)
-                             + FORM_WORK * last.support_size * d ** 3,
+                             PASS_WORK * d ** 3
+                             + FORM_WORK * last.support_size * d ** 2,
                              "brute-force oracle", policy,
                              chunk=max(1, CHUNK // cols)):
         total += part

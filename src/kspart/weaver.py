@@ -164,17 +164,31 @@ def normalize_isotropy(inst: WeaverInstance,
     return WeaverInstance(inst.dim, vecs, delta)
 
 
+def gen_count(kind: str, n: int, delta: float) -> float:
+    """The vectors ``gen_diagonal`` (kind "diagonal", n round(1/delta)) or
+    ``gen_gaussian`` (kind "gaussian", round(n/delta)) makes for n and
+    delta, infinite when the quotient overflows, after the checks of n and
+    delta that the generator makes first: known before any allocation."""
+    if n < 1:
+        raise ValidationError("dimension must be positive")
+    gaussian = kind == "gaussian"
+    if not (0 < delta <= (n if gaussian else 1)):
+        raise ValidationError(
+            f"delta must lie in (0, {'n' if gaussian else 1}]")
+    per = (n if gaussian else 1) / delta
+    if not math.isfinite(per):
+        return math.inf
+    return float(round(per) * (1 if gaussian else n))
+
+
 def gen_diagonal(n: int, delta: float) -> WeaverInstance:
     """1/delta scaled copies of each basis vector; requires 1/delta integer.
     Refused before allocating, as ``gen_gaussian`` is, when the vectors
     would take more bytes than ``DEFAULT_POLICY``'s cap admits."""
-    if n < 1:
-        raise ValidationError("dimension must be positive")
-    if not (0 < delta <= 1):
-        raise ValidationError("delta must lie in (0, 1]")
+    count = gen_count("diagonal", n, delta)
+    DEFAULT_POLICY.admit(BYTE_WORK * 16.0 * count * n,
+                         f"diagonal instance of {count:.3g} vectors")
     k = 1.0 / delta
-    DEFAULT_POLICY.admit(BYTE_WORK * 16.0 * n * k * n,
-                         f"diagonal instance of {n * k:.3g} vectors")
     if abs(k - round(k)) > 1e-9:
         raise ValidationError(f"1/delta = {k} is not an integer")
     k = int(round(k))
@@ -194,13 +208,10 @@ def gen_gaussian(n: int, delta: float, seed: int = 0,
     before any draw when the m x n complex vectors would take more bytes
     than the work cap admits at BYTE_WORK a byte.
     """
-    if n < 1:
-        raise ValidationError("dimension must be positive")
-    if not (0 < delta <= n):
-        raise ValidationError("delta must lie in (0, n]")
-    policy.admit(BYTE_WORK * 16.0 * (n / delta) * n,
-                 f"gaussian instance of {n / delta:.3g} vectors")
-    m = int(round(n / delta))
+    count = gen_count("gaussian", n, delta)
+    policy.admit(BYTE_WORK * 16.0 * count * n,
+                 f"gaussian instance of {count:.3g} vectors")
+    m = int(count)
     if m < n:
         raise ValidationError(
             f"n/delta rounds to {m} < n vectors; the sample cannot be isotropic"

@@ -260,6 +260,27 @@ def test_large_r_and_large_instance_files_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_prices_the_file_before_the_draw(tmp_path, monkeypatch,
+                                            capsys):
+    # the file of 2e6 vectors was priced only after they were drawn, at a
+    # peak of about 208 MB; a generator that raises shows it is not called
+    def never(*args, **kwargs):
+        raise AssertionError("generator called")
+
+    monkeypatch.setattr(cli, "gen_gaussian", never)
+    monkeypatch.setattr(cli, "gen_diagonal", never)
+    out = tmp_path / "big.json"
+    for kind in ("gaussian", "diagonal"):
+        assert main(["gen", kind, "--n", "2", "--delta", "1e-6",
+                     "--out", str(out)]) == 4, kind
+        assert "instance file of 2000000 vectors" in capsys.readouterr().err
+        for n, delta in (("2", "0"), ("2", "-1e-6"), ("0", "1e-6")):
+            assert main(["gen", kind, "--n", n, f"--delta={delta}",
+                         "--out", str(out)]) == 2, (kind, n, delta)
+            assert "must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_work_cap_exits_2_before_any_work(tmp_path, monkeypatch,
                                               capsys):
     # a NaN cap compares false with every prediction, so it would admit

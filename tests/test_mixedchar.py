@@ -104,15 +104,17 @@ def test_bruteforce_diagonal_half_power():
 
 
 def exact_char_poly(a):
-    """det(xI - A) of a real matrix of Fractions, ascending, by the
-    Faddeev-LeVerrier recursion in exact arithmetic."""
+    """det(xI - A) of a square matrix of integers, ascending, by the
+    Faddeev-LeVerrier recursion in integers: each c_k of an integer
+    matrix is an integer, so every division by k is exact."""
     d = len(a)
-    coeffs = [Fraction(0)] * d + [Fraction(1)]
-    b = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    coeffs = [0] * d + [1]
+    b = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
         m = [[sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d)]
              for i in range(d)]
-        c = -sum(m[i][i] for i in range(d)) / k
+        c, rest = divmod(-sum(m[i][i] for i in range(d)), k)
+        assert rest == 0
         coeffs[d - k] = c
         b = [[m[i][j] + (c if i == j else 0) for j in range(d)]
              for i in range(d)]
@@ -122,22 +124,28 @@ def exact_char_poly(a):
 def exact_expected_char_poly(e):
     """E det(xI - sum v_i v_i^T) of a real ensemble, exactly: every outcome
     enumerated, its probabilities and atoms read as the Fractions their
-    floats are."""
+    floats are.  The atoms are integers over one power of two, den, so
+    each outcome's sum is an integer matrix N over den^2, and the
+    coefficient of x^(d - k) is N's over den^(2k)."""
     d = e.dim
     vectors = [([Fraction(float(p)) for p in v.probabilities],
                 [[Fraction(float(x.real)) for x in row] for row in v.values])
                for v in e.vectors]
+    den = max((x.denominator for _, vals in vectors for row in vals
+               for x in row), default=1)
+    vectors = [(probs, [[int(x * den) for x in row] for row in vals])
+               for probs, vals in vectors]
     total = [Fraction(0)] * (d + 1)
     for outcome in product(*(range(v.support_size) for v in e.vectors)):
         weight = Fraction(1)
-        s = [[Fraction(0)] * d for _ in range(d)]
+        s = [[0] * d for _ in range(d)]
         for (probs, vals), t in zip(vectors, outcome):
             weight *= probs[t]
             for i in range(d):
                 for j in range(d):
                     s[i][j] += vals[t][i] * vals[t][j]
         for k, c in enumerate(exact_char_poly(s)):
-            total[k] += weight * c
+            total[k] += weight * Fraction(c, den ** (2 * (d - k)))
     return total
 
 
@@ -146,7 +154,7 @@ def test_bruteforce_matches_exact_rationals():
     probs = [[1.0], [0.5, 0.5], [0.25, 0.75], [1 / 3, 2 / 3],
              [0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.2, 0.3, 0.5]]
     for trial in range(40):
-        d = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 6))  # d = 4 and 5 form products
         den = (4, 3, 8)[trial % 3]  # dyadic, then rational, atoms
         vectors = []
         for _ in range(int(rng.integers(1, 5))):
