@@ -168,20 +168,22 @@ def _exterior(d: int) -> tuple:
             _readonly(np.array(starts)), _readonly(np.array(signs)[:, None]))
 
 
-def _suffix_states(vectors: np.ndarray, r: int) -> np.ndarray:
-    """rho_k for k = 0 .. n of n vectors, one flattened row each: rho_n = 1
-    at the empty coordinate and rho_k = rho_{k+1} + sum_b Omega_b(u_k)
-    rho_{k+1}, Omega_b acting on block b's axis."""
+def _suffix_states(vectors: np.ndarray, r: int, rows: int = 0) -> np.ndarray:
+    """rho_k for k = 0 .. n of n vectors, one flattened row each, in row
+    k % rows (all n + 1 rows when rows is 0): rho_n = 1 at the empty
+    coordinate and rho_k = rho_{k+1} + sum_b Omega_b(u_k) rho_{k+1},
+    Omega_b acting on block b's axis."""
     n, d = vectors.shape
+    rows = rows or n + 1
     width = math.comb(2 * d, d)
     target, source, j, k, sign = _exterior(d)[0]
     entries = sign * vectors[:, j] * vectors[:, k].conj()
     omega = np.zeros((width, width), dtype=np.complex128)
-    states = np.zeros((n + 1, width ** r), dtype=np.complex128)
-    states[n, 0] = 1.0
+    states = np.zeros((rows, width ** r), dtype=np.complex128)
+    states[n % rows, 0] = 1.0
     for i in range(n - 1, -1, -1):
         omega[target, source] = entries[i]
-        rho, out = states[i + 1], states[i]
+        rho, out = states[(i + 1) % rows], states[i % rows]
         out[:] = rho
         for b in range(r):
             x = rho.reshape(width ** b, width, -1)
@@ -248,10 +250,11 @@ def _contract(rho: np.ndarray, ells: np.ndarray) -> np.ndarray:
 
 def _state_node(vectors: np.ndarray, prefix: tuple[int, ...], r: int,
                 shift: float) -> np.ndarray:
-    """The node polynomial at a prefix, in t = x - shift."""
+    """The node polynomial at a prefix, in t = x - shift, folding rho_0
+    in two rows of suffix states, the bytes of ``state_bytes(1, d, r)``."""
     bases = _part_sums(np.einsum("mj,mk->mjk", vectors, vectors.conj()),
                        prefix, r)
-    rho = _suffix_states(vectors[len(prefix):], r)[0]
+    rho = _suffix_states(vectors[len(prefix):], r, 2)[0]
     return _contract(rho, _ell(bases, shift))
 
 

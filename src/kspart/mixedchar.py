@@ -157,8 +157,9 @@ def ensemble_instance(e: RandomVectorEnsemble,
 
 
 CHUNK = 4096
-"""Matrices per ``char_poly_stack`` call in the subset expansion, and
-outcomes per kernel call of the outcome enumerator (in the brute-force
+"""Lattice rows per ``char_poly_stack`` call of ``_subset_char_polys``
+(the subset expansion and the lattice engine's closing), and outcomes
+per kernel call of the outcome enumerator (in the brute-force
 oracle, prefix sums times atoms of the last vector per
 ``rank_one_char_polys`` call), so no stack holds more than CHUNK * D^2
 entries."""
@@ -353,16 +354,6 @@ def _positions(k: int, r: int) -> np.ndarray:
                               dtype=np.intp).reshape(math.comb(k, r), r))
 
 
-@lru_cache(maxsize=64)
-def _minor_rows(d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the s-subsets J of range(d), in ``combinations`` order: the unit
-    rows e_j, j not in J, as a read-only (C(d, s), d - s, d) array (the
-    complements run through combinations order backwards), and J's
-    bitmasks; cached, since they depend on (d, s) alone."""
-    units = np.eye(d)[_positions(d, d - s)[::-1]]
-    return _readonly(units), _readonly((1 << _positions(d, s)).sum(axis=1))
-
-
 def _subset_lattice(m: int, size: int) -> _SubsetLattice:
     total = sum(math.comb(m, j) for j in range(size + 1))
     members = np.full((total, size), m, dtype=np.intp)
@@ -386,15 +377,34 @@ def _subset_lattice(m: int, size: int) -> _SubsetLattice:
         binom=_readonly(binom))
 
 
+def _subset_char_polys(lat: _SubsetLattice, top,
+                       mats: np.ndarray) -> np.ndarray:
+    """chi(top - B_S), chi(M) = det(xI - M) ascending, for every row S of
+    the lattice, B_S = sum_{i in S} mats[i] added into zero in index order
+    (a padded member adds a zero matrix); one ``char_poly_stack`` per CHUNK
+    rows, so no stack holds more than CHUNK matrices."""
+    d = mats.shape[1]
+    padded = np.concatenate((mats, np.zeros((1, d, d), dtype=mats.dtype)))
+    h = np.empty((len(lat.members), d + 1))
+    for lo in range(0, len(h), CHUNK):
+        members = lat.members[lo:lo + CHUNK]
+        q = np.zeros((len(members), d, d), dtype=np.complex128)
+        for t in range(members.shape[1]):
+            q += padded[members[:, t]]
+        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
+    return h
+
+
 def _subset_mixed(mats: list[np.ndarray], d: int,
                   policy: NumericPolicy) -> np.ndarray:
     """Subset-expansion engine; mats are validated Hermitian PSD.
 
     Refused before any work when ``expansion_work(m, d)`` exceeds the work
     cap.  Subsets S of size k <= min(m, d) are the rows of
-    ``_subset_lattice(m, min(m, d))``; row T of the stack holds
-    -sum_{i in T} A_i, subtracted in index order from zero, and only CHUNK
-    rows of the stack exist at a time.  The summation order is part of the
+    ``_subset_lattice(m, min(m, d))``, and ``_subset_char_polys`` gives
+    h_T = chi(0 - B_T), B_T = sum_{i in T} A_i added into zero in index
+    order: the same floats, rounding being symmetric, as subtracting the
+    A_i from zero in index order.  The summation order is part of the
     contract: c_S adds sign * h_T[d-k] over T subset S by size, then in
     ``combinations(S, r)`` order, one term at a time, and mu[d-k] adds the
     signed c_S in ``combinations`` order.  Sequential ``cumsum`` keeps that
@@ -419,18 +429,10 @@ def _subset_mixed(mats: list[np.ndarray], d: int,
     policy.admit(expansion_work(m, d), f"subset expansion of {m} matrices")
     kmax = min(m, d)
     lat = _subset_lattice(m, kmax)
-    a = np.asarray(mats, dtype=np.complex128)
-    # char_poly(-B_T) = det(xI + B_T) as an ascending coefficient vector,
-    # h[k] holding the k-subsets T in combinations order
-    h = []
-    for k in range(kmax + 1):
-        h.append(np.empty((len(lat.by_size[k]), d + 1)))
-        for lo in range(0, len(h[k]), CHUNK):
-            rows = lat.by_size[k][lo:lo + CHUNK]
-            block = np.zeros((len(rows), d, d), dtype=np.complex128)
-            for j in range(k):
-                block -= a[lat.members[rows, j]]
-            h[k][lo:lo + CHUNK] = linalg.char_poly_stack(block)
+    # h[k] holds the k-subsets T in combinations order
+    polys = _subset_char_polys(
+        lat, 0.0, np.asarray(mats, dtype=np.complex128).reshape(m, d, d))
+    h = [polys[by_size] for by_size in lat.by_size]
     mu = np.zeros(d + 1)
     mu[d] = 1.0
     for k in range(1, kmax + 1):

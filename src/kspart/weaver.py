@@ -39,17 +39,18 @@ With P_b = Q_b diag(lam_b) Q_b* and W_b = Q_b* U, Cauchy-Binet gives
 
 a signed nonnegative combination of minors, so nothing nearly equal is
 subtracted, and F_b(S) = 0 for |S| > d, so F_b is kept by subset size;
-each minor is the determinant of W_b's columns at S bordered by unit
-vectors, S read straight off the subset lattice's rows of its size.  The
-products of the F blocks grow one block at a time over the splits of
-each union, on subset lattice rows, and close with d x d characteristic
-polynomials of subset sums.  A node at prefix length k reads only the
-lattice of its own n = m - k unpinned vectors, which the r children of a
-level share, and ``descend`` asks for each child as a fresh node, one
-after another.  A node's rows number sum_{j <= (r-1) d} C(n, j), so this
-engine is cheaper only at small m with large d r: K5 at r = 3 or 4, or
-gauss(6, 3/4) (m = 8).  Its work, summed over the levels, is priced in
-closed form (``block_work``).
+each minor is the determinant of the s x s submatrix W_b[J, S], S read
+straight off the subset lattice's rows of its size.  The products of
+the F blocks grow one block at a time over the splits of each union, on
+subset lattice rows, and close with d x d characteristic polynomials of
+subset sums, from the subset expansion's own kernel on the lattice
+(``mixedchar._subset_char_polys``).  A node at prefix length k reads
+only the lattice of its own n = m - k unpinned vectors, which the r
+children of a level share, and ``descend`` asks for each child as a
+fresh node, one after another.  A node's rows number sum_{j <= (r-1) d}
+C(n, j), so this engine is cheaper only at small m with large d r: K5 at
+r = 3 or 4, or gauss(6, 3/4) (m = 8).  Its work, summed over the levels,
+is priced in closed form (``block_work``).
 
 Either engine's leaves take the eigenvalues of the r part sums.  On a
 2-core machine (Python 3.11, numpy 2.4) the state engine partitions
@@ -73,7 +74,7 @@ from .exterior import (BYTE_WORK, LEVEL_WORK, _complement_polys, _leaves,
                        state_bytes, state_work)
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
-                        RandomVectorEnsemble, _minor_rows, _positions,
+                        RandomVectorEnsemble, _positions, _subset_char_polys,
                         _subset_lattice, _SubsetLattice)
 from .policy import DEFAULT_POLICY, NumericPolicy, ValidationError
 
@@ -468,7 +469,7 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
                               f"below {r} of {m} vectors")
     n = m - k
     if _admit(_node_work(n, d, r), _state_work(n, d, r, 1) + LEVEL_WORK,
-              state_bytes(n, d, r), policy, f"block node over {n} vectors"):
+              state_bytes(1, d, r), policy, f"block node over {n} vectors"):
         return _state_node(inst.vectors, prefix, r, 0.0)
     u = inst.vectors
     bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix, r)
@@ -480,30 +481,29 @@ def _minor_polys(u: np.ndarray, base: np.ndarray,
     """F of a base P by subset size: for s <= min(d, n), F(S) of the
     s-subsets S of the last n vectors of u, n being the lattice's, in
     ``combinations`` order, the rows ``lat.by_size[s]``.  One ``eigh``
-    diagonalises P, and one ``det`` per chunk of subsets takes det W[J, S]
-    for every s-subset J of range(d), in ``combinations`` order, as the
-    determinant of the rows of W transposed at S over the unit rows e_j, j
-    not in J; W transposed from the last n of u alone may differ in bits."""
+    diagonalises P, and one ``det`` per chunk of subsets takes the s x s
+    minors det W[J, S] for every s-subset J of range(d), in
+    ``combinations`` order, from the rows of W transposed at S and its
+    columns at J; W transposed from the last n of u alone may differ in
+    bits."""
     d, n = base.shape[0], len(lat.binom)
     lam, basis = np.linalg.eigh(base)
     wt = (u @ basis.conj())[len(u) - n:]  # W transposed
     comp = _complement_polys(lam)
     f = [comp[:1]]  # the empty set
     for s in range(1, min(d, n) + 1):
-        units, masks = _minor_rows(d, s)
+        cols = _positions(d, s)
         rows = lat.by_size[s]
-        weights = np.empty((len(rows), len(masks)))
-        step = max(1, CHUNK // len(masks))
+        weights = np.empty((len(rows), len(cols)))
+        step = max(1, CHUNK // len(cols))
         for lo in range(0, len(rows), step):
             at = lat.members[rows[lo:lo + step], :s]
-            mats = np.empty((len(at), len(masks), d, d), dtype=np.complex128)
-            mats[:, :, :s] = wt.take(at, axis=0)[:, None]
-            mats[:, :, s:] = units
-            weights[lo:lo + step] = np.abs(np.linalg.det(mats)) ** 2
-        terms = (-1.0) ** s * weights[..., None] * comp[masks]
+            minors = np.linalg.det(wt[at[:, None, :, None], cols[:, None]])
+            weights[lo:lo + step] = np.abs(minors) ** 2
+        terms = (-1.0) ** s * weights[..., None] * comp[(1 << cols).sum(1)]
         # reduceat's x_0 + (x_1 + ...) per S keeps the bits; a J loop does not
         f.append(np.add.reduceat(terms.reshape(-1, d + 1),
-                                 np.arange(0, weights.size, len(masks))))
+                                 np.arange(0, weights.size, len(cols))))
     return f
 
 
@@ -541,11 +541,10 @@ def _node(u: np.ndarray, bases: np.ndarray,
     m - k unpinned ones: sum_W G(W) chi_W over the lattice rows W, G the
     product of the F blocks (F_0 put on the rows, then grown; 1 with no
     block) and chi_W = chi(C - sum_{i in W} u_i u_i*), C = P_{r-1} +
-    sum_{i >= k} u_i u_i*, from one ``char_poly_stack`` per chunk of rows."""
+    sum_{i >= k} u_i u_i*, from ``_subset_char_polys``."""
     r, d, n = len(bases), u.shape[1], len(lat.binom)
     rows = lat.members.shape[0]
-    v = np.concatenate((u[len(u) - n:], np.zeros((1, d))))  # members' pad
-    outers = np.einsum("mj,mk->mjk", v, v.conj())
+    outers = np.einsum("mj,mk->mjk", u[len(u) - n:], u[len(u) - n:].conj())
     g = np.ones((rows, 1))
     if r > 1:
         f = _minor_polys(u, bases[0], lat)
@@ -554,15 +553,9 @@ def _node(u: np.ndarray, bases: np.ndarray,
     for b in range(1, r - 1):
         g = _grow(g, _minor_polys(u, bases[b], lat), b, lat)
     top = bases[-1].copy()
-    for outer in outers[:n]:
+    for outer in outers:
         top += outer
-    h = np.empty((rows, d + 1))
-    for lo in range(0, rows, CHUNK):
-        members = lat.members[lo:lo + CHUNK]
-        q = np.zeros((len(members), d, d), dtype=np.complex128)
-        for t in range(members.shape[1]):
-            q += outers[members[:, t]]
-        h[lo:lo + len(q)] = linalg.char_poly_stack(top - q)
+    h = _subset_char_polys(lat, top, outers)
     products = np.einsum("sa,sb->ab", g, h)
     mu = np.zeros(r * d + 1)
     for j in range(g.shape[1]):

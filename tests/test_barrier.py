@@ -350,6 +350,23 @@ def test_certificates_past_twenty_vectors():
                    for step in cert.steps)
 
 
+def test_certificate_rejections():
+    # the certify workload's input: at half the largest trace each level's
+    # largest barrier passes phi (level 0's, tr(A_i) / t, is 2 phi), and at
+    # 1e-8 the value at t * 1, t^4 about 1e-16, is within pole_tol of a
+    # pole, so the induction aborts before its first step
+    inst = ensemble_instance_from_vectors(gen_gaussian(4, 4 / 14, seed=0))
+    half = max(float(np.trace(a).real) for a in inst.matrices) / 2
+    cert = build_certificate(inst, half)
+    assert not cert.valid and cert.aborted_at is None
+    assert len(cert.steps) == len(inst.matrices) + 1 == 15
+    assert all(step.max_barrier > cert.phi + DEFAULT_POLICY.certificate_slack
+               for step in cert.steps)
+    assert abs(cert.steps[0].max_barrier - 2 * cert.phi) <= 1e-12
+    cert = build_certificate(inst, 1e-8)
+    assert not cert.valid and cert.aborted_at == 0 and cert.steps == ()
+
+
 def test_certificate_refusals(monkeypatch):
     # 1001^2 barrier points, each a sum of 1000 matrices of size 20
     wide = MixedInstance(20, tuple(np.eye(20) / 1000 for _ in range(1000)))

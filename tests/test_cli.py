@@ -202,6 +202,25 @@ def test_certify_non_finite_epsilon_exits_2(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_certify_rejected_certificate_exits_3(tmp_path):
+    # at epsilon 1/4 the level-0 barriers, 1/2 over t = 3/4, pass phi =
+    # 1/3; at 1e-14 the value at t * 1 is within pole_tol of a pole
+    inst = str(tmp_path / "inst.json")
+    rep = str(tmp_path / "cert.json")
+    assert main(["gen", "diagonal", "--n", "2", "--delta", "0.5",
+                 "--out", inst]) == 0
+    assert main(["certify", "--in", inst, "--epsilon", "0.25",
+                 "--out", rep]) == 3
+    payload = read_report(rep)["payload"]
+    assert payload["valid"] is False and payload["aborted_at"] is None
+    assert payload["steps"][0]["max_barrier"] > payload["phi"]
+    assert main(["certify", "--in", inst, "--epsilon", "1e-14",
+                 "--out", rep]) == 3
+    payload = read_report(rep)["payload"]
+    assert payload["valid"] is False and payload["aborted_at"] == 0
+    assert payload["steps"] == []
+
+
 def test_certify_rank_two_exits_4(tmp_path):
     from kspart import FiniteSupportVector, RandomVectorEnsemble
     v = FiniteSupportVector([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])

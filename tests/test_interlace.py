@@ -119,6 +119,23 @@ def test_verify_family_singleton_and_random():
         assert verify_interlacing_family(e).ok
 
 
+def test_verify_family_reports_violations(monkeypatch):
+    # a negative tree-sum tolerance fails every node's exact sum, and a
+    # common-interlacing test that always fails flags every node
+    e = lift(gen_diagonal(1, 0.5), 2)
+    nodes = [(), (0,), (1,)]
+    rep = verify_interlacing_family(e, NumericPolicy(tree_sum_rtol=-1.0))
+    assert not rep.ok and rep.nodes_checked == 3
+    assert [(v.kind, v.prefix) for v in rep.violations] == [
+        ("tree-sum", p) for p in nodes]
+    monkeypatch.setattr(realpoly, "common_interlacing_test",
+                        lambda children, policy: False)
+    rep = verify_interlacing_family(e)
+    assert not rep.ok
+    assert [(v.kind, v.prefix) for v in rep.violations] == [
+        ("common-interlacing", p) for p in nodes]
+
+
 def test_verify_family_computes_each_tree_node_once(monkeypatch):
     asked = []
     real = interlace.conditional_expected_poly

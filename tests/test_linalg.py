@@ -331,7 +331,8 @@ def test_rank_one_char_polys_blocks(monkeypatch):
     stack = random_psd_stack(rng, 50, 3)
     vs = rng.standard_normal((4, 3)) + 0j
     want = rank_one_char_polys(stack, vs)
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 9 * 7)  # 7, then 1
+    # blocks hold 16 d^3 bytes a matrix: seven of 7, then 1
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 27 * 7)
     assert np.allclose(rank_one_char_polys(stack, vs), want, rtol=0.0,
                        atol=1e-14 * np.max(np.abs(want)))
     empty = rank_one_char_polys(np.zeros((0, 3, 3)), vs)

@@ -386,7 +386,10 @@ def rational_diagonal(skew=None):
 def exact_cases():
     """(skew, r, prefix, instance, exact node polynomial) on diag(3, 1/3),
     unrotated and rotated by a Cayley transform: r = 2 with at most 9
-    unpinned vectors and r = 3 with at most 6."""
+    unpinned vectors and r = 3 with at most 6.  Then ("gauss", 4, ...) on
+    gauss(3, 1/4) with at most 4: its vectors are real, so the Fractions of
+    their floats are exact; the first two prefixes are the lifted oracle
+    test's worst at r = 4, where that oracle is 6.7e-13 and 6.0e-13 off."""
     rng = np.random.default_rng(1)
     cases = []
     for skew in (None, [[0, 2, -1], [-2, 0, 4], [1, -4, 0]]):
@@ -396,6 +399,15 @@ def exact_cases():
                 prefix = tuple(int(t) for t in rng.integers(0, r, size=k))
                 cases.append((skew, r, prefix, inst,
                               exact_node_poly(outers, prefix, r)))
+    inst = gen_gaussian(3, 0.25, seed=0)
+    assert not inst.vectors.imag.any()
+    exact = [[Fraction(float(x)) for x in u.real] for u in inst.vectors]
+    outers = [[[a * b for b in u] for a in u] for u in exact]
+    for prefix in [(3, 3, 0, 0, 2, 1, 2, 2, 1), (1, 2, 2, 0, 2, 2, 3, 2)] + [
+            tuple(int(t) for t in rng.integers(0, 4, size=k))
+            for k in range(inst.count - 4, inst.count + 1)]:
+        cases.append(("gauss", 4, prefix, inst,
+                      exact_node_poly(outers, prefix, 4)))
     return cases
 
 
@@ -487,8 +499,9 @@ def test_minor_polys_keep_f_by_subset_size_and_match_exact_f():
 
 
 def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
-    # each det stack takes whole subsets S, at least one: at most
-    # max(CHUNK, C(d, |S|)) matrices, with the bits of the default CHUNK
+    # each det stack takes the s x s minors of whole subsets S, at least
+    # one: at most max(CHUNK, C(d, s)) matrices, with the bits of the
+    # default CHUNK
     inst = block_instances()["k5"]
     m, d, r, u = inst.count, inst.dim, 3, inst.vectors
     outers = np.einsum("mj,mk->mjk", u, u.conj())
@@ -501,7 +514,8 @@ def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
     real = np.linalg.det
 
     def record(a):
-        stacks.append(np.asarray(a).reshape(-1, d, d))
+        a = np.asarray(a)
+        stacks.append(a.reshape((-1,) + a.shape[-2:]))
         return real(a)
 
     monkeypatch.setattr(weaver, "CHUNK", 5)
@@ -514,10 +528,8 @@ def test_minor_stacks_hold_at_most_chunk_matrices(monkeypatch):
         math.comb(n, s) * math.comb(d, s)
         for _, n in blocks for s in range(1, d + 1))
     for a in stacks:
-        # no row of W is a unit row (||u_e||^2 = 2/5 on K5), so the unit
-        # rows are the d - |S| that border the minor
-        s = d - sum(any(np.array_equal(row, e) for e in np.eye(d))
-                    for row in a[0])
+        s = a.shape[-1]
+        assert a.shape[-2] == s and 1 <= s <= d, a.shape
         assert len(a) <= max(5, math.comb(d, s)), (s, len(a))
 
 
@@ -540,13 +552,14 @@ def descent_prefixes(inst, r):
 
 def test_block_node_poly_cache_and_chunks(monkeypatch, lattice_engine):
     inst = gen_gaussian(3, 0.25, seed=1)
+    default = mixedchar.CHUNK
     for r, prefix in ((2, ()), (2, (0, 1, 1)), (2, (1, 0, 0, 1, 0)),
                       (3, (2, 0)), (4, (3, 1, 0))):
         want = block_node_poly(inst, prefix, r)
-        for chunk in (3, 1):
+        for chunk in (3, 1, default):
             monkeypatch.setattr(weaver, "CHUNK", chunk)
+            monkeypatch.setattr(mixedchar, "CHUNK", chunk)  # the closing
             assert np.array_equal(block_node_poly(inst, prefix, r), want)
-        monkeypatch.setattr(weaver, "CHUNK", mixedchar.CHUNK)
 
 
 def test_two_part_partition_matches_lifted_descent():
@@ -863,6 +876,28 @@ def test_state_walk_nodes_equal_fresh_state_nodes(monkeypatch):
             assert rep.trace.final_root == values[-1], (r, name)
 
 
+def test_state_node_admits_the_two_states_it_holds(monkeypatch):
+    # a node folds rho_0 through two rows: a cap that holds those but not
+    # all n + 1 suffix states keeps it on the state engine, with the bits
+    # of the fresh state node
+    inst = gen_gaussian(2, 2 / 60, seed=0)
+    n, d, r = inst.count, inst.dim, 2
+    two = exterior.BYTE_WORK * exterior.state_bytes(1, d, r)
+    assert two < exterior.BYTE_WORK * exterior.state_bytes(n, d, r)
+
+    def lattice(*args):
+        raise AssertionError("the node left the state engine")
+
+    monkeypatch.setattr(weaver, "_node", lattice)
+    got = block_node_poly(inst, (), r,
+                          DEFAULT_POLICY.merged({"work_cap": two}))
+    want = exterior._state_node(inst.vectors, (), r, 0.0)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(CapacityError):
+        block_node_poly(inst, (), r,
+                        DEFAULT_POLICY.merged({"work_cap": two / 2}))
+
+
 def test_partition_chunks_give_the_same_report(monkeypatch, lattice_engine):
     # several closing chunks per level
     inst = block_instances()["gauss"]
@@ -873,6 +908,7 @@ def test_partition_chunks_give_the_same_report(monkeypatch, lattice_engine):
 
     want = {r: report(r) for r in (2, 3)}
     monkeypatch.setattr(weaver, "CHUNK", 5)
+    monkeypatch.setattr(mixedchar, "CHUNK", 5)
     for r in (2, 3):
         assert report(r) == want[r], r
 
