@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import realpoly
+from . import linalg, realpoly
 from .interlace import NodeFamily, roots_work
 from .mixedchar import _readonly
 from .policy import NumericPolicy
@@ -172,17 +172,21 @@ def _suffix_states(vectors: np.ndarray, r: int, rows: int = 0) -> np.ndarray:
     """rho_k for k = 0 .. n of n vectors, one flattened row each, in row
     k % rows (all n + 1 rows when rows is 0): rho_n = 1 at the empty
     coordinate and rho_k = rho_{k+1} + sum_b Omega_b(u_k) rho_{k+1},
-    Omega_b acting on block b's axis."""
+    Omega_b acting on block b's axis, its entries formed for about
+    ``linalg.BLOCK_BYTES`` of vectors at a time (51 at d = 4)."""
     n, d = vectors.shape
     rows = rows or n + 1
     width = math.comb(2 * d, d)
     target, source, j, k, sign = _exterior(d)[0]
-    entries = sign * vectors[:, j] * vectors[:, k].conj()
+    step = max(1, linalg.BLOCK_BYTES // (16 * len(sign)))
     omega = np.zeros((width, width), dtype=np.complex128)
     states = np.zeros((rows, width ** r), dtype=np.complex128)
     states[n % rows, 0] = 1.0
     for i in range(n - 1, -1, -1):
-        omega[target, source] = entries[i]
+        if (n - 1 - i) % step == 0:  # the next step vectors, backwards
+            u = vectors[i::-1][:step]
+            entries = sign * u[:, j] * u[:, k].conj()
+        omega[target, source] = entries[(n - 1 - i) % step]
         rho, out = states[(i + 1) % rows], states[i % rows]
         out[:] = rho
         for b in range(r):
@@ -252,8 +256,8 @@ def _state_node(vectors: np.ndarray, prefix: tuple[int, ...], r: int,
                 shift: float) -> np.ndarray:
     """The node polynomial at a prefix, in t = x - shift, folding rho_0
     in two rows of suffix states, the bytes of ``state_bytes(1, d, r)``."""
-    bases = _part_sums(np.einsum("mj,mk->mjk", vectors, vectors.conj()),
-                       prefix, r)
+    u = vectors[:len(prefix)]  # the pinned ones
+    bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix, r)
     rho = _suffix_states(vectors[len(prefix):], r, 2)[0]
     return _contract(rho, _ell(bases, shift))
 

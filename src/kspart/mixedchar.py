@@ -166,12 +166,12 @@ entries."""
 
 # Work model, in the units of NumericPolicy.work_cap (about a nanosecond
 # each on the machine these were measured on, timing stacks of 4096):
-POLY_WORK = 1_100
+POLY_WORK = 500
 """A characteristic polynomial of size D costs POLY_WORK * (D - 2), for its
 D - 2 batched products and their traces, plus POLY_WORK_CUBE * D^3 (none
-of the first for D <= 2): 0.12 us at D=2, 1.6 us at D=3, 3.2 us at D=4,
-6.4 us at D=6, 12 us at D=8, 21 us at D=10, 65 us at D=16."""
-POLY_WORK_CUBE = 15
+of the first for D <= 2): 0.76-1.4 us at D=4, 3.2-3.7 us at D=8 and
+23-25 us at D=16, each D = 2..16 predicted at 1.0 to 2.1 times its time."""
+POLY_WORK_CUBE = 7
 TERM_WORK = 60
 """A signed term of the alternating sums; 50-120 ns a term over the
 expansions with m = 16..20 and D = 6..10."""

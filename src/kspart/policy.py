@@ -23,8 +23,8 @@ admits 500 MB of them.  The default admits a three-part partition of
 gauss(4, 1/8) (m=32: predicted 5.3e8, its 181 MB of states held as
 3.6e10; 5.5e12 on the lattice) and refuses one of gauss(4, 1/128)
 (m=512: 2.8 GB of states, held as 5.6e11; 7.7e23 on the lattice).
-It admits the mixed polynomial of 24 rank-one 8x8 matrices (3.3e10:
-21-24 s in 246 MB peak).
+It admits the mixed polynomial of 24 rank-one 8x8 matrices (2.3e10:
+15 s in 332 MB peak).
 Working memory grows with the same counts, so the cap bounds it too.
 """
 from __future__ import annotations

@@ -56,8 +56,8 @@ Either engine's leaves take the eigenvalues of the r part sums.  On a
 2-core machine (Python 3.11, numpy 2.4) the state engine partitions
 gauss(3, 1/4) (m = 12) in about 6 ms, and gauss(d, d/m) at (d, r, m) =
 (3, 2, 140), (4, 2, 64), (2, 3, 69), (3, 3, 29) and (2, 4, 31) in 0.04
-to 0.1 s; (3, 2, 2000) takes about 1 s.  The lattice engine partitions
-K5 in about 0.1 s at r = 3 and 0.24 s at r = 4.
+to 0.1 s; (3, 2, 2000) takes 0.6 to 0.8 s.  The lattice engine
+partitions K5 in about 0.1 s at r = 3 and 0.24 s at r = 4.
 ``lift`` with ``descend`` on the ensemble stays as library API and as the
 oracle.
 """
@@ -395,45 +395,39 @@ SPLIT_WORK = 17
 (b d + 1)(d + 1) coefficient products and its |W| rank steps."""
 
 
-def _node_pieces(d: int, r: int, top: int):
-    """``_node_work(n, d, r)`` for n <= top, piece by piece: (lo, hi, a),
-    hi None on the last piece, with _node_work(n) = r BLOCK_WORK +
-    sum_{w < hi} a[w] C(n, w) for lo <= n < hi.  The closing has
-    sum_{j <= (r - 1) d} C(n, j) rows and each F block sum_{j <= d} C(n, j)
-    C(d, j) minors.  Step b of the growth splits a union of size w in
-    c_b(w) = sum_s C(w, s) ways, max(0, w - b d) <= s <= min(w, d); from
-    the first step with b d >= n on, the steps split the same unions, so
-    the pieces end at n = d, 2d, .., (r - 2) d."""
-    size = min(top, (r - 1) * d) + 1
-    base = [ROW_WORK * r * d ** 3 + (r - 1) * MINOR_WORK * math.comb(d, w)
-            for w in range(size)]
-    full = [sum(math.comb(w, s) for s in range(min(w, d) + 1))
-            for w in range(size)]  # c_b(w) for w <= b d
-    whole = [0] * size  # the splits of the steps before b
-    lo, b = 0, 1
-    while b <= r - 2 and lo <= top:
-        hi, later = b * d + 1, r - 1 - b
-        wide = (d + 1) * ((b + r - 2) * d + 2) // 2  # the product is even
-        yield lo, hi, [x + SPLIT_WORK * (y + later * c * (wide + w))
-                       for w, (x, y, c) in enumerate(zip(base[:hi], whole,
-                                                         full))]
-        for w in range(min(size, hi + d)):
-            c = full[w] if w < hi else sum(
-                math.comb(w, s) for s in range(w - b * d, d + 1))
-            whole[w] += c * ((b * d + 1) * (d + 1) + w)
-        lo, b = hi, b + 1
-    if lo <= top:
-        yield lo, None, [x + SPLIT_WORK * y for x, y in zip(base, whole)]
+def _splits(w: int, b: int, d: int) -> range:
+    """The sizes of S in the splits W = A + S, |W| = w, of growth step b."""
+    return range(max(0, w - b * d), min(w, d) + 1)
+
+
+def _node_row(d: int, r: int, top: int) -> list[int]:
+    """a[w] for w <= min(top, (r - 1) d): _node_work(n, d, r) = r BLOCK_WORK
+    + sum_w a[w] C(n, w) for n <= top.  A w-subset costs a closing row,
+    C(d, w) minors in each of the r - 1 F blocks and, at each growth step
+    b, the C(w, s) splits of ``_splits``; no step before (w - 1) // d
+    splits it, and from the first with b d >= w on each takes them all."""
+    row = []
+    for w in range(min(top, (r - 1) * d) + 1):
+        x = ROW_WORK * r * d ** 3 + (r - 1) * MINOR_WORK * math.comb(d, w)
+        for b in range(max(1, (w - 1) // d), r - 1):
+            c = SPLIT_WORK * sum(math.comb(w, s) for s in _splits(w, b, d))
+            if b * d >= w:  # steps b .. r - 2: an arithmetic series
+                later = r - 1 - b  # (d + 1)((b + r - 2) d + 2) is even
+                x += c * later * ((d + 1) * ((b + r - 2) * d + 2) // 2 + w)
+                break
+            x += c * ((b * d + 1) * (d + 1) + w)
+        row.append(x)
+    return row
 
 
 def _node_work(n: int, d: int, r: int) -> int:
     """Work of one node over the lattice rows of n unpinned vectors: its
-    r - 1 F blocks, their grown product and its closing; 10^300 from
-    2^1000 rows on, which it has once min(n, (r - 1) d) >= 1000."""
+    r - 1 F blocks, their grown product and its closing (``_node_row``);
+    10^300 from 2^1000 rows on, which it has once min(n, (r - 1) d) >= 1000."""
     if min(n, (r - 1) * d) >= 1000:
         return 10 ** 300
-    *_, (_, _, a) = _node_pieces(d, r, n)
-    return r * BLOCK_WORK + sum(x * math.comb(n, w) for w, x in enumerate(a))
+    return r * BLOCK_WORK + sum(x * math.comb(n, w)
+                                for w, x in enumerate(_node_row(d, r, n)))
 
 
 def block_work(m: int, d: int, r: int) -> float:
@@ -441,17 +435,14 @@ def block_work(m: int, d: int, r: int) -> float:
     d: the root node, then r fresh nodes per level, n being the children's
     unpinned vectors, each node with one root finding of degree r d (the
     leaves, which take eigenvalues instead, count as a level).  In closed
-    form: on each piece of ``_node_pieces`` the levels lo <= n < hi sum
-    C(n, w) to C(hi, w + 1) - C(lo, w + 1)."""
-    root = _node_work(m, d, r)
-    if root >= 10 ** 300:
+    form, on one row of ``_node_row``: the levels n < m sum C(n, w) to
+    C(m, w + 1)."""
+    if min(m, (r - 1) * d) >= 1000:
         return 1e300
-    levels = r * m * (r * BLOCK_WORK + roots_work(r * d))
-    for lo, hi, a in _node_pieces(d, r, m - 1):
-        hi = m if hi is None else min(hi, m)
-        levels += r * sum(x * (math.comb(hi, w + 1) - math.comb(lo, w + 1))
-                          for w, x in enumerate(a))
-    return float(min(root + roots_work(r * d) + levels, 10 ** 300))
+    work = (1 + r * m) * (r * BLOCK_WORK + roots_work(r * d)) + sum(
+        x * (math.comb(m, w) + r * math.comb(m, w + 1))
+        for w, x in enumerate(_node_row(d, r, m)))
+    return float(min(work, 10 ** 300))
 
 
 def block_node_poly(inst: WeaverInstance, prefix, r: int,
@@ -519,7 +510,7 @@ def _grow(g: np.ndarray, f: list[np.ndarray], b: int,
     out = np.zeros((lat.members.shape[0], width + d))
     for w in range(min(lat.members.shape[1], (b + 1) * d) + 1):
         unions = lat.by_size[w]
-        for s in range(max(0, w - b * d), min(w, d) + 1):
+        for s in _splits(w, b, d):
             # complements run through combinations order backwards
             pos, rest = _positions(w, s), _positions(w, w - s)[::-1]
             step = max(1, CHUNK // len(pos))

@@ -6,6 +6,7 @@ import functools
 import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -719,7 +720,8 @@ def test_block_work_is_the_sum_of_its_levels():
     # the closed form against the levels priced one by one: the root, then
     # r nodes a level, each node with one root finding of degree r d
     shapes = PARTITION_SHAPES + [
-        (m, d, r) for d, r in product(range(1, 7), range(1, 7))
+        (m, d, r) for d, r in product(range(1, 7),
+                                      list(range(1, 13)) + [50, 250])
         for m in range(40)]
     longest, nodes = {}, {}
     for m, d, r in shapes:
@@ -745,29 +747,22 @@ def test_block_work_is_the_sum_of_its_levels():
 
 
 def test_block_work_prices_any_m_in_the_same_steps(monkeypatch):
-    # the levels sum in closed form, a piece of _node_pieces at a time:
-    # pricing 10^6 vectors level by level took 3.6 s
-    calls = []
-    node_work, node_pieces = weaver._node_work, weaver._node_pieces
+    # the levels sum in closed form on one row of subset-size terms, built
+    # once: pricing 10^6 vectors level by level took 3.6 s
+    rows = []
+    node_row = weaver._node_row
 
-    def counting_node(*args):
-        calls.append(args)
-        return node_work(*args)
+    def counting_row(*args):
+        row = node_row(*args)
+        rows.append(len(row))
+        return row
 
-    def counting_pieces(*args):
-        for piece in node_pieces(*args):
-            calls.append(piece[:2])
-            yield piece
-
-    monkeypatch.setattr(weaver, "_node_work", counting_node)
-    monkeypatch.setattr(weaver, "_node_pieces", counting_pieces)
+    monkeypatch.setattr(weaver, "_node_row", counting_row)
     for d, r in ((1, 2), (3, 2), (3, 3), (2, 5)):
-        counts = []
         for m in (10 ** 2, 10 ** 4, 10 ** 6):
-            calls.clear()
+            rows.clear()
             assert weaver.block_work(m, d, r) > 0
-            counts.append(len(calls))
-        assert counts == [counts[0]] * 3, (d, r, counts)
+            assert rows == [(r - 1) * d + 1], (d, r, m, rows)
 
 
 def test_large_r_is_refused_before_any_work(monkeypatch):
@@ -874,6 +869,22 @@ def test_state_walk_nodes_equal_fresh_state_nodes(monkeypatch):
                                       path, r)
             values = np.unique(np.linalg.eigvalsh(bases))
             assert rep.trace.final_root == values[-1], (r, name)
+
+
+def test_suffix_states_hold_no_array_that_grows_with_n():
+    # Omega's entries of every vector, formed up front, peaked at 30.7 and
+    # 61.4 MB traced at n = 2000 and 4000; formed a block at a time, the
+    # two rows of states and the blocks peak at 1.28 MB at both
+    peaks = []
+    for n in (2000, 4000):
+        u = gen_gaussian(4, 4 / n, seed=0).vectors
+        tracemalloc.start()
+        try:
+            exterior._suffix_states(u, 2, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e6, peaks
 
 
 def test_state_node_admits_the_two_states_it_holds(monkeypatch):
