@@ -16,8 +16,11 @@ differences, d_i f (y) = f(y + e_i) - f(y), and (1 - d_i) f (y) = f(y - e_i).
 Applying the operators for a set S therefore gives P_S(y) = P(y - 1_S),
 which is again multiaffine and costs one determinant per point, and z is
 above the roots of P_S exactly when z - 1_S is above the roots of P.  The
-certificate visits m + 1 levels; each evaluates m + 1 determinants and
-decides above-roots with one ``eigvalsh``.
+certificate visits m + 1 levels of m + 1 determinants each.  No point
+depends on a value computed along the way, so the levels go in blocks of
+about ``linalg.BLOCK_BYTES`` of points: one ``value_many`` call on the
+determinants of a block, and one ``eigvalsh`` stack for its above-roots
+tests.
 """
 from __future__ import annotations
 
@@ -135,31 +138,29 @@ class DeterminantEvaluator(Evaluator):
     """
 
     def __init__(self, matrices, policy: NumericPolicy = DEFAULT_POLICY):
-        mats = tuple(linalg.as_hermitian(m, policy) for m in matrices)
-        if not mats:
-            raise ValidationError("need at least one matrix")
-        d = mats[0].shape[0]
-        for m in mats:
-            if m.shape[0] != d:
-                raise ValidationError("matrices must share a dimension")
-        self.matrices = mats
-        self.dim = d
-        self.nvars = len(mats)
+        matrices = tuple(matrices)
+        stack = linalg.square_stack(matrices)
+        if stack is None:  # each matrix on its own, then the count and sizes
+            for m in matrices:
+                linalg.as_hermitian(m, policy)
+            if not matrices:
+                raise ValidationError("need at least one matrix")
+            raise ValidationError("matrices must share a dimension")
+        self._stack, ev = linalg.hermitian_stack(stack, policy)
+        self.matrices = tuple(self._stack)
+        self.nvars, self.dim = stack.shape[:2]
         self.applied: tuple[int, ...] = ()
-        ranks = []
-        for m in mats:
-            ev = np.linalg.eigvalsh(m)
-            scale = max(1.0, float(np.max(np.abs(ev))))
-            ranks.append(int(np.sum(ev > policy.rank_rtol * scale)))
-        self.ranks = tuple(ranks)
-        self.all_rank_one = all(r <= 1 for r in ranks)
-        total = np.zeros((d, d), dtype=np.complex128)
-        for m in mats:
+        scale = np.maximum(1.0, np.abs(ev).max(axis=1, initial=0.0))
+        self.ranks = tuple((ev > policy.rank_rtol * scale[:, None])
+                           .sum(axis=1).tolist())
+        self.all_rank_one = all(r <= 1 for r in self.ranks)
+        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for m in self.matrices:
             total += m
         self.isotropic = bool(
-            np.max(np.abs(total - np.eye(d))) <= policy.ensemble_isotropy_tol
+            np.max(np.abs(total - np.eye(self.dim)), initial=0.0)
+            <= policy.ensemble_isotropy_tol
         )
-        self._stack = np.stack(mats)
 
     def matrix_at(self, y) -> np.ndarray:
         """sum_i y_i A_i, for one point or a stack of points."""
@@ -456,21 +457,25 @@ def ks_bound(eps: float) -> float:
 
 
 # Work model, in the units of NumericPolicy.work_cap (see mixedchar):
-LEVEL_WORK = 250_000
-"""A certificate level's fixed cost: its above-roots test and bookkeeping;
-0.25-0.35 ms a level at m <= 80, d <= 5."""
-POINT_WORK = 5_000
+LEVEL_WORK = 10_000
+"""A certificate level's fixed cost: its step record and its share of its
+block's calls."""
+POINT_WORK = 2_500
 """A barrier point's fixed cost, plus POINT_WORK_CUBE d^3 for its
 determinant and POINT_WORK_ENTRY for each of the m d^2 multiply-adds of
-sum_i y_i A_i: 4-15 us a point for d <= 10 and m = 14..400, 35 us at d=20,
-m=200."""
-POINT_WORK_CUBE = 2
+sum_i y_i A_i.  Blocked levels take 0.8-10 us a point, levels included,
+for d <= 20 and m = 8..400; the point cost grows with m even at small d
+(3 us at d = 2, m = 400), which POINT_WORK carries."""
+POINT_WORK_CUBE = 0.5
 POINT_WORK_ENTRY = 0.5
 
 
 def certificate_work(m: int, d: int) -> float:
     """Predicted work of ``build_certificate`` on m matrices of size d:
-    m + 1 levels of m + 1 barrier points each."""
+    m + 1 levels of m + 1 barrier points each.  On gauss(d, d/m) it reads
+    1.0-2.6 times the measured nanoseconds at (d, m) = (2, 8), (4, 14),
+    (5, 40), (3, 120), (8, 64), (5, 300) and (10, 200), and up to 3.5 at
+    d = 1."""
     point = (POINT_WORK + POINT_WORK_CUBE * d ** 3
              + POINT_WORK_ENTRY * m * d * d)
     return float((m + 1) * LEVEL_WORK + (m + 1) ** 2 * point)
@@ -512,6 +517,16 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
     delta = 1 + sqrt(eps) along e_k for k = 1..m, recording every barrier
     value and exact above-roots evidence.  epsilon, positive and finite,
     defaults to the largest trace.
+
+    Level L sits at x_L = t * 1 + delta * 1_{<L} with operators 0 .. L - 1
+    applied, so P_S's values there are P's at x_L - 1_{<L} and at
+    x_L + e_i - 1_{<L}.  None of these depends on a computed value, so a
+    block of levels, about ``linalg.BLOCK_BYTES`` of base points and at
+    least one level, is one ``value_many`` call of the unapplied evaluator
+    and one ``eigvalsh`` stack at the levels' first base points, which gives
+    ``above_roots_probe``'s exact evidence and witness.  Each point and
+    value has the bits of a level-by-level replay; the first level with a
+    value at a pole or below zero ends the certificate.
     Instances with a matrix of rank two or more are refused: the exact
     multiaffine evaluation underpinning the certificate does not apply.
     So is a request whose ``certificate_work`` exceeds the work cap, before
@@ -540,34 +555,44 @@ def build_certificate(inst: MixedInstance, epsilon: float | None = None,
     delta = float(1.0 + np.sqrt(eps))
     phi = float(eps / (eps + np.sqrt(eps)))
     bound = t + delta
-    x = np.full(m, t)
+    per_level = 8 * m * (m + 1)  # bytes of one level's base points
+    step = max(1, linalg.BLOCK_BYTES // per_level)
+    eye = np.eye(m)
     steps = []
     valid = True
     aborted_at = None
-    current = ev
-    for level in range(m + 1):
-        pts = np.vstack([x, x + np.eye(m)])
-        vals = current.value_many(pts)
-        if abs(vals[0]) <= policy.pole_tol or vals[0] < 0:
-            valid = False
-            aborted_at = level
+    for lo in range(0, m + 1, step):
+        levels = np.arange(lo, min(lo + step, m + 1))
+        applied = np.arange(m) < levels[:, None]
+        xs = np.where(applied, t + delta, t)
+        base = np.empty((len(levels), m + 1, m))
+        base[:, 0] = xs
+        base[:, 1:] = xs[:, None] + eye
+        base -= applied[:, None]
+        vals = ev.value_many(base.reshape(-1, m)).reshape(len(levels), m + 1)
+        lows = np.linalg.eigvalsh(ev.matrix_at(base[:, 0]))[:, 0]
+        for level, x, v, low in zip(levels.tolist(), xs, vals, lows):
+            if abs(v[0]) <= policy.pole_tol or v[0] < 0:
+                valid = False
+                aborted_at = level
+                break
+            barriers = ((v[1:] - v[0]) / v[0]).tolist()
+            # above_roots_probe's exact evidence for an isotropic instance
+            above = (AboveRootsEvidence(True, True, None, 1) if low > 0.0
+                     else AboveRootsEvidence(False, True,
+                                             tuple((x - low).tolist()), 1))
+            max_barrier = max(barriers)
+            steps.append(CertificateStep(
+                level=level,
+                point=tuple(x.tolist()),
+                barriers=tuple(barriers),
+                max_barrier=float(max_barrier),
+                above=above,
+            ))
+            if max_barrier > phi + policy.certificate_slack or not above.above:
+                valid = False
+        if aborted_at is not None:
             break
-        barriers = tuple((vals[1 + i] - vals[0]) / vals[0] for i in range(m))
-        above = above_roots_probe(current, x, policy=policy)
-        max_barrier = max(barriers)
-        steps.append(CertificateStep(
-            level=level,
-            point=tuple(float(c) for c in x),
-            barriers=barriers,
-            max_barrier=float(max_barrier),
-            above=above,
-        ))
-        if max_barrier > phi + policy.certificate_slack or not above.above:
-            valid = False
-        if level < m:
-            current = current.apply_one_minus_partial(level)
-            x = x.copy()
-            x[level] += delta
     return BarrierCertificate(
         epsilon=eps, t=t, phi=phi, delta=delta, bound=bound,
         steps=tuple(steps), valid=valid, aborted_at=aborted_at,

@@ -49,11 +49,57 @@ def as_hermitian(entries, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > policy.hermitian_rtol * scale:
-        raise ValidationError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
-            f"{policy.hermitian_rtol:.1e} * scale"
-        )
+        raise _not_hermitian(dev, policy)
     return (m + m.conj().T) / 2.0
+
+
+def _not_hermitian(dev: float, policy: NumericPolicy) -> ValidationError:
+    return ValidationError(
+        f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
+        f"{policy.hermitian_rtol:.1e} * scale"
+    )
+
+
+def square_stack(matrices, d: int | None = None) -> np.ndarray | None:
+    """The matrices as one complex (n, d, d) array if there is at least one
+    and each is d x d, for the given d or for one they share; else None."""
+    shapes = {np.shape(m) for m in matrices}
+    if len(shapes) != 1:
+        return None
+    (shape,) = shapes
+    if len(shape) != 2 or shape[0] != shape[1] or d not in (None, shape[0]):
+        return None
+    return np.asarray(matrices, dtype=np.complex128)
+
+
+def hermitian_stack(ms: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY,
+                    psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack (n, d, d) matrix by matrix, as ``as_hermitian``
+    validates one, or ``check_psd`` with psd=True: each matrix is held to
+    its own scale, and the first that fails raises that function's message.
+    Returns the symmetrized stack and its eigenvalues, ascending, from one
+    ``eigvalsh``."""
+    d = ms.shape[-1]
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    a = ms if finite.all() else np.where(finite[:, None, None], ms, 0.0)
+    h = a.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    dev = np.abs(a - h).max(axis=(1, 2), initial=0.0)
+    a = (a + h) / 2.0
+    ev = np.linalg.eigvalsh(a)
+    ok = finite & (dev <= policy.hermitian_rtol * scale)
+    if psd and d:
+        top = np.maximum(1.0, np.abs(ev).max(axis=1))
+        ok &= ~(ev[:, 0] < -policy.psd_rtol * top)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not finite[i]:
+            raise ValidationError("matrix has non-finite entries")
+        if not dev[i] <= policy.hermitian_rtol * scale[i]:
+            raise _not_hermitian(float(dev[i]), policy)
+        raise ValidationError(
+            f"matrix is not PSD: smallest eigenvalue {ev[i, 0]:.3e}")
+    return a, ev
 
 
 def det(m) -> complex:
@@ -271,15 +317,7 @@ def operator_norm(m, policy: NumericPolicy = DEFAULT_POLICY) -> float:
 
 def check_psd(m, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Validate positive semidefiniteness; returns the symmetrized matrix."""
-    a = as_hermitian(m, policy)
-    if a.shape[0]:
-        ev = np.linalg.eigvalsh(a)
-        scale = max(1.0, float(np.max(np.abs(ev))))
-        if ev[0] < -policy.psd_rtol * scale:
-            raise ValidationError(
-                f"matrix is not PSD: smallest eigenvalue {ev[0]:.3e}"
-            )
-    return a
+    return hermitian_stack(as_complex_matrix(m)[None], policy, psd=True)[0][0]
 
 
 def isotropic_normalizer(v, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

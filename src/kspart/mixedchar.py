@@ -131,7 +131,11 @@ class MixedInstance:
     policy: InitVar[NumericPolicy] = DEFAULT_POLICY
 
     def __post_init__(self, policy: NumericPolicy):
-        mats = tuple(linalg.check_psd(m, policy) for m in self.matrices)
+        stack = linalg.square_stack(self.matrices, self.dim)
+        if stack is not None:  # one PSD test over the whole stack
+            mats = tuple(linalg.hermitian_stack(stack, policy, psd=True)[0])
+        else:  # each matrix on its own, then the dimensions
+            mats = tuple(linalg.check_psd(m, policy) for m in self.matrices)
         for i, m in enumerate(mats):
             if m.shape[0] != self.dim:
                 raise ValidationError(

@@ -243,17 +243,27 @@ def _derivatives(c: list) -> list[list]:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _companion_template(n: int) -> np.ndarray:
+    """``npp.polycompanion``'s n x n matrix before its last column: ones on
+    the subdiagonal, zeros elsewhere; read-only, shared by every call of
+    degree n."""
+    t = np.eye(n, k=-1)
+    t.flags.writeable = False
+    return t
+
+
 def _companion_roots(qs) -> list[np.ndarray]:
     """``npp.polyroots`` of trimmed polynomials of degree >= 1, given as a
     list of arrays or as the rows of one.  Those of one degree n >= 2 share
     one ``np.linalg.eigvals`` call over their stacked ``npp.polycompanion``
-    matrices, each made real when its roots are and sorted as ``polyroots``
-    does."""
+    matrices, copies of a cached template with the last column filled in,
+    each made real when its roots are and sorted as ``polyroots`` does."""
     n = qs[0].size - 1
     if n < 2 or any(q.size != n + 1 for q in qs):
         return [npp.polyroots(q) for q in qs]
-    mats = np.zeros((len(qs), n, n))
-    mats[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    mats = np.empty((len(qs), n, n))
+    mats[...] = _companion_template(n)
     stack = np.array(qs)
     mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
     out = []

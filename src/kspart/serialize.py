@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -122,17 +123,24 @@ def ensemble_from_dict(doc: dict,
     return RandomVectorEnsemble(d, tuple(vectors))
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def _plain(obj):
     """Recursively convert dataclasses and numpy types to JSON-safe values.
 
-    Also the ``default`` hook of ``dumps``: json calls it only for values it
-    cannot encode itself, so plain documents are not walked twice.
+    Also the fallback of ``dumps`` for values it cannot write itself.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _plain(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    names = _FIELDS.get(kind)
+    if (names is None and dataclasses.is_dataclass(obj)
+            and not isinstance(obj, type)):
+        names = _FIELDS[kind] = tuple(f.name for f in dataclasses.fields(obj))
+    if names is not None:
+        return {name: _plain(getattr(obj, name)) for name in names}
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.complex128:
             return [_plain(x) for x in obj.tolist()]
@@ -148,6 +156,8 @@ def _plain(obj):
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _SCALARS.issuperset(map(type, obj)):
+            return list(obj)
         return [_plain(x) for x in obj]
     if obj is None or isinstance(obj, (str, int, float)):
         return obj
@@ -194,8 +204,88 @@ def report_envelope(kind: str, payload: dict, seed: int | None,
     }
 
 
+_string = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _number(x: float) -> str:
+    """json's spelling of a float, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """json's dict key for k (skipkeys off)."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _number(k)
+    if k is True or k is False or k is None:
+        return _CONSTANTS[k]
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
+
+
+def _write(obj, out: list, indent: str) -> None:
+    """Append to out the text of obj at the nesting given by indent, as
+    json's encoder with indent=2 and sorted keys writes it."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_number(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, obj)) == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" not in text:  # no nan or inf, which json spells apart
+                out.append("[\n" + inner + text + "\n" + indent + "]")
+                return
+        out.append("[\n" + inner)
+        for i, item in enumerate(obj):
+            if i:
+                out.append(sep)
+            _write(item, out, inner)
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            if i:
+                out.append(",\n" + inner)
+            out.append(_string(_key(k)) + ": ")
+            _write(v, out, inner)
+        out.append("\n" + indent + "}")
+    else:
+        _write(_plain(obj), out, indent)
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True,
+    default=_plain) + "\\n"``, written in one pass: json's indented encoder
+    is pure Python and yields one chunk per token, while a list of plain
+    floats here is one join."""
+    out: list[str] = []
+    _write(doc, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(doc: dict, path: str) -> None:

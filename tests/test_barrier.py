@@ -9,6 +9,7 @@ import pytest
 
 from kspart import (
     DEFAULT_POLICY,
+    BarrierCertificate,
     CapabilityError,
     CapacityError,
     DeterminantEvaluator,
@@ -32,6 +33,8 @@ from kspart import (
     poly_eval,
 )
 
+from kspart import linalg
+from kspart.barrier import CertificateStep
 from kspart.cli import ensemble_instance_from_vectors
 
 from test_mixedchar import no_kernels, random_rank1_isotropic
@@ -376,3 +379,55 @@ def test_certificate_refusals(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValidationError):
         build_certificate(MixedInstance(1, (np.array([[0.5]]),)))  # not isotropic
+
+
+def certificate_loop(inst, epsilon=None, policy=DEFAULT_POLICY):
+    """``build_certificate``'s level-by-level replay: one ``value_many``, one
+    ``above_roots_probe`` and one applied operator a level."""
+    ev = DeterminantEvaluator(inst.matrices, policy)
+    m = len(inst.matrices)
+    eps = (max(float(np.trace(a).real) for a in inst.matrices)
+           if epsilon is None else float(epsilon))
+    t = float(np.sqrt(eps) + eps)
+    delta = float(1.0 + np.sqrt(eps))
+    phi = float(eps / (eps + np.sqrt(eps)))
+    x = np.full(m, t)
+    steps, valid, aborted_at, current = [], True, None, ev
+    for level in range(m + 1):
+        vals = current.value_many(np.vstack([x, x + np.eye(m)]))
+        if abs(vals[0]) <= policy.pole_tol or vals[0] < 0:
+            valid, aborted_at = False, level
+            break
+        barriers = tuple((vals[1 + i] - vals[0]) / vals[0] for i in range(m))
+        above = above_roots_probe(current, x, policy=policy)
+        steps.append(CertificateStep(
+            level=level, point=tuple(float(c) for c in x), barriers=barriers,
+            max_barrier=float(max(barriers)), above=above))
+        if max(barriers) > phi + policy.certificate_slack or not above.above:
+            valid = False
+        if level < m:
+            current = current.apply_one_minus_partial(level)
+            x = x.copy()
+            x[level] += delta
+    return BarrierCertificate(
+        epsilon=eps, t=t, phi=phi, delta=delta, bound=t + delta,
+        steps=tuple(steps), valid=valid, aborted_at=aborted_at)
+
+
+def test_blocked_certificate_matches_the_level_loop(monkeypatch):
+    # valid, invalid (barriers above phi) and aborted (a pole at level 0)
+    # certificates, built one level a block, a few levels a block and in
+    # one block; every base point is positive, so no step is below roots
+    kinds = {"valid": 0, "invalid": 0, "aborted": 0}
+    for d, m in ((4, 14), (5, 40), (3, 120), (5, 300), (2, 6), (1, 21)):
+        inst = ensemble_instance_from_vectors(gen_gaussian(d, d / m, seed=1))
+        top = max(float(np.trace(a).real) for a in inst.matrices)
+        for eps in (None, top / 2, 1e-8):
+            want = certificate_loop(inst, eps)
+            for block_bytes in (1, 1 << 12, 1 << 40):
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+                assert build_certificate(inst, eps) == want, (d, m, eps)
+            kinds["valid"] += want.valid
+            kinds["invalid"] += not want.valid and want.aborted_at is None
+            kinds["aborted"] += want.aborted_at is not None
+    assert all(kinds.values()), kinds

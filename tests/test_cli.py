@@ -4,6 +4,7 @@ determinism contract on reports."""
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -594,3 +595,44 @@ def test_report_determinism_across_threads(tmp_path, capsys):
     assert main(["partition", "--in", inst, "--threads", "2",
                  "--out", str(tmp_path / "rep2.json")]) == 2
     assert "--threads: invalid choice" in capsys.readouterr().err
+
+
+def test_every_report_kind_writes_json_bytes(tmp_path, monkeypatch):
+    """The one-pass writer gives json's indented, key-sorted bytes for the
+    document of every report kind, dataclasses and numpy values included."""
+    docs = []
+
+    def record(doc, path):
+        docs.append(doc)
+        write_json(doc, path)
+
+    write_json = cli.write_json
+    monkeypatch.setattr(cli, "write_json", record)
+    gauss, k4, diag, ens = (str(tmp_path / name) for name in
+                            ("gauss.json", "k4.json", "diag.json", "ens.json"))
+    serialize.write_json(
+        serialize.ensemble_to_dict(bernoulli_diagonal(2, 0.5)), ens)
+    runs = [
+        (["gen", "gaussian", "--n", "3", "--delta", "0.25", "--out", gauss], 0),
+        (["gen", "graph", "--edges", write_k4(tmp_path), "--out", k4], 0),
+        (["gen", "diagonal", "--n", "2", "--delta", "0.5", "--out", diag], 0),
+        (["partition", "--in", gauss, "--r", "2"], 0),
+        (["partition", "--in", gauss, "--r", "2", "--trace"], 0),
+        (["partition", "--in", k4, "--r", "2"], 0),
+        (["certify", "--in", gauss], 0),
+        (["certify", "--in", diag, "--epsilon", "0.25"], 3),
+        (["certify", "--in", diag, "--epsilon", "1e-14"], 3),
+        (["mixed", "--in", ens, "--oracle"], 0),
+    ]
+    for argv, code in runs:
+        out = argv if "--out" in argv else argv + ["--out", os.devnull]
+        assert main(out) == code, argv
+    assert len(docs) == len(runs)
+    assert "spectral_check" in docs[5]["payload"]
+    assert "trace" in docs[4]["payload"]
+    assert docs[6]["payload"]["valid"] is True
+    assert docs[7]["payload"]["aborted_at"] is None
+    assert docs[8]["payload"]["aborted_at"] == 0
+    for doc in docs:
+        assert serialize.dumps(doc) == json.dumps(
+            doc, indent=2, sort_keys=True, default=serialize._plain) + "\n"

@@ -8,9 +8,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
-from kspart import (Graph, SingularMatrixError, ValidationError,
-                    WeaverInstance, gen_diagonal, gen_from_graph, gen_gaussian,
-                    linalg, partition, weaver)
+from kspart import (DeterminantEvaluator, Graph, MixedInstance,
+                    SingularMatrixError, ValidationError, WeaverInstance,
+                    gen_diagonal, gen_from_graph, gen_gaussian, linalg,
+                    partition, weaver)
 from kspart.linalg import (
     as_hermitian,
     char_poly,
@@ -337,3 +338,61 @@ def test_rank_one_char_polys_blocks(monkeypatch):
                        atol=1e-14 * np.max(np.abs(want)))
     empty = rank_one_char_polys(np.zeros((0, 3, 3)), vs)
     assert empty.shape == (0, 4, 4)
+
+
+NOT_HERMITIAN = "matrix is not Hermitian: deviation 2.500e-01 exceeds 1.0e-12 * scale"
+NOT_PSD = "matrix is not PSD: smallest eigenvalue -5.000e-01"
+
+
+@pytest.mark.parametrize("bad, mixed, determinant", [
+    (np.array([[0.5, 0.25], [0.0, 0.5]]), NOT_HERMITIAN, NOT_HERMITIAN),
+    (np.diag([1.0, -0.5]), NOT_PSD, None),
+    (np.eye(3) / 2, "matrix 1 has dimension 3, instance has 2",
+     "matrices must share a dimension"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "matrix has non-finite entries",
+     "matrix has non-finite entries"),
+], ids=["not-hermitian", "indefinite", "wrong-dimension", "non-finite"])
+def test_stacked_validation_keeps_the_messages_of_one_matrix(
+        bad, mixed, determinant):
+    # the faulty matrix is at index 1 of 3; the evaluator checks symmetry
+    # and the sizes, not definiteness
+    good = np.diag([0.5, 0.5])
+    mats = (good, bad, good)
+    with pytest.raises(ValidationError) as err:
+        MixedInstance(2, mats)
+    assert str(err.value) == mixed
+    if determinant is None:
+        assert DeterminantEvaluator(mats).ranks == (2, 1, 2)
+    else:
+        with pytest.raises(ValidationError) as err:
+            DeterminantEvaluator(mats)
+        assert str(err.value) == determinant
+
+
+def test_stacked_validation_raises_for_the_first_faulty_matrix():
+    skew = np.array([[0.5, 0.25], [0.0, 0.5]])
+    indefinite = np.diag([1.0, -0.5])
+    with pytest.raises(ValidationError, match="not PSD"):
+        linalg.hermitian_stack(np.stack([indefinite, skew]), psd=True)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        linalg.hermitian_stack(np.stack([indefinite, skew]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        linalg.hermitian_stack(np.stack([skew, indefinite]), psd=True)
+    # each matrix is held to its own scale: 1e-9 off symmetry passes next
+    # to entries of 1e4 and fails next to entries of 1
+    big = np.diag([1e4, 1e4]) + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    small = np.diag([1.0, 1.0]) + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    linalg.hermitian_stack(big[None])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        linalg.hermitian_stack(np.stack([big, small]))
+
+
+def test_stacked_validation_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(5)
+    psd = np.stack([h @ h for h in (random_hermitian(rng, 4)
+                                    for _ in range(6))])
+    sym, ev = linalg.hermitian_stack(psd, psd=True)
+    for one, a, e in zip(psd, sym, ev):
+        assert np.array_equal(a, check_psd(one))
+        assert np.array_equal(a, as_hermitian(one))
+        assert np.array_equal(e, np.linalg.eigvalsh(as_hermitian(one)))

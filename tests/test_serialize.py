@@ -132,6 +132,37 @@ def test_dumps_encodes_dataclasses_numpy_and_complex():
         serialize.dumps({"s": {1, 2}})
 
 
+def json_bytes(doc):
+    return json.dumps(doc, indent=2, sort_keys=True,
+                      default=serialize._plain) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf")},
+    {"floats": [0.5, float("nan"), 1.0], "tail": [1.0, float("-inf")],
+     "head": (float("inf"), 2.0)},
+    {"zero": -0.0, "tiny": 1e-300, "big": 1e22, "list": [-0.0, 1e-300, 1e22],
+     "sub": [5e-324, 1.7976931348623157e308, 0.1, -2.5e-7]},
+    {"empty": [], "nested": [[], [[]], {}, ()], "obj": {}, "tuple": (),
+     "deep": {"a": {"b": {}}}},
+    {"text": "caf\u00e9 \u2203 \U0001f600", "ctl": "tab\tnl\nnul\x00\x1f\"q\\",
+     "keys": {"\u00e9": 1, "\n": 2, "": 3}},
+    {"mixed": [1, 2.5, True, None, "s", np.float64(0.25), np.int64(3)],
+     "np": np.array([[0.5, 1.5], [2.5, 3.5]]), "c": 1 - 2j,
+     "floats64": [np.float64(0.1), np.float64("nan")], "b": [np.bool_(False)]},
+    {"points": [_Point(0.5, (1.0, 2.0)), _Point(-1.0, ())]},
+    {10: "ten", 9: "nine"}, {2.5: "x", 0.5: "y", float("inf"): "z"},
+    {False: 0, True: 1}, {None: "null"},
+    [],
+    [1.0, 2.0],
+    "top",
+    float("nan"),
+    -0.0,
+])
+def test_dumps_writes_the_bytes_of_json(doc):
+    assert serialize.dumps(doc) == json_bytes(doc)
+
+
 def test_streaming_stdout_stdin(monkeypatch, capsys):
     doc = serialize.instance_to_dict(gen_diagonal(1, 1.0))
     serialize.write_json(doc, "-")
