@@ -460,23 +460,25 @@ def ks_bound(eps: float) -> float:
 LEVEL_WORK = 10_000
 """A certificate level's fixed cost: its step record and its share of its
 block's calls."""
-POINT_WORK = 2_500
-"""A barrier point's fixed cost, plus POINT_WORK_CUBE d^3 for its
-determinant and POINT_WORK_ENTRY for each of the m d^2 multiply-adds of
-sum_i y_i A_i.  Blocked levels take 0.8-10 us a point, levels included,
-for d <= 20 and m = 8..400; the point cost grows with m even at small d
-(3 us at d = 2, m = 400), which POINT_WORK carries."""
+POINT_WORK = 1_000
+"""A barrier point's fixed cost, plus POINT_WORK_COORD for each of its m
+coordinates, POINT_WORK_CUBE d^3 for its determinant and POINT_WORK_ENTRY
+for each of the m d^2 multiply-adds of sum_i y_i A_i.  Blocked levels take
+0.7-11 us a point, levels included, for d <= 20 and m = 8..400; the point
+cost grows with m even at d = 1 (0.8 us at m = 21, 2.4 us at m = 400),
+which POINT_WORK_COORD carries."""
+POINT_WORK_COORD = 2
 POINT_WORK_CUBE = 0.5
-POINT_WORK_ENTRY = 0.5
+POINT_WORK_ENTRY = 0.4
 
 
 def certificate_work(m: int, d: int) -> float:
     """Predicted work of ``build_certificate`` on m matrices of size d:
     m + 1 levels of m + 1 barrier points each.  On gauss(d, d/m) it reads
-    1.0-2.6 times the measured nanoseconds at (d, m) = (2, 8), (4, 14),
-    (5, 40), (3, 120), (8, 64), (5, 300) and (10, 200), and up to 3.5 at
-    d = 1."""
-    point = (POINT_WORK + POINT_WORK_CUBE * d ** 3
+    0.54-1.85 times the measured nanoseconds at (d, m) = (2, 8), (4, 14),
+    (5, 40), (3, 120), (8, 64), (5, 300), (10, 200), (1, 21), (20, 60),
+    (2, 400), (1, 100), (1, 400) and (2, 30)."""
+    point = (POINT_WORK + POINT_WORK_COORD * m + POINT_WORK_CUBE * d ** 3
              + POINT_WORK_ENTRY * m * d * d)
     return float((m + 1) * LEVEL_WORK + (m + 1) ** 2 * point)
 

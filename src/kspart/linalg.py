@@ -6,11 +6,14 @@ on exact conjugate symmetry.  Characteristic polynomials use ascending
 coefficient order throughout the package; ``char_poly_stack`` forms them
 for a whole stack at once, in cache-sized blocks, with its traces summed
 in ``np.trace``'s own order so every bit matches the plain recursion.
-``rank_one_char_polys`` runs its own recursion on real float views, each
-product one real batched ``matmul`` against the block's interleaved
-embedding of A and iA, and keeps the adjugate coefficients, from which
-each rank-one update's polynomial follows by the matrix determinant lemma;
-no bit contract covers it, so the two recursions share no code.
+The brute-force oracle's kernel, ``rank_one_char_poly_sum``, runs its own
+recursion (``_adjugate_blocks``) on real float views, each product one
+real batched ``matmul`` against the block's interleaved embedding of A and
+iA, and keeps the adjugate coefficients, from which each rank-one update's
+polynomial follows by the matrix determinant lemma; it returns the
+weighted sum of those polynomials, and ``rank_one_char_polys`` each of
+them from the same pass.  No bit contract covers either, so the two
+recursions share no code.
 """
 from __future__ import annotations
 
@@ -197,45 +200,35 @@ def char_poly_stack(ms: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def rank_one_char_polys(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """det(xI - A - v v*) for every matrix A of the stack ms, shape (n, d, d),
-    and every vector v of vs, shape (l, d): shape (n, l, d + 1), ascending.
+def _adjugate_blocks(ms: np.ndarray, c: np.ndarray):
+    """The Faddeev-LeVerrier pass of ``rank_one_char_polys`` and
+    ``rank_one_char_poly_sum``, one block of the Hermitian stack ms, shape
+    (n, d, d), d >= 1, at a time.
 
-    Matrix determinant lemma in adjugate form, which holds for singular
-    xI - A too: det(xI - A - v v*) = det(xI - A) - v* adj(xI - A) v, and
-    adj(xI - A) = sum_k B_k x^(d-1-k) with the adjugate coefficients
-    B_0 = I, B_k = B_{k-1} A + c_k I of the Faddeev-LeVerrier recursion
-    (B_{k-1} commutes with A), so one pass per matrix serves all its vectors.
+    Yields (lo, adj) for the b matrices from lo on: adj, shape
+    (d - 1, b, 2 d^2), holds the float views of the adjugate coefficients
+    B_1 .. B_{d-1}, flattened, in a buffer the next block overwrites
+    (B_0 = I is not stored).  c, shape (n, d), holds c_k at [:, d - k]
+    once the iteration ends.
 
     The pass runs on float views, (d, 2d) real per matrix.  For a block of
     matrices, E is the real (2d, 2d) embedding of each A whose rows 2k and
     2k + 1 are the float views of row k of A and of iA, so that
     view(B) @ E = view(B A) for any complex B: each product is one real
     batched ``matmul``.  The traces and the + c_k I updates read the real
-    diagonal, every (2d + 2)-th float of a view, and c_d = -tr(A B_{d-1})/d
-    is the dot product of the views of A and B_{d-1}, A being Hermitian.
-    The quadratic forms v* B_k v = sum_ij Re(B_ij) Re(W_ij) + Im(B_ij)
-    Im(W_ij), W = v v*, of a block are one real matrix product,
-    (d n, 2 d^2) @ (2 d^2, l).  The matrices must be Hermitian; unlike
-    ``char_poly_stack``, no bit contract covers the result.  A block holds
-    about BLOCK_BYTES of adjugate coefficients, and the buffers are
-    allocated once a call.
+    diagonal, every (2d + 2)-th float of a view; an update adds c_k to one
+    diagonal entry of the whole block at a time, d loops over b floats
+    being faster than b loops over d.  c_d = -tr(A B_{d-1})/d is the dot
+    product of the views of A and B_{d-1}, A being Hermitian.  A block of
+    BLOCK_BYTES // (16 d^3) matrices holds about BLOCK_BYTES of adjugate
+    coefficients and embeddings, and the buffers are allocated once a call.
     """
-    ms = np.ascontiguousarray(ms, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
-    d, n, l = vs.shape[1], len(ms), len(vs)
-    leaves = np.zeros((n, l, d + 1))
-    leaves[..., d] = 1.0
-    if d == 0 or n == 0:
-        return leaves
+    n, d = len(ms), ms.shape[-1]
     w = 2 * d
-    outer = np.ascontiguousarray(np.einsum("aj,ak->ajk", vs, vs.conj()))
-    forms = outer.view(np.float64).reshape(l, d * w).T
-    step = min(n, max(1, BLOCK_BYTES // (16 * d ** 3)))  # d matrices each
+    step = min(n, max(1, BLOCK_BYTES // (16 * d ** 3)))
     emb = np.empty((step, d, 2, d), dtype=np.complex128)  # A, iA rows
-    adj = np.empty((d, step, d * w))  # views of B_0 .. B_{d-1}, flattened
-    adj[0] = np.eye(d, dtype=np.complex128).view(np.float64).reshape(-1)
-    c = np.empty((step, d))  # c_k at [:, d - k]
+    adj = np.empty((d - 1, step, d * w))  # views of B_1 .. B_{d-1}
+    scale = -1.0 / np.arange(1, d)[:, None] * np.ones(d)  # -1/k, d times
     for lo in range(0, n, step):
         a = ms[lo:lo + step]
         b = len(a)
@@ -245,21 +238,108 @@ def rank_one_char_polys(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
             e = emb[:b].view(np.float64).reshape(b, w, w)
         flat = a.view(np.float64).reshape(b, d * w)
         for k in range(1, d):
-            m = adj[k, :b]
+            m = adj[k - 1, :b]
             if k == 1:
                 m[...] = flat  # M_1 = A
             else:
-                np.matmul(adj[k - 1, :b].reshape(b, d, w), e,
+                np.matmul(adj[k - 2, :b].reshape(b, d, w), e,
                           out=m.reshape(b, d, w))  # M_k = B_{k-1} A
-            diag = m[:, ::w + 2]
-            c_k = diag.sum(axis=1) / -k
-            c[:b, d - k] = c_k
-            diag += c_k[:, None]  # B_k = M_k + c_k I
-        c[:b, 0] = np.einsum("ij,ij->i", adj[d - 1, :b], flat) / -d
-        q = (adj[:, :b].reshape(d * b, d * w) @ forms
-             ).reshape(d, b, l)  # v* B_k v at [k, matrix, vector]
-        leaves[lo:lo + b, :, :d] = c[:b, None] - q[::-1].transpose(1, 2, 0)
+            c_k = c[lo:lo + b, d - k]
+            np.matmul(m[:, ::w + 2], scale[k - 1], out=c_k)  # -tr(M_k) / k
+            for i in range(0, d * w, w + 2):  # B_k = M_k + c_k I, by one
+                entry = m[:, i]  # diagonal entry of all b matrices at a time
+                entry += c_k
+        if d > 1:  # tr(A B_{d-1})
+            np.einsum("ij,ij->i", adj[d - 2, :b], flat, out=c[lo:lo + b, 0])
+        else:  # tr(A B_0) = tr A
+            c[lo:lo + b, 0] = flat[:, 0]
+        yield lo, adj[:, :b]
+    c[:, 0] *= -1.0 / d
+
+
+def _form_columns(vs: np.ndarray) -> np.ndarray:
+    """The float views of the outer products v v* of the rows of vs, shape
+    (l, d), as the columns of a C-ordered (2 d^2, l) matrix, the order
+    the products with it run fastest in: the real dot product of the view
+    of B with a column is v* B v for Hermitian B."""
+    l, d = vs.shape
+    outer = np.ascontiguousarray(np.einsum("aj,ak->ajk", vs, vs.conj()))
+    return np.ascontiguousarray(outer.view(np.float64).reshape(l, 2 * d * d).T)
+
+
+def rank_one_char_polys(ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """det(xI - A - v v*) for every matrix A of the stack ms, shape (n, d, d),
+    and every vector v of vs, shape (l, d): shape (n, l, d + 1), ascending.
+
+    Matrix determinant lemma in adjugate form, which holds for singular
+    xI - A too: det(xI - A - v v*) = det(xI - A) - v* adj(xI - A) v, and
+    adj(xI - A) = sum_k B_k x^(d-1-k) with the adjugate coefficients
+    B_0 = I, B_k = B_{k-1} A + c_k I of the Faddeev-LeVerrier recursion
+    (B_{k-1} commutes with A), so one pass per matrix (``_adjugate_blocks``)
+    serves all its vectors.  v* B_0 v = |v|^2, and the other quadratic
+    forms v* B_k v = sum_ij Re(B_ij) Re(W_ij) + Im(B_ij) Im(W_ij),
+    W = v v*, of a block are one real matrix product,
+    ((d - 1) n, 2 d^2) @ (2 d^2, l).  The matrices must be Hermitian;
+    unlike ``char_poly_stack``, no bit contract covers the result.
+    ``rank_one_char_poly_sum`` weighs and sums the same polynomials
+    without forming them one by one.
+    """
+    ms = np.ascontiguousarray(ms, dtype=np.complex128)
+    vs = np.asarray(vs, dtype=np.complex128)
+    d, n, l = vs.shape[1], len(ms), len(vs)
+    leaves = np.zeros((n, l, d + 1))
+    leaves[..., d] = 1.0
+    if d == 0 or n == 0:
+        return leaves
+    c = np.empty((n, d))
+    forms = _form_columns(vs)
+    norms = (vs.real ** 2 + vs.imag ** 2).sum(axis=1)
+    leaves[..., d - 1] = -norms  # v* B_0 v
+    for lo, adj in _adjugate_blocks(ms, c):
+        b = adj.shape[1]
+        q = (adj.reshape((d - 1) * b, 2 * d * d) @ forms
+             ).reshape(d - 1, b, l)  # v* B_k v at [k - 1, matrix, vector]
+        leaves[lo:lo + b, :, :d - 1] -= q[::-1].transpose(1, 2, 0)
+    leaves[..., :d] += c[:, None]
     return leaves
+
+
+def rank_one_char_poly_sum(ms: np.ndarray, vs: np.ndarray,
+                           weights: np.ndarray) -> np.ndarray:
+    """sum_{s,t} weights[s, t] det(xI - A_s - v_t v_t*) over the matrices
+    A_s of the stack ms, shape (n, d, d), and the vectors v_t of vs, shape
+    (l, d), with weights of shape (n, l): shape (d + 1,), ascending.
+
+    The polynomials of ``rank_one_char_polys``, from the same pass, summed
+    inside the kernel in two small products: the weights' row sums times
+    the coefficients c of det(xI - A_s), once a call, and for each block
+    of b matrices its (d - 1, b l) quadratic forms v_t* B_k v_t, k >= 1,
+    of each matrix and vector, times the weights of that matrix and
+    vector.  v_t* B_0 v_t = |v_t|^2 for every matrix, so that form is the
+    weights' column sums times the squared norms.  No form is summed over
+    the vectors before it is weighted, and no (n, l, d + 1) array is
+    formed.
+    """
+    ms = np.ascontiguousarray(ms, dtype=np.complex128)
+    vs = np.asarray(vs, dtype=np.complex128)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    d, n, l = vs.shape[1], len(ms), len(vs)
+    total = np.zeros(d + 1)
+    total[d] = weights.sum()
+    if d == 0 or n == 0:
+        return total
+    c = np.empty((n, d))
+    forms = _form_columns(vs)
+    norms = (vs.real ** 2 + vs.imag ** 2).sum(axis=1)
+    q = np.zeros(d - 1)  # the weighted v* B_k v, k = 1 .. d - 1
+    for lo, adj in _adjugate_blocks(ms, c):
+        b = adj.shape[1]
+        q += (adj.reshape((d - 1) * b, 2 * d * d) @ forms).reshape(
+            d - 1, b * l) @ weights[lo:lo + b].reshape(-1)
+    total[:d] = (weights @ np.ones(l)) @ c
+    total[:d - 1] -= q[::-1]
+    total[d - 1] -= (np.ones(n) @ weights) @ norms  # v* B_0 v = |v|^2
+    return total
 
 
 def char_poly(m, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

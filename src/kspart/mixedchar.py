@@ -18,15 +18,15 @@ This needs one characteristic polynomial per subset of size <= d and works
 for PSD matrices of any rank.
 
 The brute-force oracle checks that identity by enumerating every outcome of
-the vectors.  For each sum S of the vectors before the last, one
+the vectors.  For each sum S of the vectors but the widest, one
 Faddeev-LeVerrier pass gives det(xI - S) and the adjugate coefficients of
 xI - S, and the matrix determinant lemma
 
     det(xI - S - w w*) = det(xI - S) - w* adj(xI - S) w
 
-gives the outcome of each atom w of the last vector.  The lemma is exact
-algebra on one outcome's matrix: no atom is pooled into a covariance and no
-expectation is taken before every outcome's polynomial is weighted, so the
+gives the outcome of each atom w of the widest vector.  The lemma is exact
+algebra on one outcome's matrix: no atom is pooled into a covariance and
+every outcome's quadratic forms are weighted by its own probability, so the
 oracle never uses the rank-one expectation step the subset expansion rests
 on, and stays an independent check of it.
 """
@@ -164,9 +164,9 @@ CHUNK = 4096
 """Lattice rows per ``char_poly_stack`` call of ``_subset_char_polys``
 (the subset expansion and the lattice engine's closing), and outcomes
 per kernel call of the outcome enumerator (in the brute-force
-oracle, prefix sums times atoms of the last vector per
-``rank_one_char_polys`` call), so no stack holds more than CHUNK * D^2
-entries."""
+oracle, prefix sums times atoms of the widest vector per
+``rank_one_char_poly_sum`` call), so no stack holds more than
+CHUNK * D^2 entries."""
 
 # Work model, in the units of NumericPolicy.work_cap (about a nanosecond
 # each on the machine these were measured on, timing stacks of 4096):
@@ -182,18 +182,21 @@ expansions with m = 16..20 and D = 6..10."""
 GATHER_WORK = 5
 """A matrix entry added into an outcome sum, grown from its prefix's;
 4-11 ns at D = 2..16."""
-PASS_WORK = 7
+PASS_WORK = 8
 """A prefix of the brute-force oracle costs PASS_WORK * D^3 for its
-Faddeev-LeVerrier pass in ``rank_one_char_polys`` (its D - 2 real
-products, traces and embedding), beside D^2 GATHER_WORK for its sum."""
+Faddeev-LeVerrier pass in ``linalg.rank_one_char_poly_sum`` (its D - 2
+real products, traces, diagonal updates and embedding), beside D^2
+GATHER_WORK for its sum."""
 FORM_WORK = 3
 """An outcome of the brute-force oracle costs FORM_WORK * D^2 beside its
-share of its prefix's pass: the quadratic forms of D adjugate coefficients
-in one matrix product, its polynomial and its weighted term.  Fitted with
-PASS_WORK on a 2-core machine at D = 2, 4, 6, 8 and 1-8 atoms in the last
-vector: 0.11-0.32 us a prefix at D = 2, 0.59-0.89 us at D = 4, 1.6-2.2 us
-at D = 6 and 3.6-4.7 us at D = 8, each predicted at 0.48-1.29 times its
-measured time."""
+share of its prefix's pass: the quadratic forms of D - 1 adjugate
+coefficients in one matrix product and their weighted sum in another.
+Fitted with PASS_WORK on a 2-core machine on ensembles of 2-atom vectors
+and a last vector of 1-8 atoms, at D = 2, 4, 6, 8: 0.18-0.36 us a prefix
+at D = 2, 0.58-0.81 us at D = 4, 1.7-2.3 us at D = 6 and 4.1-5.1 us at
+D = 8, each predicted at 0.40-1.46 times its measured time.  At D = 2 a
+kernel call's own overhead weighs most: a prefix costs 0.18 us when a
+call takes 2,048 prefixes and 0.36 us when it takes 512."""
 
 
 def _poly_work(dim: int) -> float:
@@ -267,42 +270,48 @@ def expected_char_poly_bruteforce(
     """E det(xI - sum v_i v_i*) by enumerating every outcome of the ensemble.
 
     Independent oracle for the subset expansion; its work is capped.  The
-    outcomes of every vector but the last are the prefix sums S of
-    ``outcome_sums``; each atom w of the last vector then gives its own
-    outcome's polynomial by the matrix determinant lemma,
+    lemma vector is the one with the most atoms, the last of them on a
+    tie.  The outcomes of the other vectors, in their order, are the
+    prefix sums S of ``outcome_sums``; each atom w of the lemma vector then
+    gives its own outcome's polynomial by the matrix determinant lemma,
     det(xI - S - w w*) = det(xI - S) - w* adj(xI - S) w, with one
-    Faddeev-LeVerrier pass per S serving all the atoms
-    (``linalg.rank_one_char_polys``).  The lemma is an identity of each
-    outcome's own matrix, with no expectation in it: the atoms are never
-    regrouped into the last vector's covariance, which is the rank-one
-    expectation step the subset expansion rests on, and every outcome's
-    polynomial enters the sum times its own probability.
+    Faddeev-LeVerrier pass per S serving all the atoms, so the oracle runs
+    leaf_count / (most atoms) passes.  ``linalg.rank_one_char_poly_sum``
+    weighs and sums the outcomes inside the kernel: each outcome's
+    quadratic forms enter times its own probability; no per-outcome array
+    is formed.  The lemma is an identity of each outcome's own matrix,
+    with no expectation in it: the atoms are never regrouped into the
+    lemma vector's covariance, which is the rank-one expectation step the
+    subset expansion rests on.
 
-    Prefixes times atoms are taken at most CHUNK at a time.  The request
-    is refused up front when its predicted work exceeds the work cap: for
+    Prefixes times atoms are taken at most CHUNK at a time.  The request is
+    refused up front when its predicted work exceeds the work cap: for
     each prefix, D^2 GATHER_WORK, PASS_WORK * D^3 and FORM_WORK * D^2 for
-    each atom of the last vector.
+    each atom of the lemma vector.
     """
     d = e.dim
     total = np.zeros(d + 1)
     if not e.vectors:
         total[d] = 1.0
         return total
-    *head, last = e.vectors
-    cols = min(last.support_size, CHUNK)
+    sizes = e.support_sizes
+    at = len(sizes) - 1 - sizes[::-1].index(max(sizes))  # last of the widest
+    lemma = e.vectors[at]
+    head = e.vectors[:at] + e.vectors[at + 1:]
+    cols = min(lemma.support_size, CHUNK)
 
     def leaf_sums(first, weights, sums):
         part = np.zeros(d + 1)
-        for at in range(0, last.support_size, cols):
-            atoms = slice(at, at + cols)
-            leaves = linalg.rank_one_char_polys(sums, last.values[atoms])
-            part += (np.outer(weights, last.probabilities[atoms]).reshape(-1)
-                     @ leaves.reshape(-1, d + 1))
+        for lo in range(0, lemma.support_size, cols):
+            atoms = slice(lo, lo + cols)
+            part += linalg.rank_one_char_poly_sum(
+                sums, lemma.values[atoms],
+                np.outer(weights, lemma.probabilities[atoms]))
         return part
 
-    for part in outcome_sums(RandomVectorEnsemble(d, tuple(head)), leaf_sums,
+    for part in outcome_sums(RandomVectorEnsemble(d, head), leaf_sums,
                              PASS_WORK * d ** 3
-                             + FORM_WORK * last.support_size * d ** 2,
+                             + FORM_WORK * lemma.support_size * d ** 2,
                              "brute-force oracle", policy,
                              chunk=max(1, CHUNK // cols)):
         total += part

@@ -21,6 +21,7 @@ from kspart.linalg import (
     isotropic_normalizer,
     jacobi_directional,
     operator_norm,
+    rank_one_char_poly_sum,
     rank_one_char_polys,
 )
 
@@ -338,6 +339,21 @@ def test_rank_one_char_polys_blocks(monkeypatch):
                        atol=1e-14 * np.max(np.abs(want)))
     empty = rank_one_char_polys(np.zeros((0, 3, 3)), vs)
     assert empty.shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rank_one_char_poly_sum_of_one_outcome_is_its_leaf(d):
+    rng = np.random.default_rng(600 + d)
+    stack = random_psd_stack(rng, 300, d)
+    vs = (rng.standard_normal((5, d))
+          + 1j * rng.standard_normal((5, d))) / np.sqrt(2 * d)
+    leaves = rank_one_char_polys(stack, vs)
+    for s, t in ((0, 0), (137, 3), (299, 4)):
+        one_hot = np.zeros((300, 5))
+        one_hot[s, t] = 1.0
+        got = rank_one_char_poly_sum(stack, vs, one_hot)
+        want = leaves[s, t]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want)))
 
 
 NOT_HERMITIAN = "matrix is not Hermitian: deviation 2.500e-01 exceeds 1.0e-12 * scale"

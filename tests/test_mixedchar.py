@@ -190,12 +190,12 @@ def test_bruteforce_blocks_stay_within_chunk(monkeypatch):
                             0.0, "reference"))
     calls = []
 
-    def recording(ms, vs):
+    def recording(ms, vs, weights):
         calls.append(len(ms) * len(vs))
-        return leaves(ms, vs)
+        return kernel(ms, vs, weights)
 
-    leaves = linalg.rank_one_char_polys
-    monkeypatch.setattr(linalg, "rank_one_char_polys", recording)
+    kernel = linalg.rank_one_char_poly_sum
+    monkeypatch.setattr(linalg, "rank_one_char_poly_sum", recording)
     for chunk in (4096, 7, 3, 1):  # the last vector's 5 atoms split below 5
         monkeypatch.setattr(mixedchar, "CHUNK", chunk)
         calls.clear()
@@ -203,6 +203,50 @@ def test_bruteforce_blocks_stay_within_chunk(monkeypatch):
         assert max(calls) <= chunk
         assert sum(calls) == e.leaf_count
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def per_outcome_sum(e):
+    """E det(xI - sum v_i v_i*) with one characteristic polynomial per
+    outcome, each weighted by its own probability."""
+    return sum(outcome_sums(e, lambda first, w, s: w @ char_poly_stack(s),
+                            0.0, "reference"))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_bruteforce_matches_the_per_outcome_sum(d, monkeypatch):
+    # d <= 2 forms no product; the widest vector (4 atoms) is not the last,
+    # and one vector has a single atom
+    rng = np.random.default_rng(700 + d)
+    e = ensemble_with_sizes(rng, d, (3, 1, 4, 2, 4, 2))
+    want = per_outcome_sum(e)
+    scale = np.max(np.abs(want))
+    # BLOCK_BYTES 1 takes one matrix a block
+    for chunk, block_bytes in product((mixedchar.CHUNK, 7, 3, 1),
+                                      (linalg.BLOCK_BYTES, 1)):
+        monkeypatch.setattr(mixedchar, "CHUNK", chunk)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        got = expected_char_poly_bruteforce(e)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_bruteforce_takes_the_lemma_on_the_widest_vector(monkeypatch):
+    rng = np.random.default_rng(31)
+    e = ensemble_with_sizes(rng, 3, (5, 1, 2))
+    want = per_outcome_sum(e)
+    calls = []
+
+    def recording(ms, vs, weights):
+        calls.append((len(ms), len(vs)))
+        return kernel(ms, vs, weights)
+
+    kernel = linalg.rank_one_char_poly_sum
+    monkeypatch.setattr(linalg, "rank_one_char_poly_sum", recording)
+    got = expected_char_poly_bruteforce(e)
+    assert calls == [(2, 5)]  # 2 prefixes, not 10 with the last vector
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    calls.clear()  # ties go to the last of the widest
+    expected_char_poly_bruteforce(ensemble_with_sizes(rng, 3, (2, 4, 3, 4)))
+    assert calls == [(24, 4)]
 
 
 def test_mixed_diagonal_half_power():
