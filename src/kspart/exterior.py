@@ -25,9 +25,12 @@ rho_m = 1 and rho_k = rho_{k+1} + sum_b Omega_b(u_k) rho_{k+1}, where
 Omega_b wedges u_k into block b on both sides.  With P = Q diag(lam) Q*,
 Cauchy-Binet again gives l(P)[J, K] = sign sum_L det Q[J^c, L] conj
 det Q[K^c, L] prod_{l in L} (x - lam_l), so a level takes its r
-children's new blocks l(P_t + r u_k u_k*) from one ``eigh`` and one
-``det`` per minor size, and each child keeps its parent's r - 1 other
-blocks.  l stays complex until the contraction's real part.
+children's new blocks l(P_t + r u_k u_k*) from one ``eigh``, and each
+child keeps its parent's r - 1 other blocks.  Q is unitary, so by
+Jacobi's theorem a term of minor size s > d/2 is a term of size d - s
+with a sign, and l reads only the minors of size <= d/2: Q's entries,
+then products of them, with no ``det`` call.  l stays complex until the
+contraction's real part.
 
 Nodes are formed in t = x - SHIFT.  SHIFT = 1 is every node's mean root,
 since the block sums have trace r d, and at small delta the roots crowd
@@ -72,7 +75,10 @@ def _leaves(kids: np.ndarray) -> list:
 # Work model of the state engine, in the units of NumericPolicy.work_cap,
 # fitted to 27 state-engine descents of gen_gaussian(d, d/m) from
 # (1, 2, 4) and (3, 2, 12) to (3, 2, 400), (2, 3, 300), (4, 3, 12) and
-# (6, 2, 6), each predicted at 0.67 to 1.73 times its measured time:
+# (6, 2, 6), each predicted at 0.67 to 1.73 times its measured time; with
+# l on the minors of size <= d/2, 27 such partitions from (1, 2, 4) to
+# (6, 2, 8) and (3, 4, 9) read 0.79 to 2.86 (2.86 at (2, 3, 300), where
+# the levels weigh most):
 LEVEL_WORK = 50_000
 """A level's r new l blocks and its calls besides the contractions."""
 MAC_WORK = 0.15
@@ -129,13 +135,23 @@ def _exterior(d: int) -> tuple:
 
     Returns Omega's entries (target, source, j, k, sign): Omega(u) maps
     (J, K) to (J + {j}, K + {k}) times sign u_j conj(u_k), the sign being
-    (-1)^(#(J below j) + #(K below k)).  Then l's terms: the rows and
-    columns of Q of each minor size s = 1 .. d - 1, and for each term of
-    l[J, K] = sign sum_L det Q[J^c, L] conj det Q[K^c, L] prod_{l in L}
-    (t - mu_l), the positions of its two minors among all sizes' minors
-    (sizes 0 and d being 1) and the bitmask of L's complement, in
-    coordinate order; and each coordinate's first term and sign
-    (-1)^(|J| + sum J + sum K)."""
+    (-1)^(#(J below j) + #(K below k)).  Then l's minors of Q, of the sizes
+    s <= max(1, d // 2) only, laid out size by size, rows major, after a
+    1 for size 0: size 1 is Q's entries, and each larger size's Laplace
+    expansion along its first row, as (start, entries, minors, signs) of
+    det Q[R, C] = sum_p (-1)^p Q[R_0, C_p] det Q[R - R_0, C - C_p].  Then
+    l's terms, in coordinate order: for each term of
+
+        l[J, K] = (-1)^(|J| + sum J + sum K) sum_{|L| = s} det Q[J^c, L]
+                  conj det Q[K^c, L] prod_{l in L} (t - mu_l),
+
+    s = d - |J|, the positions of its two minors and its place c 2^d + M
+    among the weights of the coordinates c by the bitmasks M of their
+    roots.  A size s above d // 2 is read from its complement by Jacobi's
+    theorem for the unitary Q: det Q[J^c, L] conj det Q[K^c, L] = (-1)^(sum
+    J + sum K) det Q[K, L^c] conj det Q[J, L^c], a term over the |J|-subset
+    L^c with the roots outside it.  Last each coordinate's sign, (-1)^|J|
+    for the terms read from their complements."""
     subsets = [list(combinations(range(d), g)) for g in range(d + 1)]
     rank = [{x: i for i, x in enumerate(grade)} for grade in subsets]
     index = {(j, k): i for i, (j, k) in enumerate(
@@ -146,26 +162,45 @@ def _exterior(d: int) -> tuple:
             for q, k in enumerate(k2):
                 source = index[j2[:p] + j2[p + 1:], k2[:q] + k2[q + 1:]]
                 omega.append((target, source, j, k, (-1) ** (p + q)))
-    gathers = [(_readonly(np.array([[i for _ in grade]
-                                    for i in grade])[..., None]),
-                _readonly(np.array([grade for _ in grade])[..., None, :]))
-               for s, grade in enumerate(subsets) if 0 < s < d]
-    offsets = np.cumsum([0] + [len(g) ** 2 for g in subsets])
+    half = max(1, d // 2)
+    offsets = np.cumsum([0] + [len(g) ** 2 for g in subsets[:half + 1]])
+
+    def minor(rows, cols):
+        s = len(rows)
+        return (int(offsets[s]) + rank[s][rows] * len(subsets[s])
+                + rank[s][cols])
+
+    laplace = []
+    for s in range(2, half + 1):
+        cut = [(rows, cols, p) for rows in subsets[s] for cols in subsets[s]
+               for p in range(s)]
+        entries = [minor(rows[:1], cols[p:p + 1]) for rows, cols, p in cut]
+        below = [minor(rows[1:], cols[:p] + cols[p + 1:])
+                 for rows, cols, p in cut]
+        laplace.append((int(offsets[s]),
+                        _readonly(np.array(entries).reshape(-1, s)),
+                        _readonly(np.array(below).reshape(-1, s)),
+                        _readonly((-1.0) ** np.arange(s))))
     full = (1 << d) - 1
-    terms, starts, signs = [], [], []
-    for j, k in index:
-        s = d - len(j)
-        jc, kc = (rank[s][tuple(x for x in range(d) if x not in y)]
-                  for y in (j, k))
-        starts.append(len(terms))
-        signs.append((-1.0) ** (len(j) + sum(j) + sum(k)))
-        terms += [(offsets[s] + jc * len(subsets[s]) + l,
-                   offsets[s] + kc * len(subsets[s]) + l,
-                   full ^ sum(1 << x for x in ls))
-                  for l, ls in enumerate(subsets[s])]
-    return (tuple(_readonly(np.array(x)) for x in zip(*omega)), gathers,
+    terms, signs = [], []
+    for c, (j, k) in enumerate(index):
+        g = len(j)
+        at = c << d
+        if d - g <= d // 2:
+            jc, kc = (tuple(x for x in range(d) if x not in y)
+                      for y in (j, k))
+            signs.append((-1.0) ** (g + sum(j) + sum(k)))
+            terms += [(minor(jc, ls), minor(kc, ls),
+                       at + sum(1 << x for x in ls)) for ls in subsets[d - g]]
+        else:
+            signs.append((-1.0) ** g)
+            terms += [(minor(k, ls), minor(j, ls),
+                       at + (full ^ sum(1 << x for x in ls)))
+                      for ls in subsets[g]]
+    return (tuple(_readonly(np.array(x)) for x in zip(*omega)),
+            int(offsets[-1]), laplace,
             tuple(_readonly(np.array(x)) for x in zip(*terms)),
-            _readonly(np.array(starts)), _readonly(np.array(signs)[:, None]))
+            _readonly(np.array(signs)[:, None]))
 
 
 def _suffix_states(vectors: np.ndarray, r: int, rows: int = 0) -> np.ndarray:
@@ -198,19 +233,31 @@ def _suffix_states(vectors: np.ndarray, r: int, rows: int = 0) -> np.ndarray:
     return states
 
 
-def _complement_polys(mu: np.ndarray) -> np.ndarray:
-    """prod_{l not in M} (t - mu_l) for every bitmask M of range(d), at
-    [..., M, :], for each row mu of a stack (..., d): ascending
-    coefficients, padded to degree d, built one root at a time."""
+@functools.cache
+def _subset_table(d: int) -> tuple:
+    """The members of each bitmask M of range(d), (2^d, d) booleans, and
+    the 0/1 matrix (2^d, 2^d (d + 1)) that adds the monomials prod_{l in
+    S} (-mu_l) of the subsets S of M with |S| = |M| - i into the t^i
+    coefficient of prod_{l in M} (t - mu_l), at [S, M (d + 1) + i]."""
+    masks = np.arange(1 << d)
+    bits = (masks[:, None] >> np.arange(d)) & 1
+    sizes = bits.sum(axis=1)
+    s, m = np.nonzero(masks[:, None] & masks == masks[:, None])
+    sums = np.zeros((1 << d, 1 << d, d + 1))
+    sums[s, m, sizes[m] - sizes[s]] = 1.0
+    return (_readonly(bits.astype(bool)),
+            _readonly(sums.reshape(1 << d, -1)))
+
+
+def _subset_polys(mu: np.ndarray) -> np.ndarray:
+    """prod_{l in M} (t - mu_l) for every bitmask M of range(d), at [...,
+    M, :], for each row mu of a stack (..., d): ascending coefficients,
+    padded to degree d, from one product of the 2^d monomials and one
+    product with ``_subset_table``'s sums."""
     d = mu.shape[-1]
-    comp = np.zeros(mu.shape[:-1] + (1, d + 1))
-    comp[..., 0, 0] = 1.0
-    for l in range(d):
-        times = np.zeros_like(comp)
-        times[..., 1:] = comp[..., :-1]
-        comp = np.concatenate((times - mu[..., l, None, None] * comp, comp),
-                              axis=-2)
-    return comp
+    bits, sums = _subset_table(d)
+    monomials = np.where(bits, -mu[..., None, :], 1.0).prod(axis=-1)
+    return (monomials @ sums).reshape(mu.shape[:-1] + (1 << d, d + 1))
 
 
 def _ell(bases: np.ndarray, shift: float) -> np.ndarray:
@@ -218,19 +265,22 @@ def _ell(bases: np.ndarray, shift: float) -> np.ndarray:
     t = x - shift, ascending, padded to degree d: l(P)[J, K] = (-1)^(|J| +
     sum J + sum K) det(xI - P)[J^c, K^c] = sign sum_L det Q[J^c, L] conj
     det Q[K^c, L] prod_{l in L} (t - mu_l), with P = Q diag(lam) Q* and
-    mu = lam - shift, from one ``eigh`` and one ``det`` per minor size.
-    The minors of size d are |det Q| = 1, so l[{}, {}] is the
-    characteristic polynomial prod_l (t - mu_l) itself."""
+    mu = lam - shift, from one ``eigh`` and the minors of Q of the sizes
+    s <= d // 2 (``_exterior``): Q's entries, then products of them, and
+    no ``det`` call.  The minor of size d is |det Q| = 1, so l[{}, {}] is
+    the characteristic polynomial prod_l (t - mu_l) itself."""
     count, d = bases.shape[:2]
     lam, q = np.linalg.eigh(bases)
-    comp = _complement_polys(lam - shift)
-    _, gathers, (jc, kc, masks), starts, signs = _exterior(d)
-    one = np.ones((count, 1), dtype=np.complex128)
-    minors = np.concatenate(
-        [one] + [np.linalg.det(q[:, rows, cols]).reshape(count, -1)
-                 for rows, cols in gathers] + [one], axis=1)
-    terms = (minors[:, jc] * minors[:, kc].conj())[..., None] * comp[:, masks]
-    return signs * np.add.reduceat(terms, starts, axis=1)
+    _, width, laplace, (a, b, at), signs = _exterior(d)
+    minors = np.empty((count, width), dtype=np.complex128)
+    minors[:, 0] = 1.0
+    minors[:, 1:1 + d * d] = q.reshape(count, -1)
+    for lo, entries, below, sign in laplace:
+        minors[:, lo:lo + len(entries)] = (
+            minors[:, entries] * minors[:, below]) @ sign
+    weights = np.zeros((count, len(signs), 1 << d), dtype=np.complex128)
+    weights.reshape(count, -1)[:, at] = minors[:, a] * minors[:, b].conj()
+    return signs * (weights @ _subset_polys(lam - shift))
 
 
 @functools.cache

@@ -69,9 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realpoly
-from .exterior import (BYTE_WORK, LEVEL_WORK, _complement_polys, _leaves,
-                       _part_sums, _state_family, _state_node, _state_work,
-                       state_bytes, state_work)
+from .exterior import (BYTE_WORK, LEVEL_WORK, _leaves, _part_sums,
+                       _state_family, _state_node, _state_work, state_bytes,
+                       state_work)
 from .interlace import DescentTrace, NodeFamily, descend, roots_work
 from .mixedchar import (CHUNK, GATHER_WORK, FiniteSupportVector,
                         RandomVectorEnsemble, _positions, _subset_char_polys,
@@ -465,6 +465,20 @@ def block_node_poly(inst: WeaverInstance, prefix, r: int,
     u = inst.vectors
     bases = _part_sums(np.einsum("mj,mk->mjk", u, u.conj()), prefix, r)
     return _node(u, bases, _subset_lattice(n, min(n, (r - 1) * d)))
+
+
+def _complement_polys(mu: np.ndarray) -> np.ndarray:
+    """prod_{l not in M} (x - mu_l) for every bitmask M of range(d), at
+    [M, :]: ascending coefficients, padded to degree d, built one root at
+    a time."""
+    d = len(mu)
+    comp = np.zeros((1, d + 1))
+    comp[0, 0] = 1.0
+    for l in range(d):
+        times = np.zeros_like(comp)
+        times[:, 1:] = comp[:, :-1]
+        comp = np.concatenate((times - mu[l] * comp, comp))
+    return comp
 
 
 def _minor_polys(u: np.ndarray, base: np.ndarray,

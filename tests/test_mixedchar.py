@@ -103,48 +103,58 @@ def test_bruteforce_diagonal_half_power():
         assert np.max(np.abs(p - want)) <= 1e-12
 
 
-def exact_char_poly(a):
-    """det(xI - A) of a square matrix of integers, ascending, by the
-    Faddeev-LeVerrier recursion in integers: each c_k of an integer
-    matrix is an integer, so every division by k is exact."""
-    d = len(a)
+def exact_char_poly(re, im=None):
+    """det(xI - A) of a square matrix A = re + i im of Gaussian integers
+    (im zero when omitted), ascending, by the Faddeev-LeVerrier recursion
+    in integers: each c_k of such a matrix is a Gaussian integer, so every
+    division by k is exact, and of a Hermitian one it is real."""
+    d = len(re)
+    im = im or [[0] * d for _ in range(d)]
     coeffs = [0] * d + [1]
-    b = [[int(i == j) for j in range(d)] for i in range(d)]
+    b_re = [[int(i == j) for j in range(d)] for i in range(d)]
+    b_im = [[0] * d for _ in range(d)]
     for k in range(1, d + 1):
-        m = [[sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d)]
-             for i in range(d)]
-        c, rest = divmod(-sum(m[i][i] for i in range(d)), k)
-        assert rest == 0
+        m_re = [[sum(re[i][t] * b_re[t][j] - im[i][t] * b_im[t][j]
+                     for t in range(d)) for j in range(d)] for i in range(d)]
+        m_im = [[sum(re[i][t] * b_im[t][j] + im[i][t] * b_re[t][j]
+                     for t in range(d)) for j in range(d)] for i in range(d)]
+        c, rest = divmod(-sum(m_re[i][i] for i in range(d)), k)
+        assert rest == 0 and sum(m_im[i][i] for i in range(d)) == 0
         coeffs[d - k] = c
-        b = [[m[i][j] + (c if i == j else 0) for j in range(d)]
-             for i in range(d)]
+        b_re = [[m_re[i][j] + (c if i == j else 0) for j in range(d)]
+                for i in range(d)]
+        b_im = m_im
     return coeffs
 
 
 def exact_expected_char_poly(e):
-    """E det(xI - sum v_i v_i^T) of a real ensemble, exactly: every outcome
-    enumerated, its probabilities and atoms read as the Fractions their
-    floats are.  The atoms are integers over one power of two, den, so
-    each outcome's sum is an integer matrix N over den^2, and the
-    coefficient of x^(d - k) is N's over den^(2k)."""
+    """E det(xI - sum v_i v_i*) of an ensemble, exactly: every outcome
+    enumerated, its probabilities and the real and imaginary parts of its
+    atoms read as the Fractions their floats are.  The parts are integers
+    over one power of two, den, so each outcome's sum is a Gaussian
+    integer matrix N over den^2, and the coefficient of x^(d - k) is N's
+    over den^(2k)."""
     d = e.dim
     vectors = [([Fraction(float(p)) for p in v.probabilities],
-                [[Fraction(float(x.real)) for x in row] for row in v.values])
+                [[(Fraction(float(x.real)), Fraction(float(x.imag)))
+                  for x in row] for row in v.values])
                for v in e.vectors]
     den = max((x.denominator for _, vals in vectors for row in vals
-               for x in row), default=1)
-    vectors = [(probs, [[int(x * den) for x in row] for row in vals])
-               for probs, vals in vectors]
+               for z in row for x in z), default=1)
+    vectors = [(probs, [[(int(a * den), int(b * den)) for a, b in row]
+                        for row in vals]) for probs, vals in vectors]
     total = [Fraction(0)] * (d + 1)
     for outcome in product(*(range(v.support_size) for v in e.vectors)):
         weight = Fraction(1)
-        s = [[0] * d for _ in range(d)]
+        re = [[0] * d for _ in range(d)]
+        im = [[0] * d for _ in range(d)]
         for (probs, vals), t in zip(vectors, outcome):
             weight *= probs[t]
-            for i in range(d):
-                for j in range(d):
-                    s[i][j] += vals[t][i] * vals[t][j]
-        for k, c in enumerate(exact_char_poly(s)):
+            for i, (a, b) in enumerate(vals[t]):
+                for j, (c, f) in enumerate(vals[t]):
+                    re[i][j] += a * c + b * f  # v_i conj(v_j)
+                    im[i][j] += b * c - a * f
+        for k, c in enumerate(exact_char_poly(re, im)):
             total[k] += weight * Fraction(c, den ** (2 * (d - k)))
     return total
 
@@ -215,18 +225,23 @@ def per_outcome_sum(e):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_bruteforce_matches_the_per_outcome_sum(d, monkeypatch):
     # d <= 2 forms no product; the widest vector (4 atoms) is not the last,
-    # and one vector has a single atom
+    # and one vector has a single atom.  The atoms are Gaussian rationals on
+    # a dyadic grid, so the per-outcome sum is taken exactly
     rng = np.random.default_rng(700 + d)
     e = ensemble_with_sizes(rng, d, (3, 1, 4, 2, 4, 2))
-    want = per_outcome_sum(e)
-    scale = np.max(np.abs(want))
+    e = RandomVectorEnsemble(d, tuple(
+        FiniteSupportVector(v.probabilities, np.round(v.values * 64) / 64)
+        for v in e.vectors))
+    want = exact_expected_char_poly(e)
+    scale = max(abs(c) for c in want)
     # BLOCK_BYTES 1 takes one matrix a block
     for chunk, block_bytes in product((mixedchar.CHUNK, 7, 3, 1),
                                       (linalg.BLOCK_BYTES, 1)):
         monkeypatch.setattr(mixedchar, "CHUNK", chunk)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
         got = expected_char_poly_bruteforce(e)
-        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        assert max(abs(Fraction(float(g)) - w) for g, w in zip(got, want)) \
+            <= Fraction(1, 10 ** 14) * scale
 
 
 def test_bruteforce_takes_the_lemma_on_the_widest_vector(monkeypatch):
